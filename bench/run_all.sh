@@ -89,10 +89,16 @@ for b in abl_cost_models exp1_optimisation_flat exp2_optimisers \
 done
 
 # micro_ops links Google Benchmark's benchmark_main, which brings its own
-# JSON reporter instead of the --json flag of the experiment drivers.
+# JSON reporter instead of the --json flag of the experiment drivers. That
+# reporter stamps no provenance, so pass the stamps report.cc writes
+# (commit, compiler, build type) as context keys; commas would split them.
 if [ -x "$BENCH_DIR/micro_ops" ]; then
   echo ">> micro_ops"
+  CXX_PATH=$(sed -n 's/^CMAKE_CXX_COMPILER:[^=]*=//p' "$CACHE" 2>/dev/null || true)
+  COMPILER=$("${CXX_PATH:-c++}" --version 2>/dev/null | head -n 1 | tr -d ',' || true)
+  BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$CACHE" 2>/dev/null || true)
   "$BENCH_DIR/micro_ops" \
+    --benchmark_context="git_sha=${FDB_BENCH_GIT_SHA:-unknown},compiler=${COMPILER:-unknown},build_type=${BUILD_TYPE:-unknown}" \
     --benchmark_out="$OUT_DIR/BENCH_micro.json" \
     --benchmark_out_format=json
 else

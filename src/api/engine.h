@@ -181,17 +181,24 @@ class Engine {
   /// output tap of EvaluateFlat/Execute. Large representations enumerate
   /// in parallel per EngineOptions::enumerate (deterministic: identical
   /// rows and order for every thread count); small ones stay on the
-  /// caller thread.
+  /// caller thread. The contract of MaterializeVisible (core/enumerate.h):
+  /// rows distinct and sorted under sort_order(), the visible columns in
+  /// the result f-tree's pre-order; no sort unless the tree projects a
+  /// middle node, which the engine's own projection never leaves. The
+  /// order follows the f-tree, so compare results of different plans as
+  /// sets.
   Relation MaterializeResult(const FdbResult& res) const {
     return MaterializeVisible(res.rep, opts_.enumerate);
   }
 
-  /// Kernel-accelerated materialisation: identical output to the overload
-  /// above, but rows are emitted by a compiled enumeration kernel
+  /// Kernel-accelerated materialisation: byte-identical output to the
+  /// overload above, but rows are emitted by a compiled enumeration kernel
   /// (core/kernel.h) when `kernel` matches the result's f-tree — e.g. the
   /// kernel attached to the serve-path plan cache entry for this query
-  /// (serve/plan_cache.h). Null or mismatching kernels fall back to the
-  /// interpreted path, so callers can pass whatever the cache holds.
+  /// (serve/plan_cache.h) — every morsel writing its slice of one presized
+  /// buffer. Null or mismatching kernels fall back to the interpreted
+  /// path, so callers can pass whatever the cache holds. A non-null
+  /// `trace` records the sink's spans (core/parallel_enumerate.h).
   Relation MaterializeResult(const FdbResult& res, const EnumKernel* kernel,
                              QueryTrace* trace = nullptr) const {
     return MaterializeVisible(res.rep, opts_.enumerate, kernel, trace);

@@ -1,5 +1,6 @@
 #include "common/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -75,13 +76,15 @@ double Histogram::Snapshot::Percentile(double p) const {
     const uint64_t prev = cum;
     cum += buckets[i];
     if (static_cast<double>(cum) >= rank) {
-      // Linear interpolation inside the bucket [lower, bounds[i]].
+      // Linear interpolation inside the bucket [lower, bounds[i]], clamped
+      // to the observed max: no sample exceeded it, so no quantile may
+      // either (the bucket's upper bound can lie far above it).
       const double lower = i == 0 ? 0.0 : bounds[i - 1];
       const double upper = bounds[i];
       const double in_bucket = static_cast<double>(buckets[i]);
-      if (in_bucket <= 0.0) return upper;
+      if (in_bucket <= 0.0) return std::min(upper, max_seconds);
       const double frac = (rank - static_cast<double>(prev)) / in_bucket;
-      return lower + (upper - lower) * frac;
+      return std::min(lower + (upper - lower) * frac, max_seconds);
     }
   }
   return max_seconds;  // rank lands in the overflow bucket

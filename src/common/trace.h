@@ -18,6 +18,9 @@
 //     kernel-compile       EnumKernel::Compile (first execution of a plan)
 //     morsel-plan          ParallelEnumerator planning (rows = morsels)
 //     enumerate            materialisation of the flat result (rows)
+//       emit               the sink's enumeration (rows = tuples emitted)
+//       concat             per-morsel buffers joined (interpreted, >1 morsel)
+//       sort-dedup         only for a projected middle node (rows = kept)
 //
 // Tracing is opt-in per query: every traced function takes a
 // `QueryTrace* trace = nullptr` and a null trace makes Scope a no-op that

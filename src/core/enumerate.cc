@@ -155,40 +155,4 @@ bool TupleEnumerator::Next() {
   return false;
 }
 
-Relation internal::MaterializeVisibleSized(const FRep& rep, double est_rows) {
-  std::vector<AttrId> schema = rep.tree().VisibleAttrs().ToVector();
-  Relation out(schema);
-  // Reserve the pre-dedup row count up front; skip the reservation when
-  // the count is unknown or approximate-huge (those results do not fit
-  // memory anyway).
-  if (!schema.empty() && est_rows > 0.0 && est_rows < 1e9) {
-    out.Reserve(static_cast<size_t>(est_rows));
-  }
-  TupleEnumerator en(rep, /*visible_only=*/true);
-  std::vector<Value> tuple(schema.size());
-  while (en.Next()) {
-    for (size_t c = 0; c < schema.size(); ++c) tuple[c] = en.ValueOf(schema[c]);
-    out.AddTuple(tuple);
-  }
-  out.SortLex();  // relations are sets: sort + dedup
-  return out;
-}
-
-Relation MaterializeVisible(const FRep& rep) {
-  double rows = -1.0;
-  if (!rep.empty()) {
-    // The exact pre-dedup row count: the product over the kept root trees
-    // of their visible-restricted tuple counts (the CountTuples DP with
-    // invisible-only subtrees masked out).
-    std::vector<char> keep = VisibleKeepMask(rep.tree());
-    std::vector<double> counts = rep.SubtreeTupleCounts(&keep);
-    rows = 1.0;
-    const auto& roots = rep.tree().roots();
-    for (size_t i = 0; i < roots.size(); ++i) {
-      if (keep[static_cast<size_t>(roots[i])]) rows *= counts[rep.roots()[i]];
-    }
-  }
-  return internal::MaterializeVisibleSized(rep, rows);
-}
-
 }  // namespace fdb

@@ -58,8 +58,9 @@ struct EntryBound {
 /// *visible* tuples can still arise from invisible nodes that have visible
 /// descendants (two values of the invisible node may lead to equal visible
 /// sub-tuples below — a data property no structural skip can detect);
-/// MaterializeVisible removes those by sort+dedup. In this mode only
-/// visible attributes of the current tuple are meaningful.
+/// MaterializeVisible removes those by sort+dedup, the only shape it
+/// sorts. In this mode only visible attributes of the current tuple are
+/// meaningful.
 class TupleEnumerator {
  public:
   explicit TupleEnumerator(const FRep& rep, bool visible_only = false);
@@ -116,23 +117,22 @@ class TupleEnumerator {
   bool nullary_pending_ = false;
 };
 
-/// Materialises the visible part of `rep` as a relation with schema =
-/// visible attributes in increasing id order; rows sorted, duplicates
-/// removed. Enumerates with `visible_only`, so invisible-only subtrees do
-/// not blow up the intermediate stream, and reserves the output capacity
-/// from the restricted tuple count up front (no growth reallocations).
-/// For large representations the overload taking EnumerateOptions
-/// (core/parallel_enumerate.h) enumerates on multiple cores.
+/// Materialises the visible part of `rep` as a relation, sequentially on
+/// the calling thread. The output contract, shared by every
+/// materialisation (the overloads in core/parallel_enumerate.h too):
+///  * schema = the visible attributes in increasing id order;
+///  * the rows are distinct (relations are sets) and sorted under
+///    sort_order(), which lists the columns in f-tree pre-order — the
+///    order the odometer emits them in, so it differs from column order
+///    whenever the pre-order does;
+///  * no sort runs unless the tree projects a middle node — a kept frame
+///    with no visible attribute, whose values can repeat and reorder the
+///    rows below it; only that shape is sorted and deduplicated.
+/// Enumerates with `visible_only`, so invisible-only subtrees do not blow
+/// up the stream, and reserves the output from the restricted tuple count
+/// up front (no growth reallocations). Compare two results over different
+/// f-trees as sets (same rows after canonicalising both), not with ==.
 Relation MaterializeVisible(const FRep& rep);
-
-namespace internal {
-
-/// Sequential MaterializeVisible sink with a pre-computed pre-dedup row
-/// count (<= 0: unknown, skip the reservation). Shared by the public
-/// overloads so each call sizes the stream with exactly one DP pass.
-Relation MaterializeVisibleSized(const FRep& rep, double est_rows);
-
-}  // namespace internal
 
 }  // namespace fdb
 

@@ -81,8 +81,10 @@ EnumKernel EnumKernel::Compile(const FTree& tree, bool visible_only,
       if (schema_set.Contains(a)) k.out_cols_.push_back(col[a]);
     }
     s.out_end = static_cast<uint32_t>(k.out_cols_.size());
+    if (s.out_begin == s.out_end) k.distinct_ = false;  // projected middle
     k.steps_.push_back(s);
   }
+  k.order_.assign(k.out_cols_.begin(), k.out_cols_.end());
   k.signature_ = ShapeSignature(tree, visible_only, frames);
   return k;
 }
@@ -93,9 +95,9 @@ bool EnumKernel::Matches(const FTree& tree) const {
   return ShapeSignature(tree, visible_only_, frames) == signature_;
 }
 
-template <bool kEmit>
+template <bool kEmit, typename Grow>
 uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
-                         [[maybe_unused]] std::vector<Value>* out) const {
+                         [[maybe_unused]] Grow&& grow) const {
   // Same bounds contract (and validation) as the TupleEnumerator bounds
   // constructor: a pinned chain plus one trailing ranged frame.
   for (size_t i = 0; i < bounds.size(); ++i) {
@@ -186,16 +188,14 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
     if (ctx != nullptr && (++probe_tick & 63u) == 0) ctx->CheckCancelled();
     RunFrame& lf = run[n - 1];
     if constexpr (kEmit) {
-      // Innermost frame: emit the whole run at once. One resize per run
-      // (not per row) keeps the vector's capacity check and end-pointer
+      // Innermost frame: emit the whole run at once. One grow per run
+      // (not per row) keeps the destination's capacity check and end
       // update out of the hot loop.
       const Step& last = steps_[n - 1];
       const uint32_t* lcols = out_cols_.data() + last.out_begin;
       const uint32_t lcount = last.out_end - last.out_begin;
       const size_t run_len = lf.limit - lf.entry;
-      const size_t pos = out->size();
-      out->resize(pos + run_len * ncols);
-      Value* dst = out->data() + pos;
+      Value* dst = grow(run_len * ncols);
       const Value* vals = lf.vals + lf.entry;
       // Column-strided emission: every column is either constant for the
       // whole run (outer frames) or a straight copy of the innermost
@@ -236,12 +236,30 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
 
 uint64_t EnumKernel::Emit(const FRep& rep, std::span<const EntryBound> bounds,
                           std::vector<Value>* out) const {
-  return Run<true>(rep, bounds, out);
+  return Run<true>(rep, bounds, [out](size_t n) {
+    const size_t pos = out->size();
+    out->resize(pos + n);
+    return out->data() + pos;
+  });
+}
+
+uint64_t EnumKernel::Emit(const FRep& rep, std::span<const EntryBound> bounds,
+                          std::span<Value> out) const {
+  Value* next = out.data();
+  size_t left = out.size();
+  return Run<true>(rep, bounds, [&next, &left](size_t n) {
+    FDB_CHECK_MSG(n <= left, "kernel emit window is smaller than the stream");
+    Value* dst = next;
+    next += n;
+    left -= n;
+    return dst;
+  });
 }
 
 uint64_t EnumKernel::CountRows(const FRep& rep,
                                std::span<const EntryBound> bounds) const {
-  return Run<false>(rep, bounds, nullptr);
+  return Run<false>(rep, bounds,
+                    [](size_t) { return static_cast<Value*>(nullptr); });
 }
 
 }  // namespace fdb

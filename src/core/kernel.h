@@ -19,6 +19,13 @@
 // the assembled row directly, so MaterializeVisible never re-reads the
 // enumerator per attribute.
 //
+// Output order: the program walks frames in pre-order and every union's
+// values ascend, so its rows come out sorted under order() — the columns
+// in f-tree pre-order — and distinct unless a frame outputs no column
+// (distinct()). Compile records both; MaterializeVisible records that
+// order on the result (Relation::MarkSorted) and sorts only the
+// non-distinct shape.
+//
 // Morsel bounds (EntryBound, same contract as the TupleEnumerator bounds
 // constructor: a pinned chain plus one ranged frame) restrict the run, so
 // ParallelEnumerator executes one kernel run per morsel.
@@ -60,6 +67,21 @@ class EnumKernel {
   /// Output schema: one column per attribute, increasing id order.
   const std::vector<AttrId>& schema() const { return schema_; }
 
+  /// The order the stream comes out in: schema() columns listed in f-tree
+  /// pre-order (each frame's columns in increasing id order), a
+  /// permutation of all columns. Values strictly increase within a union,
+  /// so the emitted rows — whole stream, or morsel runs concatenated in
+  /// plan order — are lexicographically sorted under this column order.
+  const std::vector<size_t>& order() const { return order_; }
+
+  /// True iff the stream is duplicate-free: every frame outputs at least
+  /// one column. False exactly when a visible-mode kernel keeps a frame
+  /// for an invisible node with visible descendants (a projected middle
+  /// node): two of its values may lead to equal rows below it, and those
+  /// rows then also break the order. Full-mode kernels are always
+  /// distinct. Decided once at Compile from the f-tree, never from data.
+  bool distinct() const { return distinct_; }
+
   /// True iff `tree` lowers to the same step program — the kernel then
   /// enumerates any representation over `tree` correctly. Callers must
   /// check this before running a kernel against a representation it was
@@ -74,6 +96,14 @@ class EnumKernel {
   /// `rep.tree()` must satisfy Matches().
   uint64_t Emit(const FRep& rep, std::span<const EntryBound> bounds,
                 std::vector<Value>* out) const;
+
+  /// Emit into a caller-owned window instead of a growing vector: rows are
+  /// written from out.data() on, and `out` must hold at least
+  /// CountRows(rep, bounds) * schema().size() values (checked; an
+  /// undersized window throws FdbError). This is how the materialiser has
+  /// every morsel write its own slice of one presized output buffer.
+  uint64_t Emit(const FRep& rep, std::span<const EntryBound> bounds,
+                std::span<Value> out) const;
 
   /// Row count of the restricted stream without materialising it; the
   /// innermost frame is counted by run length, not walked.
@@ -93,15 +123,19 @@ class EnumKernel {
     uint32_t out_end = 0;
   };
 
-  template <bool kEmit>
+  /// The walk. With kEmit, `grow(n)` is called once per innermost run and
+  /// returns where that run's n values go.
+  template <bool kEmit, typename Grow>
   uint64_t Run(const FRep& rep, std::span<const EntryBound> bounds,
-               std::vector<Value>* out) const;
+               Grow&& grow) const;
 
   std::vector<Step> steps_;        ///< pre-order, one per kept frame
   std::vector<uint32_t> out_cols_; ///< flat per-step column lists
   std::vector<AttrId> schema_;     ///< output attributes, ascending
+  std::vector<size_t> order_;      ///< out_cols_ widened: the row order
   std::vector<uint64_t> signature_;  ///< shape key compared by Matches()
   bool visible_only_ = false;
+  bool distinct_ = true;
 };
 
 }  // namespace fdb

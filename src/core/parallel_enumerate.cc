@@ -1,7 +1,9 @@
 #include "core/parallel_enumerate.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -235,91 +237,160 @@ void ParallelEnumerator::Enumerate(
   });
 }
 
+// ---------------------------------------------------------------------------
+// Materialisation sinks. Every path — sequential interpreted, parallel
+// interpreted, compiled kernel — meets one contract (SealVisible): the
+// rows are distinct and sorted under sort_order(), the visible columns in
+// f-tree pre-order.
+
 namespace {
 
-// Interpreted emission over a planned enumeration (the pre-PR-7 path and
-// the fallback for mismatching kernels).
-Relation EmitInterpreted(const FRep& rep, const ParallelEnumerator& pe) {
-  if (pe.num_chunks() <= 1) {
-    // Sequential fallback. When the constructor already sized the stream
-    // (small result below the cutoff), hand the estimate over instead of
-    // letting the sequential overload re-run the DP.
-    return pe.plan().est_total > 0
-               ? internal::MaterializeVisibleSized(rep, pe.plan().est_total)
-               : MaterializeVisible(rep);
+// Values strictly increase within a union and morsels partition the
+// stream in odometer order, so the emitted rows are already sorted under
+// the pre-order columns and, with one visible value per frame, distinct:
+// they are only recorded as such. A kept frame without a visible attribute
+// (a projected middle node) breaks both — its values can lead to equal
+// rows below it — so that shape alone is sorted and deduplicated, under
+// the same order. `layout` is the visible-mode kernel of the rep's f-tree,
+// the single definition of the order (EnumKernel::order/distinct).
+void SealVisible(Relation& out, const EnumKernel& layout, QueryTrace* trace) {
+  if (layout.distinct()) {
+    out.MarkSorted(layout.order());
+    return;
   }
+  QueryTrace::Scope span(trace, "sort-dedup");
+  out.SortByColumns(layout.order());
+  span.SetRows(out.size());
+}
 
-  std::vector<AttrId> schema = rep.tree().VisibleAttrs().ToVector();
+// Sequential interpreted sink. `est_rows` is the stream length when known
+// (<= 0: unknown, no reservation).
+Relation EmitSequential(const FRep& rep, double est_rows, QueryTrace* trace) {
+  const EnumKernel layout = EnumKernel::Compile(rep.tree(), true);
+  const std::vector<AttrId>& schema = layout.schema();
   Relation out(schema);
-  const size_t arity = schema.size();
-  // Per-chunk value buffers, concatenated in chunk order below — the
-  // pre-sort stream is byte-identical to the sequential enumeration.
-  std::vector<std::vector<Value>> chunks(pe.num_chunks());
-  pe.Enumerate([&](size_t c, TupleEnumerator& en) {
-    ExecContext* const ctx = ExecContext::Current();
-    uint32_t tick = 0;
-    std::vector<Value>& buf = chunks[c];
-    const double est =
-        pe.plan().morsels[c].est_tuples * static_cast<double>(arity);
-    if (est > 0.0 && est < 2e9) buf.reserve(static_cast<size_t>(est));
-    while (en.Next()) {
-      if (ctx != nullptr && (++tick & 8191u) == 0) ctx->CheckCancelled();
-      for (AttrId a : schema) buf.push_back(en.ValueOf(a));
+  {
+    QueryTrace::Scope emit(trace, "emit");
+    // Skip the reservation when the count is approximate-huge (such
+    // results do not fit memory anyway).
+    if (!schema.empty() && est_rows > 0.0 && est_rows < 1e9) {
+      out.Reserve(static_cast<size_t>(est_rows));
     }
-  });
-  size_t total_values = 0;
-  for (const std::vector<Value>& b : chunks) total_values += b.size();
-  out.Reserve(arity > 0 ? total_values / arity : 0);
-  for (const std::vector<Value>& b : chunks) out.AppendRows(b);
-  out.SortLex();  // relations are sets: sort + dedup
+    TupleEnumerator en(rep, /*visible_only=*/true);
+    std::vector<Value> tuple(schema.size());
+    uint64_t tuples = 0;
+    while (en.Next()) {
+      for (size_t c = 0; c < schema.size(); ++c) {
+        tuple[c] = en.ValueOf(schema[c]);
+      }
+      out.AddTuple(tuple);
+      ++tuples;
+    }
+    emit.SetRows(tuples);
+  }
+  SealVisible(out, layout, trace);
   return out;
 }
 
-// Kernel-accelerated emission over a planned enumeration.
-Relation EmitWithKernel(const FRep& rep, const EnumKernel& kernel,
-                        const ParallelEnumerator& pe) {
-  const std::vector<AttrId>& schema = kernel.schema();
-  Relation out(schema);
-  if (rep.empty()) return out;
-  const size_t arity = schema.size();
-  if (arity == 0) {
-    // Fully-invisible (or nullary) stream: the kernel reports the single
-    // collapsed row count without appending values.
-    std::vector<Value> none;
-    const uint64_t rows = kernel.Emit(rep, {}, &none);
-    for (uint64_t r = 0; r < rows; ++r) out.AddTuple({});
-    out.SortLex();
-    return out;
+// Interpreted emission over a planned enumeration (the fallback when no
+// matching kernel is at hand).
+Relation EmitInterpreted(const FRep& rep, const ParallelEnumerator& pe,
+                         QueryTrace* trace) {
+  if (pe.num_chunks() <= 1) {
+    // Sequential fallback, sized by the constructor's estimate when it
+    // computed one (a result below the cutoff), else by one DP pass.
+    double est = pe.plan().est_total;
+    if (est <= 0 && !rep.empty()) {
+      const std::vector<char> keep = VisibleKeepMask(rep.tree());
+      est = RestrictedTotal(rep, &keep, rep.SubtreeTupleCounts(&keep));
+    }
+    return EmitSequential(rep, est, trace);
   }
-  // One kernel run per morsel, restricted by the morsel's bound chain; the
-  // per-chunk buffers concatenate in chunk order to the sequential stream.
+
+  const EnumKernel layout = EnumKernel::Compile(rep.tree(), true);
+  const std::vector<AttrId>& schema = layout.schema();
+  const size_t arity = schema.size();  // > 0: there are frames to split
+  Relation out(schema);
+  // Per-chunk value buffers, concatenated in chunk order below — the
+  // concatenation is byte-identical to the sequential stream.
   std::vector<std::vector<Value>> chunks(pe.num_chunks());
-  pe.ForEachChunk([&](size_t c) {
-    const Morsel& m = pe.plan().morsels[c];
-    std::vector<Value>& buf = chunks[c];
-    // Exact presize via the kernel's count mode — it skips the innermost
-    // walk entirely, so it costs a fraction of a percent of the emit and
-    // guarantees the emit never reallocates (the sequential-fallback
-    // morsel carries no estimate, and estimates may run short).
-    buf.reserve(kernel.CountRows(rep, m.bounds) * arity);
-    kernel.Emit(rep, m.bounds, &buf);
-  });
-  // The first chunk moves into the relation (free for the common
-  // single-chunk sequential case); the rest reserve-then-append.
   size_t total_values = 0;
-  for (const std::vector<Value>& b : chunks) total_values += b.size();
-  out.AdoptRows(std::move(chunks[0]));
-  out.Reserve(total_values / arity);
-  for (size_t c = 1; c < chunks.size(); ++c) out.AppendRows(chunks[c]);
-  out.SortLex();  // relations are sets: sort + dedup
+  {
+    QueryTrace::Scope emit(trace, "emit");
+    pe.Enumerate([&](size_t c, TupleEnumerator& en) {
+      ExecContext* const ctx = ExecContext::Current();
+      uint32_t tick = 0;
+      std::vector<Value>& buf = chunks[c];
+      const double est =
+          pe.plan().morsels[c].est_tuples * static_cast<double>(arity);
+      if (est > 0.0 && est < 2e9) buf.reserve(static_cast<size_t>(est));
+      while (en.Next()) {
+        if (ctx != nullptr && (++tick & 8191u) == 0) ctx->CheckCancelled();
+        for (AttrId a : schema) buf.push_back(en.ValueOf(a));
+      }
+    });
+    for (const std::vector<Value>& b : chunks) total_values += b.size();
+    emit.SetRows(total_values / arity);
+  }
+  {
+    QueryTrace::Scope concat(trace, "concat");
+    out.Reserve(total_values / arity);
+    for (const std::vector<Value>& b : chunks) out.AppendRows(b);
+  }
+  SealVisible(out, layout, trace);
+  return out;
+}
+
+// Kernel-accelerated emission over a planned enumeration. The morsels'
+// exact row counts (count mode skips the innermost walk, a fraction of a
+// percent of the emit) and their prefix sum give every morsel its own
+// slice of one presized buffer, so each one writes straight into the
+// result in stream order — no per-chunk buffers, no concatenation copy.
+Relation EmitWithKernel(const FRep& rep, const EnumKernel& kernel,
+                        const ParallelEnumerator& pe, QueryTrace* trace) {
+  const size_t arity = kernel.schema().size();
+  Relation out(kernel.schema());
+  {
+    QueryTrace::Scope emit(trace, "emit");
+    if (arity == 0) {
+      // Fully-invisible (or nullary) stream: at most the one empty tuple.
+      if (kernel.CountRows(rep, {}) > 0) out.AddTuple({});
+    } else {
+      const size_t n = pe.num_chunks();
+      std::vector<size_t> first(n + 1, 0);  // first row of each morsel
+      pe.ForEachChunk([&](size_t c) {
+        first[c + 1] = kernel.CountRows(rep, pe.plan().morsels[c].bounds);
+      });
+      std::partial_sum(first.begin(), first.end(), first.begin());
+      std::vector<Value> rows(first[n] * arity);
+      pe.ForEachChunk([&](size_t c) {
+        const size_t len = first[c + 1] - first[c];
+        const std::span<Value> slice(rows.data() + first[c] * arity,
+                                     len * arity);
+        const uint64_t emitted =
+            kernel.Emit(rep, pe.plan().morsels[c].bounds, slice);
+        FDB_CHECK_MSG(emitted == len,
+                      "kernel emitted a different row count than it counted");
+      });
+      out.AdoptRows(std::move(rows));
+    }
+    emit.SetRows(out.size());
+  }
+  SealVisible(out, kernel, trace);
   return out;
 }
 
 }  // namespace
 
+Relation MaterializeVisible(const FRep& rep) {
+  EnumerateOptions sequential;
+  sequential.threads = 1;
+  return MaterializeVisible(rep, sequential);
+}
+
 Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts) {
   ParallelEnumerator pe(rep, opts, /*visible_only=*/true);
-  return EmitInterpreted(rep, pe);
+  return EmitInterpreted(rep, pe, nullptr);
 }
 
 Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts,
@@ -337,8 +408,8 @@ Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts,
     plan_span.SetRows(pe->num_chunks());
   }
   QueryTrace::Scope enum_span(trace, "enumerate");
-  Relation out =
-      use_kernel ? EmitWithKernel(rep, *kernel, *pe) : EmitInterpreted(rep, *pe);
+  Relation out = use_kernel ? EmitWithKernel(rep, *kernel, *pe, trace)
+                            : EmitInterpreted(rep, *pe, trace);
   enum_span.SetRows(out.size());
   return out;
 }

@@ -121,20 +121,28 @@ class ParallelEnumerator {
   MorselPlan plan_;
 };
 
-/// Parallel MaterializeVisible: identical output to the sequential
-/// overload in core/enumerate.h (same rows, same sort), enumerated on up
-/// to opts.threads cores for large representations.
+/// Parallel MaterializeVisible: byte-identical output to the sequential
+/// overload in core/enumerate.h, whose contract it shares — rows distinct
+/// and sorted under sort_order(), the visible columns in f-tree
+/// pre-order; no sort unless the tree projects a middle node. Enumerated
+/// on up to opts.threads cores for large representations; the morsels'
+/// streams concatenate in plan order to the sorted stream.
 Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts);
 
 /// Kernel-accelerated MaterializeVisible: when `kernel` is a visible-mode
 /// kernel whose compiled shape matches rep.tree() (EnumKernel::Matches),
 /// rows are emitted by one kernel run per morsel — extraction fused into
-/// emission — on up to opts.threads cores; otherwise rows come from the
-/// interpreted enumerator (null kernels are fine). Output is identical
-/// either way. A non-null `trace` records a "morsel-plan" span (rows =
-/// chunk count) and an "enumerate" span (rows = output rows), both opened
-/// on the calling thread around the whole fan-out — per-morsel work is
-/// aggregated, never one span per morsel (common/trace.h).
+/// emission, every morsel writing its own slice of one presized buffer —
+/// on up to opts.threads cores; otherwise rows come from the interpreted
+/// enumerator (null kernels are fine). Output is byte-identical either
+/// way, under the same contract as above. A non-null `trace` records a
+/// "morsel-plan" span (rows = chunk count) and an "enumerate" span (rows =
+/// output rows) with the sink's steps below it: "emit" (rows = tuples
+/// emitted), "concat" (interpreted multi-morsel runs only) and
+/// "sort-dedup" (rows = rows kept; only when the tree projects a middle
+/// node). All are opened on the calling thread around the whole fan-out —
+/// per-morsel work is aggregated, never one span per morsel
+/// (common/trace.h).
 Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts,
                             const EnumKernel* kernel,
                             QueryTrace* trace = nullptr);

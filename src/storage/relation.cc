@@ -94,6 +94,7 @@ void Relation::SortByColumns(const std::vector<size_t>& cols) {
   for (size_t c = 0; c < k; ++c) {
     if (!used[c]) order.push_back(c);
   }
+  if (order == sort_order_) return;  // already a set sorted this way
 
   // Narrow arities (every enumerated result in practice) take the
   // cache-friendly fixed-key sort; wider rows fall back to the generic
@@ -140,6 +141,27 @@ void Relation::SortLex() {
   std::vector<size_t> cols(arity());
   std::iota(cols.begin(), cols.end(), 0);
   SortByColumns(cols);
+}
+
+void Relation::MarkSorted(std::vector<size_t> order) {
+  const size_t k = arity();
+  std::vector<bool> seen(k, false);
+  FDB_CHECK_MSG(order.size() == k, "sort order must list every column");
+  for (size_t c : order) {
+    FDB_CHECK_MSG(c < k && !seen[c], "sort order must be a column permutation");
+    seen[c] = true;
+  }
+#ifdef FDB_VALIDATE
+  for (size_t r = 1; r < size(); ++r) {
+    const Value* prev = data_.data() + (r - 1) * k;
+    const Value* cur = prev + k;
+    size_t j = 0;
+    while (j < k && prev[order[j]] == cur[order[j]]) ++j;
+    FDB_CHECK_MSG(j < k && prev[order[j]] < cur[order[j]],
+                  "rows are not strictly increasing under the recorded order");
+  }
+#endif
+  sort_order_ = std::move(order);
 }
 
 size_t Relation::LowerBound(size_t lo, size_t hi, size_t col, Value v) const {

@@ -60,13 +60,24 @@ class Relation {
 
   /// Sorts rows lexicographically by the given column positions (remaining
   /// columns are appended as tie-breakers so the order is total) and removes
-  /// exact duplicate rows (relations are sets).
+  /// exact duplicate rows (relations are sets). A no-op when sort_order()
+  /// already equals that total order.
   void SortByColumns(const std::vector<size_t>& cols);
 
   /// Sorts by columns 0,1,...,arity-1.
   void SortLex();
 
-  /// The column order of the last SortByColumns call (empty if unsorted).
+  /// Records, without sorting, that the rows are distinct and strictly
+  /// increasing under `order` — a permutation of all column positions —
+  /// for producers that emit in order (the enumeration sinks). Throws if
+  /// `order` is not a permutation; under FDB_VALIDATE the rows are checked
+  /// too.
+  void MarkSorted(std::vector<size_t> order);
+
+  /// The order contract of the rows: when non-empty, a permutation of all
+  /// columns under which the rows are distinct and strictly increasing
+  /// (set by SortByColumns or MarkSorted). Filter keeps it; every append
+  /// clears it. Empty = unknown order, duplicates possible.
   const std::vector<size_t>& sort_order() const { return sort_order_; }
 
   /// First row index in [lo, hi) whose value in column `col` is >= v.
@@ -81,7 +92,8 @@ class Relation {
   /// Number of distinct values in a column (scans; used by the estimator).
   size_t DistinctCount(size_t col) const;
 
-  /// Keeps only rows satisfying pred(row_index).
+  /// Keeps only rows satisfying pred(row_index). Survivors keep their
+  /// relative order, so a recorded sort_order() stays valid.
   template <typename Pred>
   void Filter(Pred pred) {
     size_t w = 0;

@@ -192,6 +192,10 @@ void CheckKernel(const FRep& rep) {
     EXPECT_EQ(k.Emit(rep, {}, &got), expect_rows) << visible_only;
     EXPECT_EQ(got, expect) << visible_only;
     EXPECT_EQ(k.CountRows(rep, {}), expect_rows) << visible_only;
+    // The window overload writes the same values into caller memory.
+    std::vector<Value> window(expect.size());
+    EXPECT_EQ(k.Emit(rep, {}, std::span<Value>(window)), expect_rows);
+    EXPECT_EQ(window, expect) << visible_only;
 
     // Morsel-restricted runs, concatenated in plan order, must reproduce
     // the whole stream — the shape ParallelEnumerator executes.
@@ -342,6 +346,36 @@ TEST(Kernel, BoundsContract) {
   out.clear();
   EXPECT_EQ(k.Emit(rep, std::vector<EntryBound>{{1000, 1001}}, &out), 0u);
   EXPECT_TRUE(out.empty());
+}
+
+TEST(Kernel, EmitWindowMustHoldTheStream) {
+  FRep rep = GroundRelation(RandomRelation({0, 1}, 30, 6, 9), 0);
+  EnumKernel k = EnumKernel::Compile(rep.tree(), false);
+  const size_t values = k.CountRows(rep, {}) * k.schema().size();
+  std::vector<Value> window(values - 1);
+  EXPECT_THROW(k.Emit(rep, {}, std::span<Value>(window)), FdbError);
+}
+
+TEST(Kernel, OrderAndDistinctnessFollowTheTree) {
+  // Path A -> B -> C: the order is the pre-order of the frames.
+  Relation r = RandomRelation({2, 0, 1}, 50, 5, 4);
+  FRep rep = GroundRelation(r, 0);  // path in schema order: 2, 0, 1
+  EnumKernel full = EnumKernel::Compile(rep.tree(), false);
+  EXPECT_EQ(full.schema(), (std::vector<AttrId>{0, 1, 2}));
+  EXPECT_EQ(full.order(), (std::vector<size_t>{2, 0, 1}));
+  EXPECT_TRUE(full.distinct());
+  // Invisible leaf: skipped, still distinct. Invisible middle: kept
+  // without a column, not distinct.
+  FRep leaf = rep;
+  leaf.tree().node(leaf.tree().FindAttr(1)).visible = {};
+  EnumKernel kl = EnumKernel::Compile(leaf.tree(), true);
+  EXPECT_EQ(kl.order(), (std::vector<size_t>{1, 0}));  // schema {0, 2}
+  EXPECT_TRUE(kl.distinct());
+  FRep middle = rep;
+  middle.tree().node(middle.tree().FindAttr(0)).visible = {};
+  EnumKernel km = EnumKernel::Compile(middle.tree(), true);
+  EXPECT_EQ(km.order(), (std::vector<size_t>{1, 0}));  // schema {1, 2}
+  EXPECT_FALSE(km.distinct());
 }
 
 TEST(Kernel, EngineMaterializeResultKernel) {

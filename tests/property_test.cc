@@ -4,10 +4,15 @@
 // size bound |E| = O(|D|^{s(T)}) must hold on observed data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
+#include "common/trace.h"
 #include "core/enumerate.h"
+#include "core/kernel.h"
 #include "core/ops.h"
+#include "core/parallel_enumerate.h"
 #include "opt/ftree_search.h"
 #include "opt/fplan_search.h"
 #include "opt/greedy.h"
@@ -33,19 +38,6 @@ std::string ParamName(const ::testing::TestParamInfo<Params>& info) {
          std::to_string(p.eqs) +
          (p.dist == Distribution::kZipf ? "zipf" : "uni") + "s" +
          std::to_string(p.seed);
-}
-
-Relation Reorder(const Relation& src, const std::vector<AttrId>& schema) {
-  Relation out(schema);
-  std::vector<size_t> cols;
-  for (AttrId a : schema) cols.push_back(src.ColumnOf(a));
-  std::vector<Value> t(schema.size());
-  for (size_t r = 0; r < src.size(); ++r) {
-    for (size_t c = 0; c < cols.size(); ++c) t[c] = src.At(r, cols[c]);
-    out.AddTuple(t);
-  }
-  out.SortLex();
-  return out;
 }
 
 class FlatEquivalence : public ::testing::TestWithParam<Params> {};
@@ -77,8 +69,7 @@ TEST_P(FlatEquivalence, FdbMatchesRdbAndVdb) {
 
   VdbResult vdb = VdbEvaluate(w.catalog, rels, w.query);
   ASSERT_FALSE(vdb.timed_out);
-  Relation v = Reorder(vdb.relation, rdb.relation.schema());
-  EXPECT_TRUE(v == rdb.relation);
+  EXPECT_TRUE(testing_util::SameRelation(vdb.relation, rdb.relation));
 
   // Observed size respects the bound |E| <= c * |D|^{s(T)} with a modest
   // constant (here: number of f-tree nodes as the per-node multiplier).
@@ -145,13 +136,14 @@ TEST_P(RestructureInvariance, RandomSwapsPreserveRelation) {
     rep = Swap(rep, pa, ch);
     rep.Validate();
     EXPECT_TRUE(rep.tree().IsNormalized()) << "swap broke normalisation";
-    Relation now = MaterializeVisible(rep);
-    ASSERT_TRUE(now == reference) << "swap changed the relation at step "
-                                  << step;
+    // A swap changes the f-tree and with it the output order: compare as
+    // sets.
+    ASSERT_TRUE(testing_util::SameRelation(rep, reference))
+        << "swap changed the relation at step " << step;
   }
   // Normalising at the end changes nothing semantically.
   FRep norm = Normalize(rep);
-  EXPECT_TRUE(MaterializeVisible(norm) == reference);
+  EXPECT_TRUE(testing_util::SameRelation(norm, reference));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -204,7 +196,6 @@ TEST_P(FactorisedQueries, ExtraEqualitiesMatchFlatSelection) {
     size_t ca = flat.ColumnOf(a), cb = flat.ColumnOf(b);
     flat.Filter([&](size_t row) { return flat.At(row, ca) == flat.At(row, cb); });
   }
-  flat.SortLex();
   EXPECT_TRUE(testing_util::SameRelation(out, flat));
 
   // Greedy must produce the same relation.
@@ -268,6 +259,169 @@ INSTANTIATE_TEST_SUITE_P(
                       Params{4, 9, 3, Distribution::kUniform, 44},
                       Params{4, 10, 4, Distribution::kZipf, 45}),
     ParamName);
+
+// ---------------------------------------------------------------------------
+// The materialisation contract (core/enumerate.h): rows distinct and
+// strictly increasing under sort_order(), the visible columns in f-tree
+// pre-order; the same set as the flat baseline; byte-identical across the
+// interpreted, kernel and parallel sinks; sorted only when the tree
+// projects a middle node.
+
+void ExpectDistinctAndSorted(const Relation& r) {
+  const std::vector<size_t>& order = r.sort_order();
+  ASSERT_EQ(order.size(), r.arity()) << "no order recorded";
+  for (size_t row = 1; row < r.size(); ++row) {
+    size_t j = 0;
+    while (j < order.size() && r.At(row - 1, order[j]) == r.At(row, order[j])) {
+      ++j;
+    }
+    ASSERT_LT(j, order.size()) << "duplicate row " << row;
+    ASSERT_LT(r.At(row - 1, order[j]), r.At(row, order[j]))
+        << "row " << row << " out of order";
+  }
+}
+
+// The visible attributes in f-tree pre-order, as column positions of the
+// materialised schema (visible attributes ascending).
+std::vector<size_t> PreOrderColumns(const FTree& t) {
+  const std::vector<AttrId> schema = t.VisibleAttrs().ToVector();
+  std::vector<size_t> cols;
+  for (int n : t.PreOrder()) {
+    for (AttrId a : t.node(n).visible) {
+      cols.push_back(static_cast<size_t>(
+          std::find(schema.begin(), schema.end(), a) - schema.begin()));
+    }
+  }
+  return cols;
+}
+
+// Whether an invisible node has a visible descendant.
+bool ProjectsMiddle(const FTree& t) {
+  for (int n : t.AliveNodes()) {
+    if (!t.node(n).visible.Empty()) continue;
+    for (int d : t.AliveNodes()) {
+      if (d == n || t.node(d).visible.Empty()) continue;
+      for (int p = t.node(d).parent; p != -1; p = t.node(p).parent) {
+        if (p == n) return true;
+      }
+    }
+  }
+  return false;
+}
+
+bool HasSpan(const QueryTrace& trace, const std::string& name) {
+  for (const QueryTrace::Span& s : trace.spans()) {
+    if (s.name == name) return true;
+  }
+  return false;
+}
+
+// Materialises `rep` every way and checks the contract against `expect`.
+void CheckMaterializeContract(const FRep& rep, const Relation& expect) {
+  const Relation seq = MaterializeVisible(rep);
+  ExpectDistinctAndSorted(seq);
+  EXPECT_TRUE(testing_util::SameRelation(seq, expect));
+  if (seq.arity() > 0) {
+    EXPECT_EQ(seq.sort_order(), PreOrderColumns(rep.tree()));
+  }
+
+  const bool middle = ProjectsMiddle(rep.tree());
+  const EnumKernel kernel = EnumKernel::Compile(rep.tree(), true);
+  EXPECT_EQ(kernel.distinct(), !middle);
+  const EnumKernel* const kernels[] = {&kernel, nullptr};
+  for (int threads : {1, 2, 8}) {
+    EnumerateOptions opts;
+    opts.threads = threads;
+    opts.parallel_cutoff = 0;
+    opts.target_morsel_tuples = 4;
+    for (const EnumKernel* k : kernels) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " kernel=" + std::to_string(k != nullptr));
+      QueryTrace trace;
+      const Relation got = MaterializeVisible(rep, opts, k, &trace);
+      EXPECT_TRUE(got == seq);
+      EXPECT_EQ(got.sort_order(), seq.sort_order());
+      EXPECT_TRUE(HasSpan(trace, "emit"));
+      EXPECT_EQ(HasSpan(trace, "sort-dedup"), middle);
+    }
+  }
+}
+
+class MaterializeContract : public ::testing::TestWithParam<Params> {};
+
+TEST_P(MaterializeContract, RandomRepsMeetTheOrderAndSetContract) {
+  const Params& p = GetParam();
+  WorkloadSpec spec;
+  spec.num_rels = p.rels;
+  spec.num_attrs = p.attrs;
+  spec.tuples_per_rel = 30;
+  spec.domain = 5;
+  spec.dist = p.dist;
+  spec.num_equalities = p.eqs;
+  spec.seed = p.seed;
+  GeneratedWorkload w = GenerateWorkload(spec);
+  std::vector<const Relation*> rels;
+  for (const Relation& r : w.relations) rels.push_back(&r);
+  QueryInfo info = AnalyzeQuery(w.catalog, w.query);
+  EdgeCoverSolver solver;
+  const FRep full = GroundQuery(FindOptimalFTree(info, solver).tree, rels,
+                                w.query.const_preds);
+
+  // The full tree (no sort), then random deferred projections: clearing
+  // the visibility of nodes keeps them in the tree, so a cleared node with
+  // a visible descendant is a projected middle node (sort + dedup).
+  CheckMaterializeContract(full,
+                           RdbEvaluate(w.catalog, rels, w.query).relation);
+  Rng rng(p.seed * 31 + 7);
+  for (int trial = 0; trial < 6; ++trial) {
+    FRep rep = full;
+    for (int n : rep.tree().AliveNodes()) {
+      if (rng.Uniform(0, 2) == 0) rep.tree().node(n).visible = {};
+    }
+    if (rep.tree().VisibleAttrs().Empty()) continue;  // no rdb projection
+    rep.Validate();
+    Query q = w.query;
+    q.projection = rep.tree().VisibleAttrs();
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    CheckMaterializeContract(rep, RdbEvaluate(w.catalog, rels, q).relation);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, MaterializeContract,
+    ::testing::Values(Params{1, 3, 0, Distribution::kUniform, 51},
+                      Params{2, 5, 1, Distribution::kUniform, 52},
+                      Params{3, 7, 2, Distribution::kZipf, 53},
+                      Params{3, 8, 3, Distribution::kUniform, 54},
+                      Params{4, 9, 3, Distribution::kUniform, 55},
+                      Params{4, 10, 4, Distribution::kZipf, 56}),
+    ParamName);
+
+TEST(MaterializeContractShapes, ProjectedMiddleDedupsDataDuplicates) {
+  // The deferred-projection shape of frep_test: an invisible root A over a
+  // visible child B. Different A-values lead to equal B-values, so the
+  // stream repeats and reorders rows and the sink must sort + dedup.
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    Relation r({0, 1});
+    for (int i = 0; i < 60; ++i) {
+      r.AddTuple({rng.Uniform(1, 9), rng.Uniform(1, 6)});
+    }
+    FTree t;
+    const int a =
+        t.NewNode(AttrSet::Of({0}), {}, RelSet::Of({0}), RelSet::Of({0}));
+    const int b = t.NewNode(AttrSet::Of({1}), AttrSet::Of({1}),
+                            RelSet::Of({0}), RelSet::Of({0}));
+    t.AttachRoot(a);
+    t.AttachChild(a, b);
+    const FRep rep = GroundQuery(t, {&r});
+    rep.Validate();
+    ASSERT_TRUE(ProjectsMiddle(rep.tree()));
+    Relation expect({1});
+    for (size_t row = 0; row < r.size(); ++row) expect.AddTuple({r.At(row, 1)});
+    CheckMaterializeContract(rep, expect);
+  }
+}
 
 }  // namespace
 }  // namespace fdb

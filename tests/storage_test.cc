@@ -55,6 +55,67 @@ TEST(Relation, SortBySelectedColumnWithTieBreak) {
   EXPECT_EQ(r.sort_order()[0], 1u);
 }
 
+TEST(Relation, SortOrderContract) {
+  Relation r = MakeRel({0, 1}, {{2, 9}, {1, 5}, {2, 3}, {1, 5}});
+  EXPECT_TRUE(r.sort_order().empty());  // appended rows: order unknown
+  r.SortByColumns({1});
+  EXPECT_EQ(r.sort_order(), (std::vector<size_t>{1, 0}));  // total order
+  EXPECT_EQ(r.size(), 3u);
+
+  // Filter keeps both the order and distinctness.
+  r.Filter([&](size_t row) { return r.At(row, 1) != 5; });
+  EXPECT_EQ(r.sort_order(), (std::vector<size_t>{1, 0}));
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_EQ(r.At(0, 1), 3);
+  EXPECT_EQ(r.At(1, 1), 9);
+
+  // Every append clears it.
+  Relation a = r;
+  a.AddTuple({0, 0});
+  EXPECT_TRUE(a.sort_order().empty());
+  Relation b = r;
+  b.AppendRows(std::vector<Value>{0, 0});
+  EXPECT_TRUE(b.sort_order().empty());
+  Relation c = r;
+  c.AdoptRows(std::vector<Value>{0, 0});
+  EXPECT_TRUE(c.sort_order().empty());
+  c.SortByColumns({1, 0});  // an append since the last sort: sorts again
+  EXPECT_EQ(c.At(0, 1), 0);
+}
+
+TEST(Relation, SortByRecordedOrderIsANoOp) {
+  // MarkSorted records an order without sorting; a SortByColumns that asks
+  // for the same total order must leave the rows untouched. Rows sorted
+  // under (col 1, col 0) are deliberately not sorted under (0, 1).
+  Relation r = MakeRel({0, 1}, {{3, 1}, {1, 2}, {2, 2}});
+  r.MarkSorted({1, 0});
+  EXPECT_EQ(r.sort_order(), (std::vector<size_t>{1, 0}));
+  const Relation before = r;
+  r.SortByColumns({1});  // completes to {1, 0}: already sorted that way
+  EXPECT_TRUE(r == before);
+  r.SortByColumns({1, 0});
+  EXPECT_TRUE(r == before);
+  // A different order really sorts.
+  r.SortLex();
+  EXPECT_EQ(r.sort_order(), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(r.At(0, 0), 1);
+  EXPECT_EQ(r.At(2, 0), 3);
+}
+
+TEST(Relation, MarkSortedRejectsNonPermutations) {
+  Relation r = MakeRel({0, 1}, {{1, 1}});
+  EXPECT_THROW(r.MarkSorted({0}), FdbError);
+  EXPECT_THROW(r.MarkSorted({0, 0}), FdbError);
+  EXPECT_THROW(r.MarkSorted({0, 2}), FdbError);
+#ifdef FDB_VALIDATE
+  // Validating builds also check the rows against the claimed order.
+  Relation unsorted = MakeRel({0, 1}, {{2, 1}, {1, 2}});
+  EXPECT_THROW(unsorted.MarkSorted({0, 1}), FdbError);
+  Relation dup = MakeRel({0}, {{1}, {1}});
+  EXPECT_THROW(dup.MarkSorted({0}), FdbError);
+#endif
+}
+
 TEST(Relation, LowerBoundAndEqualRange) {
   // Note SortLex removes the duplicate {3}: rows become 1, 3, 5, 9.
   Relation r = MakeRel({0}, {{1}, {3}, {3}, {5}, {9}});

@@ -83,24 +83,35 @@ inline Query GroceryQ2(const Database& db) {
   return q;
 }
 
-// Materialises an f-representation and a flat relation into comparable
-// sorted forms and checks equality of the represented relations. The
-// schemas must cover the same attribute sets.
-inline bool SameRelation(const FRep& rep, const Relation& flat) {
-  Relation lhs = MaterializeVisible(rep);
-  Relation rhs = flat;
-  if (lhs.attr_set() != rhs.attr_set()) return false;
-  // Reorder rhs columns to match lhs schema.
+// `r` with its columns permuted into `schema` (same attribute set), rows
+// sorted lexicographically and deduplicated: the canonical form of the
+// set of tuples it holds.
+inline Relation Canonical(const Relation& r,
+                          const std::vector<AttrId>& schema) {
   std::vector<size_t> cols;
-  for (AttrId a : lhs.schema()) cols.push_back(rhs.ColumnOf(a));
-  Relation rhs2(lhs.schema());
+  for (AttrId a : schema) cols.push_back(r.ColumnOf(a));
+  Relation out(schema);
   std::vector<Value> tuple(cols.size());
-  for (size_t r = 0; r < rhs.size(); ++r) {
-    for (size_t c = 0; c < cols.size(); ++c) tuple[c] = rhs.At(r, cols[c]);
-    rhs2.AddTuple(tuple);
+  for (size_t row = 0; row < r.size(); ++row) {
+    for (size_t c = 0; c < cols.size(); ++c) tuple[c] = r.At(row, cols[c]);
+    out.AddTuple(tuple);
   }
-  rhs2.SortLex();
-  return lhs == rhs2;
+  out.SortLex();
+  return out;
+}
+
+// True iff two relations hold the same set of tuples over the same
+// attributes, whatever their column order, row order or duplicates. Both
+// sides are canonicalised: materialisations come out sorted in the
+// f-tree's pre-order (core/enumerate.h), so results of different f-trees,
+// plans or baselines must never be compared with ==.
+inline bool SameRelation(const Relation& a, const Relation& b) {
+  if (a.attr_set() != b.attr_set()) return false;
+  return Canonical(a, a.schema()) == Canonical(b, a.schema());
+}
+
+inline bool SameRelation(const FRep& rep, const Relation& flat) {
+  return SameRelation(MaterializeVisible(rep), flat);
 }
 
 }  // namespace testing_util

@@ -15,6 +15,9 @@
 #include "api/engine.h"
 #include "common/trace.h"
 #include "common/types.h"
+#include "core/ground.h"
+#include "core/kernel.h"
+#include "core/parallel_enumerate.h"
 #include "sql/parser.h"
 
 namespace fdb {
@@ -214,6 +217,12 @@ TEST(EngineTrace, ExecuteTracedSpjSpanStructure) {
   EXPECT_GT(all[spans["ground"]].bytes, 0u);
   EXPECT_TRUE(all[spans["enumerate"]].has_rows);
   EXPECT_EQ(all[spans["enumerate"]].rows, 4u);  // the demo join has 4 rows
+  // The sink's own steps nest under enumerate. The join's f-tree projects
+  // no middle node, so the stream is already a sorted set: no sort runs.
+  ASSERT_TRUE(spans.count("emit"));
+  EXPECT_EQ(all[spans["emit"]].parent, spans["enumerate"]);
+  EXPECT_EQ(all[spans["emit"]].rows, 4u);
+  EXPECT_FALSE(spans.count("sort-dedup"));
 
   // Direct children of the root account for at most its wall time.
   double child_sum = 0.0;
@@ -222,6 +231,51 @@ TEST(EngineTrace, ExecuteTracedSpjSpanStructure) {
   }
   EXPECT_LE(child_sum, all[root].seconds);
   EXPECT_GT(trace.TotalSeconds(), 0.0);
+}
+
+TEST(EngineTrace, SinkSpansOfEveryMaterializePath) {
+  // A path f-tree A -> B -> C whose middle node B is projected away but
+  // kept (deferred): values of B can repeat (A, C) rows, so the sink sorts
+  // and deduplicates, and says so. The rows: (1,1,5) (1,2,5) (2,1,6): the
+  // stream emits (1,5) twice.
+  Relation r({0, 1, 2});
+  r.AddTuple({1, 1, 5});
+  r.AddTuple({1, 2, 5});
+  r.AddTuple({2, 1, 6});
+  FRep middle = GroundRelation(r, 0);
+  middle.tree().node(middle.tree().FindAttr(1)).visible = {};
+  const FRep plain = GroundRelation(r, 0);
+
+  const FRep* const reps[] = {&plain, &middle};
+  for (const FRep* rep : reps) {
+    const bool sorts = rep == &middle;
+    const EnumKernel kernel = EnumKernel::Compile(rep->tree(), true);
+    const EnumKernel* const kernels[] = {&kernel, nullptr};
+    for (int threads : {1, 2}) {
+      for (const EnumKernel* k : kernels) {
+        EnumerateOptions opts;
+        opts.threads = threads;
+        opts.parallel_cutoff = 0;
+        opts.target_morsel_tuples = 1;
+        QueryTrace trace;
+        const Relation out = MaterializeVisible(*rep, opts, k, &trace);
+        std::map<std::string, int> spans = IndexByName(trace);
+        const auto& all = trace.spans();
+        ASSERT_TRUE(spans.count("enumerate"));
+        ASSERT_TRUE(spans.count("emit"));
+        EXPECT_EQ(all[spans["emit"]].parent, spans["enumerate"]);
+        EXPECT_EQ(all[spans["emit"]].rows, 3u);  // tuples emitted
+        EXPECT_EQ(all[spans["enumerate"]].rows, out.size());
+        ASSERT_EQ(spans.count("sort-dedup") > 0, sorts)
+            << "threads=" << threads << " kernel=" << (k != nullptr);
+        if (sorts) {
+          EXPECT_EQ(all[spans["sort-dedup"]].parent, spans["enumerate"]);
+          EXPECT_EQ(all[spans["sort-dedup"]].rows, 2u);  // rows kept
+          EXPECT_EQ(out.size(), 2u);
+        }
+      }
+    }
+  }
 }
 
 TEST(EngineTrace, ExecuteTracedAggregateSpanStructure) {
