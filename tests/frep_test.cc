@@ -86,23 +86,7 @@ TEST(FRep, NullaryRelation) {
   EXPECT_FALSE(en.Next());
 }
 
-// A deferred-projection f-tree: the node of `invisible` stays in the tree
-// but contributes nothing to the output schema.
-FTree DeferredProjectionTree(AttrId visible, AttrId invisible, bool inv_root) {
-  FTree t;
-  int v = t.NewNode(AttrSet::Of({visible}), AttrSet::Of({visible}),
-                    RelSet::Of({0}), RelSet::Of({0}));
-  int i = t.NewNode(AttrSet::Of({invisible}), {}, RelSet::Of({0}),
-                    RelSet::Of({0}));
-  if (inv_root) {
-    t.AttachRoot(i);
-    t.AttachChild(i, v);
-  } else {
-    t.AttachRoot(v);
-    t.AttachChild(v, i);
-  }
-  return t;
-}
+using testing_util::DeferredProjectionTree;
 
 TEST(FRep, VisibleOnlyEnumerationSkipsInvisibleSubtrees) {
   // A (visible) -> B (invisible): full enumeration yields all 3 tuples,

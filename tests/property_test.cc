@@ -407,14 +407,8 @@ TEST(MaterializeContractShapes, ProjectedMiddleDedupsDataDuplicates) {
     for (int i = 0; i < 60; ++i) {
       r.AddTuple({rng.Uniform(1, 9), rng.Uniform(1, 6)});
     }
-    FTree t;
-    const int a =
-        t.NewNode(AttrSet::Of({0}), {}, RelSet::Of({0}), RelSet::Of({0}));
-    const int b = t.NewNode(AttrSet::Of({1}), AttrSet::Of({1}),
-                            RelSet::Of({0}), RelSet::Of({0}));
-    t.AttachRoot(a);
-    t.AttachChild(a, b);
-    const FRep rep = GroundQuery(t, {&r});
+    const FRep rep =
+        GroundQuery(testing_util::DeferredProjectionTree(1, 0, true), {&r});
     rep.Validate();
     ASSERT_TRUE(ProjectsMiddle(rep.tree()));
     Relation expect({1});

@@ -10,6 +10,7 @@
 #include "api/database.h"
 #include "api/engine.h"
 #include "core/enumerate.h"
+#include "core/ftree.h"
 
 namespace fdb {
 namespace testing_util {
@@ -81,6 +82,27 @@ inline Query GroceryQ2(const Database& db) {
             static_cast<RelId>(db.catalog().FindRelation("Serve"))};
   q.equalities = {{db.Attr("supplier"), db.Attr("sv_supplier")}};
   return q;
+}
+
+// A deferred-projection f-tree over relation 0: the node of `invisible`
+// stays in the tree but contributes nothing to the output schema. With
+// `inv_root` it is a projected middle node (an invisible parent of a
+// visible node).
+inline FTree DeferredProjectionTree(AttrId visible, AttrId invisible,
+                                    bool inv_root) {
+  FTree t;
+  int v = t.NewNode(AttrSet::Of({visible}), AttrSet::Of({visible}),
+                    RelSet::Of({0}), RelSet::Of({0}));
+  int i = t.NewNode(AttrSet::Of({invisible}), {}, RelSet::Of({0}),
+                    RelSet::Of({0}));
+  if (inv_root) {
+    t.AttachRoot(i);
+    t.AttachChild(i, v);
+  } else {
+    t.AttachRoot(v);
+    t.AttachChild(v, i);
+  }
+  return t;
 }
 
 // `r` with its columns permuted into `schema` (same attribute set), rows
