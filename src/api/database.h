@@ -59,6 +59,8 @@ class Database {
   /// between serving sessions. Mutating a relation directly via the
   /// non-const relation() accessor bypasses the counter — long-lived
   /// servers must treat the database as frozen (see serve/query_server.h).
+  /// The engine's prepared-relation cache does not rely on this version:
+  /// it checks Relation::stamp(), which every row-set mutation changes.
   uint64_t version() const { return version_; }
 
  private:

@@ -77,18 +77,23 @@ struct AggregateResult {
 /// this): once the database is fully loaded, read-only evaluation —
 /// Parse, Execute, EvaluateFlat, ExecuteAggregate, OptimizeFlat and the
 /// baselines — may run concurrently from any number of threads on one
-/// shared Engine. The only two pieces of shared mutable state are
+/// shared Engine. The only three pieces of shared mutable state are
 /// internally synchronised:
 ///  * the database dictionary: Engine::Parse interns SQL string literals
 ///    into it, which is an append-only, lock-protected operation
 ///    (common/dictionary.h) — existing codes never change, so concurrently
 ///    running evaluations are unaffected;
-///  * the shared EdgeCoverSolver memo (lp/edge_cover.h).
-/// Everything else reads `const` catalog/relation state; grounding copies
-/// and sorts relations internally. What is NOT allowed concurrently with
-/// queries: schema or data changes (CreateRelation / Insert / LoadCsv) and
-/// direct mutation through Database::relation() — a serving database is
-/// frozen.
+///  * the shared EdgeCoverSolver memo (lp/edge_cover.h);
+///  * the prepared-relation cache (PreparedRelationCache, core/ground.h):
+///    each relation sorted once per f-tree path order and shared,
+///    read-only, by every query grounding it along that order. A miss
+///    prepares outside the lock and publishes only finished entries.
+/// Everything else reads `const` catalog/relation state. What is NOT
+/// allowed concurrently with queries: schema or data changes
+/// (CreateRelation / Insert / LoadCsv) and direct mutation through
+/// Database::relation() — a serving database is frozen. Between queries
+/// any mutation is fine: cache entries carry the Relation::stamp() they
+/// were prepared from, so a changed relation is prepared afresh.
 class Engine {
  public:
   explicit Engine(Database* db, EngineOptions opts = {})
@@ -97,9 +102,12 @@ class Engine {
   /// Flat evaluation: optimal f-tree search + grounding (+ deferred
   /// projection). When `pretree` is given (a result of OptimizeFlat for
   /// the same query, e.g. from the serve-path plan cache), the search is
-  /// skipped and the cached tree is executed directly. A non-null `trace`
-  /// records "f-tree-search" (only when the search actually runs),
-  /// "ground" and "project" spans.
+  /// skipped and the cached tree is executed directly. Grounding takes the
+  /// sorted relations from the engine's prepared-relation cache, so a
+  /// relation is sorted once per f-tree path order, not once per query. A
+  /// non-null `trace` records "f-tree-search" (only when the search
+  /// actually runs), "ground" (with "ground-prepare" and "ground-build")
+  /// and "project" spans.
   FdbResult EvaluateFlat(const Query& q,
                          const FTreeSearchResult* pretree = nullptr,
                          QueryTrace* trace = nullptr);
@@ -211,12 +219,16 @@ class Engine {
   /// Shared LP cache (exposed for benchmarks that report cache statistics).
   EdgeCoverSolver& solver() { return solver_; }
 
+  /// Shared prepared-relation cache of the grounding step.
+  const PreparedRelationCache& prepared_cache() const { return prepared_; }
+
   const Database& db() const { return *db_; }
 
  private:
   Database* db_;
   EngineOptions opts_;
   EdgeCoverSolver solver_;
+  PreparedRelationCache prepared_;
 };
 
 }  // namespace fdb

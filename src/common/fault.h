@@ -16,7 +16,8 @@
 //
 //   frep_arena_commit   FRep::CommitUnion, before arena growth
 //   ground_build_union  per grounded union in GroundQuery's build
-//   ground_prepare_relation  per relation filter/sort in GroundQuery
+//   ground_prepare_relation  per relation and query in GroundQuery's
+//                       prepare step, on prepared-cache hits and misses
 //   kernel_run          entry of EnumKernel::Run
 //   enumerate_morsel    per morsel task in ParallelEnumerator
 //   serve_execute_group entry of QueryServer::ExecuteGroup's evaluation

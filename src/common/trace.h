@@ -12,6 +12,10 @@
 //     parse                ParseSql
 //     f-tree-search        FindOptimalFTree (absent on a plan-cache hit)
 //     ground               GroundQuery (bytes = FRep::MemoryBytes)
+//       ground-prepare     relations filtered + sorted, or reused from the
+//                          engine's cache (rows = input rows; bytes = rows
+//                          prepared by this query, absent on a full hit)
+//       ground-build       the leapfrog walk (bytes = FRep::MemoryBytes)
 //     project              deferred projection, when the query projects
 //     restructure-aggregate  GroupByAggregate (aggregate queries)
 //     materialize-groups   GroupedRep::Materialize (rows = groups)

@@ -1,8 +1,7 @@
 #include "core/ground.h"
 
-#include <limits>
-
 #include <algorithm>
+#include <limits>
 
 #include "common/exec_context.h"
 #include "common/fault.h"
@@ -15,39 +14,271 @@ using ops_internal::kNoUnion;
 
 namespace {
 
-struct RelState {
-  Relation rel;                 // filtered + sorted working copy
-  std::vector<size_t> node_col; // f-tree node id -> column, SIZE_MAX if none
+// Where each relation sits on the f-tree: the nodes it covers, ancestor-
+// first, and its column groups along them (groups[r][d] for nodes[r][d]).
+struct Layout {
+  std::vector<std::vector<int>> nodes;
+  std::vector<ColumnGroups> groups;
 };
 
-}  // namespace
-
-FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
-                 const std::vector<ConstPred>& preds, QueryTrace* trace) {
-  QueryTrace::Scope span(trace, "ground");
+Layout ComputeLayout(const FTree& tree,
+                     const std::vector<const Relation*>& rels) {
   tree.Validate();
   FDB_CHECK_MSG(tree.SatisfiesPathConstraint(),
                 "grounding requires an f-tree satisfying the path constraint");
-
   const size_t nrels = rels.size();
-  std::vector<RelState> st;
-  st.reserve(nrels);
-
-  // Which tree nodes each relation covers, ancestor-first.
-  std::vector<std::vector<int>> rel_nodes(nrels);
+  Layout l{std::vector<std::vector<int>>(nrels),
+           std::vector<ColumnGroups>(nrels)};
   for (int n : tree.AliveNodes()) {
     const FTreeNode& nd = tree.node(n);
     FDB_CHECK_MSG(nd.constant || !nd.cover_rels.Empty(),
                   "f-tree node with no covering relation");
     for (AttrId r : nd.cover_rels) {
       FDB_CHECK_MSG(r < nrels, "f-tree references a missing relation");
-      rel_nodes[r].push_back(n);
+      l.nodes[r].push_back(n);
     }
   }
-  for (auto& nodes : rel_nodes) {
-    std::sort(nodes.begin(), nodes.end(),
+  for (size_t r = 0; r < nrels; ++r) {
+    std::sort(l.nodes[r].begin(), l.nodes[r].end(),
               [&](int x, int y) { return tree.Depth(x) < tree.Depth(y); });
+    for (int n : l.nodes[r]) {
+      std::vector<size_t> cols;
+      for (AttrId a : tree.node(n).attrs) {
+        if (rels[r]->HasAttr(a)) cols.push_back(rels[r]->ColumnOf(a));
+      }
+      FDB_CHECK(!cols.empty());
+      std::sort(cols.begin(), cols.end());
+      l.groups[r].push_back(std::move(cols));
+    }
   }
+  return l;
+}
+
+// `rel` narrowed by the constant predicates on its attributes, in one
+// order-preserving pass; shared unchanged when none applies.
+std::shared_ptr<const Relation> ApplyConstPreds(
+    std::shared_ptr<const Relation> rel, const std::vector<ConstPred>& preds) {
+  std::vector<std::pair<size_t, const ConstPred*>> mine;
+  for (const ConstPred& p : preds) {
+    if (rel->HasAttr(p.attr)) mine.emplace_back(rel->ColumnOf(p.attr), &p);
+  }
+  if (mine.empty()) return rel;
+  const Relation& in = *rel;
+  return std::make_shared<const Relation>(in.Filtered([&](size_t row) {
+    for (const auto& [col, p] : mine) {
+      if (!EvalCmp(in.At(row, col), p->op, p->value)) return false;
+    }
+    return true;
+  }));
+}
+
+// The build step: a leapfrog walk over the prepared relations. Everything
+// the walk reads per node is laid out once up front, and every node owns
+// its cursor, saved-range and child slots. A node is active at most once
+// at a time (the walk only descends), so its slots are reused for every
+// value and the walk allocates nothing beyond the result's arenas.
+class Builder {
+ public:
+  Builder(const FTree& tree, const std::vector<const Relation*>& rels,
+          const Layout& layout, ExecContext* ctx)
+      : tree_(tree), ctx_(ctx), out_(FTree(tree)), nodes_(tree.pool_size()) {
+    for (int n : tree.AliveNodes()) {
+      const FTreeNode& nd = tree.node(n);
+      Node& slot = nodes_[static_cast<size_t>(n)];
+      slot.cover_begin = covers_.size();
+      for (AttrId r : nd.cover_rels) {
+        const std::vector<int>& path = layout.nodes[r];
+        const size_t d = static_cast<size_t>(
+            std::find(path.begin(), path.end(), n) - path.begin());
+        covers_.push_back(Cover{rels[r]->data().data(), rels[r]->arity(),
+                                layout.groups[r][d][0], r});
+      }
+      slot.cover_end = covers_.size();
+      slot.kid_begin = kids_.size();
+      kids_.resize(kids_.size() + nd.children.size());
+    }
+    cursor_.resize(covers_.size());
+    saved_.resize(covers_.size());
+    range_.reserve(rels.size());
+    for (const Relation* r : rels) range_.emplace_back(0, r->size());
+  }
+
+  FRep Run() {
+    out_.MarkNonEmpty();
+    for (int root : tree_.roots()) {
+      const uint32_t rid = Build(root);
+      if (rid == kNoUnion) {
+        out_.MarkEmpty();
+        return std::move(out_);
+      }
+      out_.roots().push_back(rid);
+    }
+    FDB_VALIDATE_REP(out_);
+    return std::move(out_);
+  }
+
+ private:
+  using Range = std::pair<size_t, size_t>;
+
+  // One covering relation's column at one node.
+  struct Cover {
+    const Value* data;  // the relation's rows, row-major
+    size_t arity;
+    size_t col;
+    size_t rel;  // query-local relation index
+
+    Value At(size_t row) const { return data[row * arity + col]; }
+
+    // First row in [lo, hi) whose value is >= v (kPast: > v). Galloping
+    // from lo: leapfrog seeks and block ends mostly land close by.
+    template <bool kPast>
+    size_t Seek(size_t lo, size_t hi, Value v) const {
+      auto before = [&](size_t row) {
+        return kPast ? At(row) <= v : At(row) < v;
+      };
+      if (lo >= hi || !before(lo)) return lo;
+      size_t step = 1;
+      while (lo + step < hi && before(lo + step)) {
+        lo += step;
+        step *= 2;
+      }
+      // The answer lies in (lo, min(lo + step, hi)].
+      size_t count = std::min(lo + step, hi) - lo - 1;
+      ++lo;
+      while (count > 0) {
+        const size_t half = count / 2;
+        if (before(lo + half)) {
+          lo += half + 1;
+          count -= half + 1;
+        } else {
+          count = half;
+        }
+      }
+      return lo;
+    }
+  };
+
+  struct Node {
+    size_t cover_begin = 0, cover_end = 0;  // into covers_, cursor_, saved_
+    size_t kid_begin = 0;                   // into kids_
+  };
+
+  // Builds the union for tree node n under the current ranges; kNoUnion if
+  // no value survives.
+  uint32_t Build(int n) {
+    const Node& slot = nodes_[static_cast<size_t>(n)];
+    FDB_CHECK(slot.cover_begin < slot.cover_end);
+    FDB_FAULT_POINT("ground_build_union");
+    const std::vector<int>& children = tree_.node(n).children;
+    const Cover* cover = covers_.data() + slot.cover_begin;
+    size_t* cur = cursor_.data() + slot.cover_begin;
+    Range* saved = saved_.data() + slot.cover_begin;
+    uint32_t* kids = kids_.data() + slot.kid_begin;
+    const size_t m = slot.cover_end - slot.cover_begin;
+    UnionBuilder nu = out_.StartUnion(n);
+
+    for (size_t i = 0; i < m; ++i) cur[i] = range_[cover[i].rel].first;
+    for (;;) {
+      if (ctx_ != nullptr) ctx_->CheckCancelled();
+      // Propose the max of the current heads; stop if any range is done.
+      bool done = false;
+      Value v = std::numeric_limits<Value>::min();
+      for (size_t i = 0; i < m; ++i) {
+        if (cur[i] >= range_[cover[i].rel].second) {
+          done = true;
+          break;
+        }
+        v = std::max(v, cover[i].At(cur[i]));
+      }
+      if (done) break;
+      // Advance every head to >= v; if any overshoots, retry with larger v.
+      bool agree = true;
+      for (size_t i = 0; i < m; ++i) {
+        if (cover[i].At(cur[i]) == v) continue;
+        const size_t hi = range_[cover[i].rel].second;
+        cur[i] = cover[i].Seek<false>(cur[i], hi, v);
+        if (cur[i] >= hi) {
+          done = true;
+          break;
+        }
+        if (cover[i].At(cur[i]) != v) agree = false;
+      }
+      if (done) break;
+      if (!agree) continue;
+
+      // All covering relations contain v: narrow to v's block and recurse.
+      for (size_t i = 0; i < m; ++i) {
+        Range& r = range_[cover[i].rel];
+        saved[i] = r;
+        r = {cur[i], cover[i].Seek<true>(cur[i], r.second, v)};
+      }
+      bool dead = false;
+      for (size_t c = 0; c < children.size(); ++c) {
+        kids[c] = Build(children[c]);
+        if (kids[c] == kNoUnion) {
+          dead = true;
+          break;
+        }
+      }
+      // Restore: continue after v's block.
+      for (size_t i = 0; i < m; ++i) {
+        Range& r = range_[cover[i].rel];
+        cur[i] = r.second;
+        r = saved[i];
+      }
+      if (!dead) {
+        nu.AddValue(v);
+        for (size_t c = 0; c < children.size(); ++c) nu.AddChild(kids[c]);
+      }
+    }
+    if (nu.empty()) {
+      nu.Abandon();
+      return kNoUnion;
+    }
+    return nu.Finish();
+  }
+
+  const FTree& tree_;
+  ExecContext* const ctx_;
+  FRep out_;
+  std::vector<Node> nodes_;  // by f-tree node id
+  std::vector<Cover> covers_;
+  std::vector<size_t> cursor_;
+  std::vector<Range> saved_;
+  std::vector<uint32_t> kids_;
+  std::vector<Range> range_;  // current row range per relation
+};
+
+}  // namespace
+
+Relation PrepareRelation(const Relation& rel, const ColumnGroups& groups) {
+  std::vector<size_t> sort_cols;
+  bool equalities = false;
+  for (const std::vector<size_t>& g : groups) {
+    FDB_CHECK(!g.empty());
+    sort_cols.push_back(g[0]);
+    equalities = equalities || g.size() > 1;
+  }
+  // Intra-relation equalities: several attributes of this relation in one
+  // class must agree.
+  auto agree = [&](size_t row) {
+    for (const std::vector<size_t>& g : groups) {
+      for (size_t i = 1; i < g.size(); ++i) {
+        if (rel.At(row, g[i]) != rel.At(row, g[0])) return false;
+      }
+    }
+    return true;
+  };
+  Relation out = equalities ? rel.Filtered(agree) : rel;
+  out.SortByColumns(sort_cols);
+  return out;
+}
+
+FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
+                 const std::vector<ConstPred>& preds, QueryTrace* trace,
+                 const PrepareFn& prepare) {
+  QueryTrace::Scope span(trace, "ground");
+  const Layout layout = ComputeLayout(tree, rels);
 
   // Governance: grounding dominates pathological queries, so it probes the
   // ambient ExecContext (common/exec_context.h) at two granularities — per
@@ -56,142 +287,42 @@ FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
   // is strided inside CheckCancelled).
   ExecContext* const ctx = ExecContext::Current();
 
-  for (size_t r = 0; r < nrels; ++r) {
-    if (ctx != nullptr) ctx->CheckCancelled();
-    FDB_FAULT_POINT("ground_prepare_relation");
-    RelState s{*rels[r], std::vector<size_t>(tree.pool_size(), SIZE_MAX)};
-    // Constant predicates on this relation's attributes.
-    for (const ConstPred& p : preds) {
-      if (!s.rel.HasAttr(p.attr)) continue;
-      size_t col = s.rel.ColumnOf(p.attr);
-      s.rel.Filter([&](size_t row) {
-        return EvalCmp(s.rel.At(row, col), p.op, p.value);
-      });
-    }
-    // Intra-relation equalities: several attributes of this relation in one
-    // class must agree; the first becomes the representative column.
-    std::vector<size_t> sort_cols;
-    for (int n : rel_nodes[r]) {
-      const FTreeNode& nd = tree.node(n);
-      std::vector<size_t> cols;
-      for (AttrId a : nd.attrs) {
-        if (s.rel.HasAttr(a)) cols.push_back(s.rel.ColumnOf(a));
-      }
-      FDB_CHECK(!cols.empty());
-      if (cols.size() > 1) {
-        s.rel.Filter([&](size_t row) {
-          for (size_t i = 1; i < cols.size(); ++i) {
-            if (s.rel.At(row, cols[i]) != s.rel.At(row, cols[0])) return false;
-          }
-          return true;
-        });
-      }
-      s.node_col[static_cast<size_t>(n)] = cols[0];
-      sort_cols.push_back(cols[0]);
-    }
-    s.rel.SortByColumns(sort_cols);
-    st.push_back(std::move(s));
-  }
-
-  FRep out{FTree(tree)};
-
-  // Current row range per relation, narrowed as we bind values down a path.
-  std::vector<std::pair<size_t, size_t>> range(nrels);
-  for (size_t r = 0; r < nrels; ++r) range[r] = {0, st[r].rel.size()};
-
-  // Builds the union for tree node n under the current ranges; kNoUnion if
-  // no value survives.
-  auto build = [&](auto&& self, int n) -> uint32_t {
-    const FTreeNode& nd = tree.node(n);
-    std::vector<AttrId> here = nd.cover_rels.ToVector();
-    FDB_CHECK(!here.empty());
-    FDB_FAULT_POINT("ground_build_union");
-    UnionBuilder nu = out.StartUnion(n);
-
-    // Leapfrog over the covering relations' sorted columns.
-    std::vector<size_t> cursor(here.size());
-    for (size_t i = 0; i < here.size(); ++i) {
-      cursor[i] = range[here[i]].first;
-    }
-    for (;;) {
+  // The prepared inputs: shared as supplied, or private filtered copies.
+  std::vector<std::shared_ptr<const Relation>> inputs(rels.size());
+  std::vector<const Relation*> ptrs(rels.size());
+  {
+    QueryTrace::Scope step(trace, "ground-prepare");
+    uint64_t rows = 0, built_bytes = 0;
+    bool built = false;
+    for (size_t r = 0; r < rels.size(); ++r) {
       if (ctx != nullptr) ctx->CheckCancelled();
-      // Propose the max of the current heads; stop if any range is done.
-      bool exhausted = false;
-      Value v = std::numeric_limits<Value>::min();
-      for (size_t i = 0; i < here.size(); ++i) {
-        size_t r = here[i];
-        if (cursor[i] >= range[r].second) {
-          exhausted = true;
-          break;
-        }
-        v = std::max(v, st[r].rel.At(cursor[i], st[r].node_col[static_cast<size_t>(n)]));
+      FDB_FAULT_POINT("ground_prepare_relation");
+      const ColumnGroups& groups = layout.groups[r];
+      PreparedInput in;
+      if (prepare) {
+        in = prepare(r, groups);
+      } else {
+        in = {std::make_shared<const Relation>(
+                  PrepareRelation(*rels[r], groups)),
+              true};
       }
-      if (exhausted) break;
-      // Advance every head to >= v; if any overshoots, retry with larger v.
-      bool agree = true;
-      for (size_t i = 0; i < here.size(); ++i) {
-        size_t r = here[i];
-        size_t col = st[r].node_col[static_cast<size_t>(n)];
-        cursor[i] = st[r].rel.LowerBound(cursor[i], range[r].second, col, v);
-        if (cursor[i] >= range[r].second) {
-          agree = false;
-          exhausted = true;
-          break;
-        }
-        if (st[r].rel.At(cursor[i], col) != v) agree = false;
+      if (in.built) {
+        built = true;
+        built_bytes += in.rel->data().size() * sizeof(Value);
       }
-      if (exhausted) break;
-      if (!agree) continue;
-
-      // All covering relations contain v: narrow and recurse.
-      std::vector<std::pair<size_t, size_t>> saved(here.size());
-      for (size_t i = 0; i < here.size(); ++i) {
-        size_t r = here[i];
-        size_t col = st[r].node_col[static_cast<size_t>(n)];
-        saved[i] = range[r];
-        size_t end = st[r].rel.LowerBound(cursor[i], range[r].second, col, v + 1);
-        range[r] = {cursor[i], end};
-      }
-      std::vector<uint32_t> kids;
-      bool dead = false;
-      for (int c : nd.children) {
-        uint32_t cid = self(self, c);
-        if (cid == kNoUnion) {
-          dead = true;
-          break;
-        }
-        kids.push_back(cid);
-      }
-      // Restore: continue after v's block.
-      for (size_t i = 0; i < here.size(); ++i) {
-        size_t r = here[i];
-        cursor[i] = range[r].second;
-        range[r] = saved[i];
-      }
-      if (!dead) {
-        nu.AddValue(v);
-        for (uint32_t kid : kids) nu.AddChild(kid);
-      }
+      inputs[r] = ApplyConstPreds(std::move(in.rel), preds);
+      ptrs[r] = inputs[r].get();
+      rows += inputs[r]->size();
     }
-    if (nu.empty()) {
-      nu.Abandon();
-      return kNoUnion;
-    }
-    return nu.Finish();
-  };
-
-  out.MarkNonEmpty();
-  for (int root : tree.roots()) {
-    uint32_t rid = build(build, root);
-    if (rid == kNoUnion) {
-      out.MarkEmpty();
-      span.SetBytes(out.MemoryBytes());
-      return out;
-    }
-    out.roots().push_back(rid);
+    step.SetRows(rows);
+    if (built) step.SetBytes(built_bytes);
   }
-  FDB_VALIDATE_REP(out);
-  span.SetBytes(out.MemoryBytes());
+
+  QueryTrace::Scope step(trace, "ground-build");
+  FRep out = Builder(tree, ptrs, layout, ctx).Run();
+  const uint64_t bytes = trace != nullptr ? out.MemoryBytes() : 0;
+  step.SetBytes(bytes);
+  span.SetBytes(bytes);
   return out;
 }
 
@@ -206,6 +337,42 @@ FRep GroundRelation(const Relation& rel, int rel_index, QueryTrace* trace) {
   for (auto& p : rels) p = &empty;
   rels[static_cast<size_t>(rel_index)] = &rel;
   return GroundQuery(tree, rels, {}, trace);
+}
+
+PreparedInput PreparedRelationCache::Get(RelId id, const Relation& rel,
+                                         const ColumnGroups& groups) {
+  const uint64_t stamp = rel.stamp();
+  {
+    ReaderMutexLock lock(mu_);
+    const auto it = entries_.find(id);
+    if (it != entries_.end()) {
+      for (const Entry& e : it->second) {
+        if (e.groups == groups && e.stamp == stamp) return {e.rel, false};
+      }
+    }
+  }
+  // A miss or a stale entry: prepare outside the lock, then publish the
+  // finished relation (racing threads publish identical ones).
+  auto prepared =
+      std::make_shared<const Relation>(PrepareRelation(rel, groups));
+  WriterMutexLock lock(mu_);
+  std::vector<Entry>& list = entries_[id];
+  for (Entry& e : list) {
+    if (e.groups == groups) {
+      e.rel = prepared;
+      e.stamp = stamp;
+      return {prepared, true};
+    }
+  }
+  list.push_back(Entry{groups, prepared, stamp});
+  return {prepared, true};
+}
+
+size_t PreparedRelationCache::size() const {
+  ReaderMutexLock lock(mu_);
+  size_t n = 0;
+  for (const auto& [id, list] : entries_) n += list.size();
+  return n;
 }
 
 }  // namespace fdb

@@ -5,16 +5,29 @@
 // Each relation's attribute classes lie on a single root-to-leaf path of
 // the f-tree (the path constraint), so sorting the relation by its classes
 // in ancestor-first order makes the tuples matching any partial context a
-// contiguous range. Grounding then walks the f-tree: at each node it
-// intersects (leapfrog-style) the distinct values of the covering
-// relations' current ranges, narrows the ranges for each value, and
-// recurses into the children; values whose children turn out empty are
-// dropped. This avoids ever materialising flat intermediate results.
+// contiguous range. Grounding runs in two steps:
+//
+//  * prepare — per relation, keep the rows that satisfy the relation's
+//    intra-class equalities, sorted by its path order and deduplicated
+//    (PrepareRelation). The result depends only on the relation and its
+//    column groups along the f-tree, not on the query, so a caller may
+//    reuse it across queries: the Engine keeps a PreparedRelationCache.
+//    Constant predicates then take one order-preserving filtering pass.
+//  * build — walk the f-tree: at each node intersect (leapfrog-style) the
+//    distinct values of the covering relations' current ranges, narrow the
+//    ranges for each value, and recurse into the children; values whose
+//    children turn out empty are dropped. The walk allocates nothing per
+//    node or value beyond the result's arenas, and it never materialises
+//    flat intermediate results.
 #ifndef FDB_CORE_GROUND_H_
 #define FDB_CORE_GROUND_H_
 
+#include <functional>
+#include <map>
+#include <memory>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/trace.h"
 #include "core/frep.h"
 #include "storage/query.h"
@@ -22,19 +35,45 @@
 
 namespace fdb {
 
+/// The columns of one relation along its f-tree path, ancestor-first: one
+/// group per node the relation covers, listing in ascending order the
+/// relation's columns whose attributes lie in that node's class. The
+/// columns of a group must agree on every kept row; the first one stands
+/// for the node.
+using ColumnGroups = std::vector<std::vector<size_t>>;
+
+/// The prepare step: the rows of `rel` whose columns agree within every
+/// group, sorted by the groups' first columns (the remaining columns break
+/// ties) and deduplicated.
+Relation PrepareRelation(const Relation& rel, const ColumnGroups& groups);
+
+/// A relation made ready for the build step, shared read-only.
+struct PreparedInput {
+  std::shared_ptr<const Relation> rel;
+  bool built = false;  ///< this call ran PrepareRelation (a cache miss)
+};
+
+/// Supplies PrepareRelation(*rels[r], groups) for query-local relation r,
+/// for instance from a cache. The default prepares on every call.
+using PrepareFn =
+    std::function<PreparedInput(size_t r, const ColumnGroups& groups)>;
+
 /// Computes the factorised result of the natural join prescribed by `tree`
 /// over the given relations.
 ///
 /// `rels[i]` is the relation with query-local index i (matching the
-/// `cover_rels` bits of the tree). `preds` are constant predicates applied
-/// while loading. Relations are copied, filtered and sorted internally;
-/// pass `presorted = true` when every relation is already sorted by its
-/// class path order (saves the copy, used by benchmarks that reuse inputs).
-/// A non-null `trace` records a "ground" span carrying the result's
-/// MemoryBytes (common/trace.h).
+/// `cover_rels` bits of the tree). `preds` are constant predicates, applied
+/// to the prepared relations in one order-preserving pass each. `prepare`
+/// (optional) supplies the prepared relations; it is called once per
+/// relation, and the ground_prepare_relation fault site fires once per
+/// relation whatever it does. A non-null `trace` records a "ground" span
+/// (bytes = FRep::MemoryBytes) with the children "ground-prepare" (rows =
+/// input rows after preparing and filtering; bytes = the size of the
+/// relations prepared by this call, absent when all were reused) and
+/// "ground-build" (bytes = FRep::MemoryBytes).
 FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
                  const std::vector<ConstPred>& preds = {},
-                 QueryTrace* trace = nullptr);
+                 QueryTrace* trace = nullptr, const PrepareFn& prepare = {});
 
 /// Factorises a single relation over its path f-tree (trie): the canonical
 /// way to turn flat input into an f-representation before applying f-plan
@@ -42,6 +81,34 @@ FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
 /// the f-tree.
 FRep GroundRelation(const Relation& rel, int rel_index,
                     QueryTrace* trace = nullptr);
+
+/// Prepared relations shared across queries and threads, keyed on (RelId,
+/// column groups). Each entry remembers the Relation::stamp() it was
+/// prepared from; a lookup whose relation has moved on prepares afresh and
+/// replaces the entry, so results stay exact however the relation was
+/// mutated. Lookups take a shared lock; a miss prepares outside the lock
+/// and inserts only the finished relation, so a failed preparation leaves
+/// no entry behind. Entries are never evicted: there is at most one per
+/// (relation, path order), and a database has few of each.
+class PreparedRelationCache {
+ public:
+  /// The prepared form of `rel` (the relation stored under `id`).
+  PreparedInput Get(RelId id, const Relation& rel, const ColumnGroups& groups)
+      EXCLUDES(mu_);
+
+  /// Number of entries (prepared relations held).
+  size_t size() const EXCLUDES(mu_);
+
+ private:
+  struct Entry {
+    ColumnGroups groups;
+    std::shared_ptr<const Relation> rel;
+    uint64_t stamp = 0;
+  };
+  mutable SharedMutex mu_;
+  // Per relation, one entry per path order seen.
+  std::map<RelId, std::vector<Entry>> entries_ GUARDED_BY(mu_);
+};
 
 }  // namespace fdb
 

@@ -49,8 +49,9 @@
 // Thread safety: the database must be fully loaded before the server is
 // constructed and must not change while it serves (Database::version
 // guards cached plans against changes *between* serving sessions, not
-// concurrent ones). Everything the workers share — the engine's LP memo,
-// the dictionary, the plan cache, the queue — is internally synchronised;
+// concurrent ones). Everything the workers share — the engine's LP memo
+// and prepared-relation cache, the dictionary, the plan cache, the queue —
+// is internally synchronised;
 // see the Engine concurrency contract in api/engine.h.
 #ifndef FDB_SERVE_QUERY_SERVER_H_
 #define FDB_SERVE_QUERY_SERVER_H_

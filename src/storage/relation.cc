@@ -40,6 +40,44 @@ Relation::Relation(std::vector<AttrId> schema) : schema_(std::move(schema)) {
   }
 }
 
+Relation::Relation(Relation&& o) noexcept
+    : schema_(std::move(o.schema_)),
+      data_(std::move(o.data_)),
+      sort_order_(std::move(o.sort_order_)),
+      nullary_count_(o.nullary_count_),
+      stamp_(o.stamp_) {
+  o.data_.clear();
+  o.sort_order_.clear();
+  o.nullary_count_ = 0;
+  ++o.stamp_;
+}
+
+Relation& Relation::operator=(const Relation& o) {
+  if (this != &o) {
+    schema_ = o.schema_;
+    data_ = o.data_;
+    sort_order_ = o.sort_order_;
+    nullary_count_ = o.nullary_count_;
+  }
+  stamp_ = std::max(stamp_, o.stamp_) + 1;
+  return *this;
+}
+
+Relation& Relation::operator=(Relation&& o) noexcept {
+  if (this != &o) {
+    schema_ = std::move(o.schema_);
+    data_ = std::move(o.data_);
+    sort_order_ = std::move(o.sort_order_);
+    nullary_count_ = o.nullary_count_;
+    o.data_.clear();
+    o.sort_order_.clear();
+    o.nullary_count_ = 0;
+    ++o.stamp_;
+  }
+  stamp_ = std::max(stamp_, o.stamp_) + 1;
+  return *this;
+}
+
 size_t Relation::ColumnOf(AttrId attr) const {
   for (size_t c = 0; c < schema_.size(); ++c) {
     if (schema_[c] == attr) return c;
@@ -55,10 +93,12 @@ void Relation::AddTuple(std::span<const Value> tuple) {
   FDB_CHECK(tuple.size() == arity());
   if (arity() == 0) {
     nullary_count_ = 1;  // the nullary relation has at most one tuple
+    ++stamp_;
     return;
   }
   data_.insert(data_.end(), tuple.begin(), tuple.end());
   sort_order_.clear();
+  ++stamp_;
 }
 
 void Relation::AppendRows(std::span<const Value> values) {
@@ -67,6 +107,7 @@ void Relation::AppendRows(std::span<const Value> values) {
                 "AppendRows size must be a multiple of the arity");
   data_.insert(data_.end(), values.begin(), values.end());
   sort_order_.clear();
+  ++stamp_;
 }
 
 void Relation::AdoptRows(std::vector<Value>&& values) {
@@ -79,6 +120,7 @@ void Relation::AdoptRows(std::vector<Value>&& values) {
     data_.insert(data_.end(), values.begin(), values.end());
   }
   sort_order_.clear();
+  ++stamp_;
 }
 
 void Relation::SortByColumns(const std::vector<size_t>& cols) {
@@ -95,6 +137,7 @@ void Relation::SortByColumns(const std::vector<size_t>& cols) {
     if (!used[c]) order.push_back(c);
   }
   if (order == sort_order_) return;  // already a set sorted this way
+  ++stamp_;
 
   // Narrow arities (every enumerated result in practice) take the
   // cache-friendly fixed-key sort; wider rows fall back to the generic

@@ -23,6 +23,13 @@ class Relation {
   /// Attribute ids must be distinct.
   explicit Relation(std::vector<AttrId> schema);
 
+  // Copies and moves carry the source's stamp along with its content; a
+  // moved-from relation and every assignment target get a fresh stamp.
+  Relation(const Relation&) = default;
+  Relation(Relation&& o) noexcept;
+  Relation& operator=(const Relation& o);
+  Relation& operator=(Relation&& o) noexcept;
+
   size_t arity() const { return schema_.size(); }
   size_t size() const { return arity() == 0 ? nullary_count_ : data_.size() / arity(); }
   bool empty() const { return size() == 0; }
@@ -89,6 +96,13 @@ class Relation {
   std::pair<size_t, size_t> EqualRange(size_t lo, size_t hi, size_t col,
                                        Value v) const;
 
+  /// Content stamp: changes on every mutation of the row set or its order
+  /// (AddTuple, AppendRows, AdoptRows, Filter, SortByColumns / SortLex when
+  /// they reorder, copy and move assignment) and never repeats for one
+  /// object. A cache derived from the rows can compare stamps to tell
+  /// whether it is stale, whichever path changed the relation.
+  uint64_t stamp() const { return stamp_; }
+
   /// Number of distinct values in a column (scans; used by the estimator).
   size_t DistinctCount(size_t col) const;
 
@@ -107,6 +121,28 @@ class Relation {
       }
     }
     data_.resize(w * k);
+    ++stamp_;
+  }
+
+  /// The rows satisfying pred(row_index), in order, as a new relation built
+  /// in one pass; the copy keeps sort_order(), so a sorted input stays
+  /// sorted.
+  template <typename Pred>
+  Relation Filtered(Pred pred) const {
+    Relation out(schema_);
+    out.sort_order_ = sort_order_;
+    const size_t n = size(), k = arity();
+    if (k == 0) {
+      out.nullary_count_ = n > 0 && pred(size_t{0}) ? 1 : 0;
+      return out;
+    }
+    for (size_t r = 0; r < n; ++r) {
+      if (pred(r)) {
+        const Value* row = data_.data() + r * k;
+        out.data_.insert(out.data_.end(), row, row + k);
+      }
+    }
+    return out;
   }
 
   /// Raw data access for tight loops.
@@ -122,6 +158,7 @@ class Relation {
   std::vector<Value> data_;
   std::vector<size_t> sort_order_;
   size_t nullary_count_ = 0;  // tuple count for arity-0 relations (0 or 1)
+  uint64_t stamp_ = 0;
 };
 
 }  // namespace fdb

@@ -12,14 +12,17 @@
 //
 // Without FDB_FAULTS the sites compile out; every test skips itself via
 // fault::kEnabled so the suite builds and passes in all configurations.
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/engine.h"
 #include "common/exec_context.h"
 #include "common/fault.h"
 #include "core/ground.h"
+#include "core/serialize.h"
 #include "core/kernel.h"
 #include "core/parallel_enumerate.h"
 #include "serve/query_server.h"
@@ -177,6 +180,60 @@ TEST_F(FaultInjectionTest, EnumerationSitesUnwindCleanly) {
     EXPECT_EQ(retry.size(), clean.size()) << site;
     EXPECT_TRUE(testing_util::SameRelation(rep, retry)) << site;
   }
+}
+
+std::string FRepBytes(const FRep& rep) {
+  std::ostringstream os;
+  WriteFRep(os, rep);
+  return os.str();
+}
+
+// The prepare site fires once per relation per query, whether the engine's
+// prepared-relation cache hits or misses.
+TEST_F(FaultInjectionTest, PrepareSiteFiresOnCacheHitsAndMisses) {
+  SKIP_WITHOUT_FAULTS();
+  auto db = MakeGroceryDb();
+  Engine engine(db.get());
+  const Query q = engine.Parse(kSpj);
+  for (int round = 0; round < 3; ++round) {  // a miss, then hits
+    const uint64_t before = fault::HitCount("ground_prepare_relation");
+    engine.EvaluateFlat(q);
+    EXPECT_EQ(fault::HitCount("ground_prepare_relation") - before,
+              q.rels.size())
+        << "round " << round;
+  }
+  EXPECT_EQ(engine.prepared_cache().size(), q.rels.size());
+}
+
+// A fault while the cache misses leaves only finished entries behind, and
+// the disarmed retry is byte-identical to a clean engine's result.
+TEST_F(FaultInjectionTest, PrepareFaultOnCacheMissLeavesNoPartialEntry) {
+  SKIP_WITHOUT_FAULTS();
+  auto db = MakeGroceryDb();
+  const Query q = Engine(db.get()).Parse(kSpj);
+  const std::string clean = FRepBytes(Engine(db.get()).EvaluateFlat(q).rep);
+  ASSERT_EQ(q.rels.size(), 2u);
+  // skip = 0 faults before the first relation, skip = 1 after the first
+  // relation was prepared and published.
+  for (uint64_t skip : {0u, 1u}) {
+    Engine engine(db.get());
+    fault::Arm("ground_prepare_relation",
+               {fault::Kind::kBadAlloc, skip, 1, 0.0});
+    EXPECT_THROW(engine.EvaluateFlat(q), std::bad_alloc) << "skip " << skip;
+    fault::DisarmAll();
+    EXPECT_EQ(engine.prepared_cache().size(), skip) << "skip " << skip;
+    EXPECT_EQ(FRepBytes(engine.EvaluateFlat(q).rep), clean) << "skip " << skip;
+    EXPECT_EQ(FRepBytes(engine.EvaluateFlat(q).rep), clean) << "skip " << skip;
+    EXPECT_EQ(engine.prepared_cache().size(), q.rels.size());
+  }
+  // A fault in the build after a cold prepare keeps the finished entries,
+  // and the warm retry still matches.
+  Engine engine(db.get());
+  fault::Arm("ground_build_union", {fault::Kind::kBadAlloc, 0, 1, 0.0});
+  EXPECT_THROW(engine.EvaluateFlat(q), std::bad_alloc);
+  fault::DisarmAll();
+  EXPECT_EQ(engine.prepared_cache().size(), q.rels.size());
+  EXPECT_EQ(FRepBytes(engine.EvaluateFlat(q).rep), clean);
 }
 
 // Repeated faults do not poison the server: alternate faulted and clean

@@ -1,7 +1,13 @@
+#include <sstream>
+#include <string>
+#include <thread>
+
 #include <gtest/gtest.h>
 
+#include "api/engine.h"
 #include "core/enumerate.h"
 #include "core/ground.h"
+#include "core/serialize.h"
 #include "rdb/rdb.h"
 #include "test_util.h"
 
@@ -145,6 +151,213 @@ TEST(Ground, GroceryQ1OverT1MatchesPaper) {
   // over T1 the result is strictly smaller than the 14 x 6 data elements.
   EXPECT_EQ(rep.CountTuples(), static_cast<double>(flat.NumTuples()));
   EXPECT_LT(rep.NumSingletons(), flat.NumTuples() * 6);
+}
+
+TEST(Ground, PrepareFiltersSortsAndDeduplicates) {
+  // Groups {0, 2} (must agree) then {1}: sorted by columns 0, 1, then 2.
+  Relation r = MakeRel({0, 1, 2}, {{3, 1, 3}, {1, 2, 1}, {1, 2, 1}, {2, 0, 9},
+                                   {1, 1, 1}});
+  Relation p = PrepareRelation(r, {{0, 2}, {1}});
+  EXPECT_EQ(p, MakeRel({0, 1, 2}, {{1, 1, 1}, {1, 2, 1}, {3, 1, 3}}));
+  EXPECT_EQ(p.sort_order(), (std::vector<size_t>{0, 1, 2}));
+}
+
+TEST(Ground, TraceSplitsPrepareAndBuild) {
+  Relation r = MakeRel({0, 1}, {{1, 5}, {2, 6}, {2, 6}, {3, 7}});
+  FTree t = PathFTree({0, 1}, 0);
+  QueryTrace trace;
+  FRep rep = GroundQuery(t, {&r}, {ConstPred{1, CmpOp::kGe, 6}}, &trace);
+  const std::vector<QueryTrace::Span>& spans = trace.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].name, "ground");
+  EXPECT_EQ(spans[1].name, "ground-prepare");
+  EXPECT_EQ(spans[2].name, "ground-build");
+  EXPECT_EQ(spans[1].parent, 0);
+  EXPECT_EQ(spans[2].parent, 0);
+  EXPECT_EQ(spans[1].rows, 2u);  // deduplicated, then filtered
+  EXPECT_EQ(spans[1].bytes, 3u * 2u * sizeof(Value));  // prepared here
+  EXPECT_EQ(spans[2].bytes, rep.MemoryBytes());
+  EXPECT_EQ(spans[0].bytes, rep.MemoryBytes());
+}
+
+// ---- The Engine's prepared-relation cache --------------------------------
+
+std::string FRepBytes(const FRep& rep) {
+  std::ostringstream os;
+  WriteFRep(os, rep);
+  return os.str();
+}
+
+// Whether grounding `q` on `engine` reused every prepared relation: the
+// ground-prepare span carries bytes only when it prepared one.
+bool GroundsFromCache(Engine& engine, const Query& q) {
+  QueryTrace trace;
+  engine.EvaluateFlat(q, nullptr, &trace);
+  for (const QueryTrace::Span& s : trace.spans()) {
+    if (s.name == "ground-prepare") return !s.has_bytes;
+  }
+  ADD_FAILURE() << "no ground-prepare span";
+  return false;
+}
+
+// Runs `sql` on a fresh engine (cold cache) and on `engine` (whose cache
+// the call may fill) and then again on `engine` from its now warm cache:
+// the three results must be byte-identical and equal to rdb's.
+void ExpectColdWarmExact(Database& db, Engine& engine, const std::string& sql,
+                         const FTreeSearchResult* pretree = nullptr) {
+  SCOPED_TRACE(sql);
+  Engine cold(&db);
+  const Query q = cold.Parse(sql);
+  const FdbResult c = cold.EvaluateFlat(q, pretree);
+  const FdbResult w1 = engine.EvaluateFlat(q, pretree);
+  const FdbResult w2 = engine.EvaluateFlat(q, pretree);
+  const std::string bytes = FRepBytes(c.rep);
+  EXPECT_EQ(FRepBytes(w1.rep), bytes);
+  EXPECT_EQ(FRepBytes(w2.rep), bytes);
+  const Relation rows = cold.MaterializeResult(c);
+  EXPECT_EQ(engine.MaterializeResult(w2), rows);
+  EXPECT_TRUE(SameRelation(rows, cold.ExecuteRdb(q).relation));
+  if (pretree == nullptr) {
+    EXPECT_TRUE(GroundsFromCache(engine, q));
+  }
+}
+
+class GroundCacheTest : public ::testing::Test {
+ protected:
+  GroundCacheTest() : engine_(&db_) {
+    r_ = db_.CreateRelation("R", {"a", "b", "c"});
+    s_ = db_.CreateRelation("S", {"sb", "d"});
+    for (int64_t i = 0; i < 40; ++i) {
+      db_.Insert(r_, {i % 7, i % 5, i % 3});
+      db_.Insert(s_, {i % 6, i});
+    }
+  }
+
+  Database db_;
+  Engine engine_;
+  RelId r_ = 0, s_ = 0;
+};
+
+TEST_F(GroundCacheTest, PredicatesAreExact) {
+  ExpectColdWarmExact(db_, engine_, "SELECT * FROM R, S WHERE b = sb");
+  // Constant predicates filter the cached relations without re-sorting.
+  ExpectColdWarmExact(db_, engine_,
+                      "SELECT * FROM R, S WHERE b = sb AND a >= 3 AND d < 30");
+  ExpectColdWarmExact(db_, engine_,
+                      "SELECT a, d FROM R, S WHERE b = sb AND c = 1");
+  ExpectColdWarmExact(db_, engine_, "SELECT * FROM R WHERE a = 99");
+}
+
+TEST_F(GroundCacheTest, IntraRelationClassEqualityIsExact) {
+  ExpectColdWarmExact(db_, engine_, "SELECT * FROM R WHERE a = b");
+  ExpectColdWarmExact(db_, engine_,
+                      "SELECT * FROM R, S WHERE a = b AND b = sb");
+}
+
+TEST_F(GroundCacheTest, DuplicateInputRowsAreExact) {
+  for (int k = 0; k < 3; ++k) {
+    db_.Insert(r_, {1, 1, 1});
+    db_.Insert(s_, {1, 7});
+  }
+  ExpectColdWarmExact(db_, engine_, "SELECT * FROM R, S WHERE b = sb");
+  ExpectColdWarmExact(db_, engine_, "SELECT b FROM R");
+}
+
+TEST_F(GroundCacheTest, TwoPathOrdersOverOneRelation) {
+  const AttrId a = db_.Attr("a"), b = db_.Attr("b"), c = db_.Attr("c");
+  FTreeSearchResult abc{PathFTree({a, b, c}, 0), 1.0, 0};
+  FTreeSearchResult cba{PathFTree({c, b, a}, 0), 1.0, 0};
+  ExpectColdWarmExact(db_, engine_, "SELECT * FROM R", &abc);
+  EXPECT_EQ(engine_.prepared_cache().size(), 1u);
+  ExpectColdWarmExact(db_, engine_, "SELECT * FROM R", &cba);
+  EXPECT_EQ(engine_.prepared_cache().size(), 2u);
+  // Both orders stay cached side by side.
+  ExpectColdWarmExact(db_, engine_, "SELECT * FROM R WHERE b <= 2", &abc);
+  ExpectColdWarmExact(db_, engine_, "SELECT * FROM R WHERE b <= 2", &cba);
+  EXPECT_EQ(engine_.prepared_cache().size(), 2u);
+}
+
+TEST_F(GroundCacheTest, MutationThroughDatabaseInsert) {
+  const std::string sql = "SELECT * FROM R, S WHERE b = sb AND a <= 4";
+  ExpectColdWarmExact(db_, engine_, sql);
+  db_.Insert(r_, {4, 5, 0});  // a new join value, 5, for R
+  db_.Insert(s_, {5, 100});
+  const Query q = engine_.Parse(sql);
+  EXPECT_FALSE(GroundsFromCache(engine_, q));  // both relations re-prepared
+  ExpectColdWarmExact(db_, engine_, sql);
+}
+
+TEST_F(GroundCacheTest, MutationThroughRelationAccessor) {
+  const std::string sql = "SELECT * FROM R, S WHERE b = sb";
+  ExpectColdWarmExact(db_, engine_, sql);
+  const size_t entries = engine_.prepared_cache().size();
+  db_.relation(r_).AddTuple({9, 4, 2});
+  ExpectColdWarmExact(db_, engine_, sql);
+  // A stale entry is replaced, not added to.
+  EXPECT_EQ(engine_.prepared_cache().size(), entries);
+
+  db_.relation(s_).Filter([&](size_t row) {
+    return db_.relation(s_).At(row, 0) != 2;
+  });
+  ExpectColdWarmExact(db_, engine_, sql);
+
+  Relation fewer({db_.Attr("sb"), db_.Attr("d")});
+  fewer.AddTuple({4, 1});
+  db_.relation(s_) = fewer;
+  ExpectColdWarmExact(db_, engine_, sql);
+  db_.relation(s_) = Relation({db_.Attr("sb"), db_.Attr("d")});
+  ExpectColdWarmExact(db_, engine_, sql);
+}
+
+TEST_F(GroundCacheTest, AssignmentOfAnEqualLengthHistory) {
+  // The replacement went through as many mutations as S itself, so only an
+  // assignment that moves the stamp on keeps the cache exact.
+  const std::string sql = "SELECT * FROM R, S WHERE b = sb";
+  ExpectColdWarmExact(db_, engine_, sql);
+  Relation twin({db_.Attr("sb"), db_.Attr("d")});
+  for (int64_t i = 0; i < 40; ++i) twin.AddTuple({i % 4, -i});
+  ASSERT_EQ(twin.stamp(), db_.relation(s_).stamp());
+  db_.relation(s_) = twin;
+  ExpectColdWarmExact(db_, engine_, sql);
+  Relation moved = twin;
+  db_.relation(s_) = std::move(moved);
+  ExpectColdWarmExact(db_, engine_, sql);
+}
+
+TEST_F(GroundCacheTest, ConcurrentColdCacheIsExact) {
+  const std::vector<std::string> sqls = {
+      "SELECT * FROM R, S WHERE b = sb",
+      "SELECT * FROM R, S WHERE b = sb AND d >= 10",
+      "SELECT a, c FROM R WHERE a = b",
+      "SELECT * FROM R WHERE c = 2",
+  };
+  std::vector<Query> queries;
+  std::vector<std::string> expected;
+  {
+    Engine reference(&db_);
+    for (const std::string& sql : sqls) {
+      queries.push_back(reference.Parse(sql));
+      expected.push_back(FRepBytes(reference.EvaluateFlat(queries.back()).rep));
+    }
+  }
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 5; ++round) {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const size_t k = (i + static_cast<size_t>(t)) % queries.size();
+          if (FRepBytes(engine_.EvaluateFlat(queries[k]).rep) != expected[k]) {
+            ++mismatches[static_cast<size_t>(t)];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int bad : mismatches) EXPECT_EQ(bad, 0);
+  for (const Query& q : queries) EXPECT_TRUE(GroundsFromCache(engine_, q));
 }
 
 }  // namespace

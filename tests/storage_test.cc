@@ -152,6 +152,59 @@ TEST(Relation, Filter) {
   EXPECT_EQ(r.At(1, 0), 4);
 }
 
+TEST(Relation, StampChangesOnEveryRowSetMutation) {
+  Relation r = MakeRel({0, 1}, {{2, 1}, {1, 1}});
+  uint64_t last = r.stamp();
+  auto changed = [&] {
+    const bool moved = r.stamp() != last;
+    last = r.stamp();
+    return moved;
+  };
+  r.AddTuple({3, 3});
+  EXPECT_TRUE(changed());
+  const std::vector<Value> rows = {4, 4, 5, 5};
+  r.AppendRows(rows);
+  EXPECT_TRUE(changed());
+  r.AdoptRows({6, 6});
+  EXPECT_TRUE(changed());
+  r.Filter([&](size_t row) { return r.At(row, 0) != 5; });
+  EXPECT_TRUE(changed());
+  r.SortLex();
+  EXPECT_TRUE(changed());
+  r.SortLex();  // already sorted: the rows do not move
+  EXPECT_FALSE(changed());
+  r.SortByColumns({1});
+  EXPECT_TRUE(changed());
+
+  // Copies carry the stamp with the content; assignment targets and
+  // moved-from relations get a stamp they never had.
+  Relation copy = r;
+  EXPECT_EQ(copy.stamp(), r.stamp());
+  Relation other = MakeRel({0, 1}, {{9, 9}});
+  r = other;
+  EXPECT_TRUE(changed());
+  EXPECT_EQ(r, other);
+  r = MakeRel({0, 1}, {});
+  EXPECT_TRUE(changed());
+  Relation taken = std::move(copy);
+  EXPECT_NE(copy.stamp(), taken.stamp());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(copy.empty());               // NOLINT(bugprone-use-after-move)
+
+  // Reading never changes the stamp.
+  (void)r.Filtered([](size_t) { return true; });
+  r.LowerBound(0, r.size(), 0, 1);
+  EXPECT_FALSE(changed());
+}
+
+TEST(Relation, FilteredCopyKeepsOrder) {
+  Relation r = MakeRel({0, 1}, {{3, 1}, {1, 2}, {2, 3}, {1, 1}});
+  r.SortByColumns({1});
+  Relation f = r.Filtered([&](size_t row) { return r.At(row, 0) != 2; });
+  EXPECT_EQ(f, MakeRel({0, 1}, {{1, 1}, {3, 1}, {1, 2}}));
+  EXPECT_EQ(f.sort_order(), r.sort_order());
+  EXPECT_EQ(r.size(), 4u);  // the source is untouched
+}
+
 TEST(Catalog, RegistersAndLooksUp) {
   Catalog c;
   AttrId a = c.AddAttribute("x");

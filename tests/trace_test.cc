@@ -215,6 +215,16 @@ TEST(EngineTrace, ExecuteTracedSpjSpanStructure) {
   EXPECT_EQ(all[spans["ground"]].parent, root);
   EXPECT_TRUE(all[spans["ground"]].has_bytes);
   EXPECT_GT(all[spans["ground"]].bytes, 0u);
+  // Ground splits into prepare (filter + sort, cached across queries) and
+  // the leapfrog build, which carries the rep bytes.
+  ASSERT_TRUE(spans.count("ground-prepare"));
+  ASSERT_TRUE(spans.count("ground-build"));
+  EXPECT_EQ(all[spans["ground-prepare"]].parent, spans["ground"]);
+  EXPECT_EQ(all[spans["ground-build"]].parent, spans["ground"]);
+  EXPECT_EQ(all[spans["ground-prepare"]].rows, 3u + 4u);  // orders + stock
+  EXPECT_TRUE(all[spans["ground-prepare"]].has_bytes);    // a cold cache
+  EXPECT_GT(all[spans["ground-prepare"]].bytes, 0u);
+  EXPECT_EQ(all[spans["ground-build"]].bytes, all[spans["ground"]].bytes);
   EXPECT_TRUE(all[spans["enumerate"]].has_rows);
   EXPECT_EQ(all[spans["enumerate"]].rows, 4u);  // the demo join has 4 rows
   // The sink's own steps nest under enumerate. The join's f-tree projects
@@ -312,6 +322,24 @@ TEST(EngineTrace, PretreeSkipsSearchSpan) {
   EXPECT_TRUE(spans.count("ground"));
 }
 
+TEST(EngineTrace, WarmGroundPreparesNothing) {
+  Database db;
+  LoadDemo(&db);
+  Engine engine(&db);
+  Query q = engine.Parse(
+      "SELECT * FROM orders, stock WHERE item = sitem AND warehouse = 'North'");
+  for (bool cold : {true, false}) {
+    QueryTrace trace;
+    engine.EvaluateFlat(q, nullptr, &trace);
+    std::map<std::string, int> spans = IndexByName(trace);
+    ASSERT_TRUE(spans.count("ground-prepare"));
+    const QueryTrace::Span& prepare = trace.spans()[spans["ground-prepare"]];
+    // Bytes only when this query sorted a relation; rows either way.
+    EXPECT_EQ(prepare.has_bytes, cold);
+    EXPECT_EQ(prepare.rows, 3u + 2u);  // orders + stock in the North
+  }
+}
+
 TEST(EngineTrace, ExplainAnalyzeExecute) {
   Database db;
   LoadDemo(&db);
@@ -325,6 +353,8 @@ TEST(EngineTrace, ExplainAnalyzeExecute) {
   EXPECT_NE(body.find("parse"), std::string::npos);
   EXPECT_NE(body.find("f-tree-search"), std::string::npos);
   EXPECT_NE(body.find("ground"), std::string::npos);
+  EXPECT_NE(body.find("    ground-prepare  "), std::string::npos);
+  EXPECT_NE(body.find("    ground-build  "), std::string::npos);
   EXPECT_NE(body.find("enumerate"), std::string::npos);
   EXPECT_NE(body.find("-- total"), std::string::npos);
   // The factorised result still rides along.
