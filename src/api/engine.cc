@@ -28,8 +28,10 @@ FdbResult Engine::EvaluateFlat(const Query& q,
   Timer eval_timer;
   std::vector<const Relation*> rels = db_->RelationPtrs(q.rels);
   FRep rep = GroundQuery(t.tree, rels, q.const_preds, trace,
-                         [&](size_t r, const ColumnGroups& groups) {
-                           return prepared_.Get(q.rels[r], *rels[r], groups);
+                         [&](size_t r, const ColumnGroups& groups,
+                             bool filtered) {
+                           return prepared_.Get(q.rels[r], *rels[r], groups,
+                                                filtered);
                          });
   if (info.projection != info.all_attrs) {
     QueryTrace::Scope span(trace, "project");

@@ -86,8 +86,10 @@ struct AggregateResult {
 ///  * the shared EdgeCoverSolver memo (lp/edge_cover.h);
 ///  * the prepared-relation cache (PreparedRelationCache, core/ground.h):
 ///    each relation sorted once per f-tree path order and shared,
-///    read-only, by every query grounding it along that order. A miss
-///    prepares outside the lock and publishes only finished entries.
+///    read-only, by every query grounding it along that order (a first
+///    miss under constant predicates sorts only the query's kept rows and
+///    keeps nothing). A miss prepares outside the lock and publishes only
+///    finished entries.
 /// Everything else reads `const` catalog/relation state. What is NOT
 /// allowed concurrently with queries: schema or data changes
 /// (CreateRelation / Insert / LoadCsv) and direct mutation through

@@ -54,22 +54,32 @@ Layout ComputeLayout(const FTree& tree,
   return l;
 }
 
-// `rel` narrowed by the constant predicates on its attributes, in one
-// order-preserving pass; shared unchanged when none applies.
-std::shared_ptr<const Relation> ApplyConstPreds(
-    std::shared_ptr<const Relation> rel, const std::vector<ConstPred>& preds) {
-  std::vector<std::pair<size_t, const ConstPred*>> mine;
+// The constant predicates on `rel`'s attributes, by column.
+using PredColumns = std::vector<std::pair<size_t, const ConstPred*>>;
+
+PredColumns PredsOn(const Relation& rel, const std::vector<ConstPred>& preds) {
+  PredColumns mine;
   for (const ConstPred& p : preds) {
-    if (rel->HasAttr(p.attr)) mine.emplace_back(rel->ColumnOf(p.attr), &p);
+    if (rel.HasAttr(p.attr)) mine.emplace_back(rel.ColumnOf(p.attr), &p);
   }
-  if (mine.empty()) return rel;
+  return mine;
+}
+
+bool Satisfies(const Relation& rel, size_t row, const PredColumns& preds) {
+  for (const auto& [col, p] : preds) {
+    if (!EvalCmp(rel.At(row, col), p->op, p->value)) return false;
+  }
+  return true;
+}
+
+// `rel` narrowed by its constant predicates in one order-preserving pass;
+// shared unchanged when none applies.
+std::shared_ptr<const Relation> ApplyConstPreds(
+    std::shared_ptr<const Relation> rel, const PredColumns& preds) {
+  if (preds.empty()) return rel;
   const Relation& in = *rel;
-  return std::make_shared<const Relation>(in.Filtered([&](size_t row) {
-    for (const auto& [col, p] : mine) {
-      if (!EvalCmp(in.At(row, col), p->op, p->value)) return false;
-    }
-    return true;
-  }));
+  return std::make_shared<const Relation>(
+      in.Filtered([&](size_t row) { return Satisfies(in, row, preds); }));
 }
 
 // The build step: a leapfrog walk over the prepared relations. Everything
@@ -90,8 +100,7 @@ class Builder {
         const std::vector<int>& path = layout.nodes[r];
         const size_t d = static_cast<size_t>(
             std::find(path.begin(), path.end(), n) - path.begin());
-        covers_.push_back(Cover{rels[r]->data().data(), rels[r]->arity(),
-                                layout.groups[r][d][0], r});
+        covers_.push_back(Cover{rels[r], layout.groups[r][d][0], r});
       }
       slot.cover_end = covers_.size();
       slot.kid_begin = kids_.size();
@@ -122,40 +131,11 @@ class Builder {
 
   // One covering relation's column at one node.
   struct Cover {
-    const Value* data;  // the relation's rows, row-major
-    size_t arity;
+    const Relation* rel;
     size_t col;
-    size_t rel;  // query-local relation index
+    size_t index;  // query-local relation index
 
-    Value At(size_t row) const { return data[row * arity + col]; }
-
-    // First row in [lo, hi) whose value is >= v (kPast: > v). Galloping
-    // from lo: leapfrog seeks and block ends mostly land close by.
-    template <bool kPast>
-    size_t Seek(size_t lo, size_t hi, Value v) const {
-      auto before = [&](size_t row) {
-        return kPast ? At(row) <= v : At(row) < v;
-      };
-      if (lo >= hi || !before(lo)) return lo;
-      size_t step = 1;
-      while (lo + step < hi && before(lo + step)) {
-        lo += step;
-        step *= 2;
-      }
-      // The answer lies in (lo, min(lo + step, hi)].
-      size_t count = std::min(lo + step, hi) - lo - 1;
-      ++lo;
-      while (count > 0) {
-        const size_t half = count / 2;
-        if (before(lo + half)) {
-          lo += half + 1;
-          count -= half + 1;
-        } else {
-          count = half;
-        }
-      }
-      return lo;
-    }
+    Value At(size_t row) const { return rel->At(row, col); }
   };
 
   struct Node {
@@ -177,14 +157,14 @@ class Builder {
     const size_t m = slot.cover_end - slot.cover_begin;
     UnionBuilder nu = out_.StartUnion(n);
 
-    for (size_t i = 0; i < m; ++i) cur[i] = range_[cover[i].rel].first;
+    for (size_t i = 0; i < m; ++i) cur[i] = range_[cover[i].index].first;
     for (;;) {
       if (ctx_ != nullptr) ctx_->CheckCancelled();
       // Propose the max of the current heads; stop if any range is done.
       bool done = false;
       Value v = std::numeric_limits<Value>::min();
       for (size_t i = 0; i < m; ++i) {
-        if (cur[i] >= range_[cover[i].rel].second) {
+        if (cur[i] >= range_[cover[i].index].second) {
           done = true;
           break;
         }
@@ -195,8 +175,8 @@ class Builder {
       bool agree = true;
       for (size_t i = 0; i < m; ++i) {
         if (cover[i].At(cur[i]) == v) continue;
-        const size_t hi = range_[cover[i].rel].second;
-        cur[i] = cover[i].Seek<false>(cur[i], hi, v);
+        const size_t hi = range_[cover[i].index].second;
+        cur[i] = cover[i].rel->LowerBound(cur[i], hi, cover[i].col, v);
         if (cur[i] >= hi) {
           done = true;
           break;
@@ -207,10 +187,14 @@ class Builder {
       if (!agree) continue;
 
       // All covering relations contain v: narrow to v's block and recurse.
+      // The largest Value has no successor; its block runs to the end.
+      const bool last = v == std::numeric_limits<Value>::max();
       for (size_t i = 0; i < m; ++i) {
-        Range& r = range_[cover[i].rel];
+        Range& r = range_[cover[i].index];
         saved[i] = r;
-        r = {cur[i], cover[i].Seek<true>(cur[i], r.second, v)};
+        r = {cur[i], last ? r.second
+                          : cover[i].rel->LowerBound(cur[i], r.second,
+                                                     cover[i].col, v + 1)};
       }
       bool dead = false;
       for (size_t c = 0; c < children.size(); ++c) {
@@ -222,7 +206,7 @@ class Builder {
       }
       // Restore: continue after v's block.
       for (size_t i = 0; i < m; ++i) {
-        Range& r = range_[cover[i].rel];
+        Range& r = range_[cover[i].index];
         cur[i] = r.second;
         r = saved[i];
       }
@@ -251,7 +235,8 @@ class Builder {
 
 }  // namespace
 
-Relation PrepareRelation(const Relation& rel, const ColumnGroups& groups) {
+Relation PrepareRelation(const Relation& rel, const ColumnGroups& groups,
+                         const std::vector<ConstPred>& preds) {
   std::vector<size_t> sort_cols;
   bool equalities = false;
   for (const std::vector<size_t>& g : groups) {
@@ -259,17 +244,18 @@ Relation PrepareRelation(const Relation& rel, const ColumnGroups& groups) {
     sort_cols.push_back(g[0]);
     equalities = equalities || g.size() > 1;
   }
+  const PredColumns mine = PredsOn(rel, preds);
   // Intra-relation equalities: several attributes of this relation in one
   // class must agree.
-  auto agree = [&](size_t row) {
+  auto keep = [&](size_t row) {
     for (const std::vector<size_t>& g : groups) {
       for (size_t i = 1; i < g.size(); ++i) {
         if (rel.At(row, g[i]) != rel.At(row, g[0])) return false;
       }
     }
-    return true;
+    return Satisfies(rel, row, mine);
   };
-  Relation out = equalities ? rel.Filtered(agree) : rel;
+  Relation out = equalities || !mine.empty() ? rel.Filtered(keep) : rel;
   out.SortByColumns(sort_cols);
   return out;
 }
@@ -298,19 +284,23 @@ FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
       if (ctx != nullptr) ctx->CheckCancelled();
       FDB_FAULT_POINT("ground_prepare_relation");
       const ColumnGroups& groups = layout.groups[r];
+      const PredColumns mine = PredsOn(*rels[r], preds);
       PreparedInput in;
-      if (prepare) {
-        in = prepare(r, groups);
+      if (prepare) in = prepare(r, groups, !mine.empty());
+      if (in.rel != nullptr) {
+        inputs[r] = ApplyConstPreds(in.rel, mine);
       } else {
+        // Nothing shared to start from: filter before sorting, so only the
+        // rows the predicates keep are copied and sorted.
         in = {std::make_shared<const Relation>(
-                  PrepareRelation(*rels[r], groups)),
+                  PrepareRelation(*rels[r], groups, preds)),
               true};
+        inputs[r] = in.rel;
       }
       if (in.built) {
         built = true;
         built_bytes += in.rel->data().size() * sizeof(Value);
       }
-      inputs[r] = ApplyConstPreds(std::move(in.rel), preds);
       ptrs[r] = inputs[r].get();
       rows += inputs[r]->size();
     }
@@ -340,39 +330,76 @@ FRep GroundRelation(const Relation& rel, int rel_index, QueryTrace* trace) {
 }
 
 PreparedInput PreparedRelationCache::Get(RelId id, const Relation& rel,
-                                         const ColumnGroups& groups) {
+                                         const ColumnGroups& groups,
+                                         bool filtered) {
   const uint64_t stamp = rel.stamp();
+  bool seen = false;
   {
     ReaderMutexLock lock(mu_);
-    const auto it = entries_.find(id);
-    if (it != entries_.end()) {
-      for (const Entry& e : it->second) {
-        if (e.groups == groups && e.stamp == stamp) return {e.rel, false};
+    if (const Entry* e = FindLocked(id, groups); e != nullptr && e->stamp == stamp) {
+      if (e->rel != nullptr) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return {e->rel, false};
       }
+      seen = true;
     }
   }
-  // A miss or a stale entry: prepare outside the lock, then publish the
-  // finished relation (racing threads publish identical ones).
-  auto prepared =
-      std::make_shared<const Relation>(PrepareRelation(rel, groups));
+  if (filtered && !seen) {
+    // A first sighting under predicates: remember it, and leave the caller
+    // to sort only the rows its predicates keep.
+    deferred_.fetch_add(1, std::memory_order_relaxed);
+    WriterMutexLock lock(mu_);
+    PublishLocked(id, groups, stamp, nullptr);
+    return {};
+  }
+  // Prepare outside the lock, then publish the finished relation (racing
+  // threads publish identical ones).
+  auto out = std::make_shared<const Relation>(PrepareRelation(rel, groups));
+  prepared_.fetch_add(1, std::memory_order_relaxed);
   WriterMutexLock lock(mu_);
+  PublishLocked(id, groups, stamp, out);
+  return {out, true};
+}
+
+const PreparedRelationCache::Entry* PreparedRelationCache::FindLocked(
+    RelId id, const ColumnGroups& groups) const {
+  const auto it = entries_.find(id);
+  if (it == entries_.end()) return nullptr;
+  for (const Entry& e : it->second) {
+    if (e.groups == groups) return &e;
+  }
+  return nullptr;
+}
+
+void PreparedRelationCache::PublishLocked(
+    RelId id, const ColumnGroups& groups, uint64_t stamp,
+    std::shared_ptr<const Relation> rel) {
   std::vector<Entry>& list = entries_[id];
+  // A relation's stamp only moves on, so entries under any other stamp are
+  // stale whatever their path order: drop them all.
+  std::erase_if(list, [&](const Entry& e) { return e.stamp != stamp; });
   for (Entry& e : list) {
     if (e.groups == groups) {
-      e.rel = prepared;
-      e.stamp = stamp;
-      return {prepared, true};
+      if (rel != nullptr) e.rel = std::move(rel);
+      return;
     }
   }
-  list.push_back(Entry{groups, prepared, stamp});
-  return {prepared, true};
+  list.push_back(Entry{groups, std::move(rel), stamp});
 }
 
 size_t PreparedRelationCache::size() const {
   ReaderMutexLock lock(mu_);
   size_t n = 0;
-  for (const auto& [id, list] : entries_) n += list.size();
+  for (const auto& [id, list] : entries_) {
+    for (const Entry& e : list) n += e.rel != nullptr ? 1 : 0;
+  }
   return n;
+}
+
+PreparedRelationCache::Stats PreparedRelationCache::stats() const {
+  return {hits_.load(std::memory_order_relaxed),
+          prepared_.load(std::memory_order_relaxed),
+          deferred_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace fdb

@@ -8,11 +8,12 @@
 // contiguous range. Grounding runs in two steps:
 //
 //  * prepare — per relation, keep the rows that satisfy the relation's
-//    intra-class equalities, sorted by its path order and deduplicated
-//    (PrepareRelation). The result depends only on the relation and its
-//    column groups along the f-tree, not on the query, so a caller may
-//    reuse it across queries: the Engine keeps a PreparedRelationCache.
-//    Constant predicates then take one order-preserving filtering pass.
+//    intra-class equalities and the query's constant predicates, sorted by
+//    its path order and deduplicated (PrepareRelation). Without the
+//    predicates the result depends only on the relation and its column
+//    groups along the f-tree, so a caller may reuse it across queries: the
+//    Engine keeps a PreparedRelationCache, and a reused relation takes the
+//    predicates in one order-preserving filtering pass.
 //  * build — walk the f-tree: at each node intersect (leapfrog-style) the
 //    distinct values of the covering relations' current ranges, narrow the
 //    ranges for each value, and recurse into the children; values whose
@@ -22,6 +23,7 @@
 #ifndef FDB_CORE_GROUND_H_
 #define FDB_CORE_GROUND_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -43,30 +45,37 @@ namespace fdb {
 using ColumnGroups = std::vector<std::vector<size_t>>;
 
 /// The prepare step: the rows of `rel` whose columns agree within every
-/// group, sorted by the groups' first columns (the remaining columns break
-/// ties) and deduplicated.
-Relation PrepareRelation(const Relation& rel, const ColumnGroups& groups);
+/// group and that satisfy the predicates of `preds` on its attributes,
+/// sorted by the groups' first columns (the remaining columns break ties)
+/// and deduplicated. Rows are filtered before sorting, so only the kept
+/// rows are copied and sorted.
+Relation PrepareRelation(const Relation& rel, const ColumnGroups& groups,
+                         const std::vector<ConstPred>& preds = {});
 
 /// A relation made ready for the build step, shared read-only.
 struct PreparedInput {
-  std::shared_ptr<const Relation> rel;
-  bool built = false;  ///< this call ran PrepareRelation (a cache miss)
+  std::shared_ptr<const Relation> rel;  ///< null: nothing supplied
+  bool built = false;  ///< the supplier ran PrepareRelation (a cache miss)
 };
 
 /// Supplies PrepareRelation(*rels[r], groups) for query-local relation r,
-/// for instance from a cache. The default prepares on every call.
-using PrepareFn =
-    std::function<PreparedInput(size_t r, const ColumnGroups& groups)>;
+/// for instance from a cache. `filtered` says whether constant predicates
+/// apply to the relation. The supplier may return no relation; GroundQuery
+/// then prepares the relation itself, filtered first.
+using PrepareFn = std::function<PreparedInput(
+    size_t r, const ColumnGroups& groups, bool filtered)>;
 
 /// Computes the factorised result of the natural join prescribed by `tree`
 /// over the given relations.
 ///
 /// `rels[i]` is the relation with query-local index i (matching the
-/// `cover_rels` bits of the tree). `preds` are constant predicates, applied
-/// to the prepared relations in one order-preserving pass each. `prepare`
-/// (optional) supplies the prepared relations; it is called once per
-/// relation, and the ground_prepare_relation fault site fires once per
-/// relation whatever it does. A non-null `trace` records a "ground" span
+/// `cover_rels` bits of the tree). `preds` are constant predicates. Without
+/// `prepare`, each relation is filtered by them and the kept rows sorted,
+/// as PrepareRelation does. `prepare` (optional) supplies shared prepared
+/// relations, which the predicates then narrow in one order-preserving
+/// pass each, never re-sorting; it is called once per relation, and the
+/// ground_prepare_relation fault site fires once per relation whatever it
+/// does. A non-null `trace` records a "ground" span
 /// (bytes = FRep::MemoryBytes) with the children "ground-prepare" (rows =
 /// input rows after preparing and filtering; bytes = the size of the
 /// relations prepared by this call, absent when all were reused) and
@@ -84,30 +93,55 @@ FRep GroundRelation(const Relation& rel, int rel_index,
 
 /// Prepared relations shared across queries and threads, keyed on (RelId,
 /// column groups). Each entry remembers the Relation::stamp() it was
-/// prepared from; a lookup whose relation has moved on prepares afresh and
-/// replaces the entry, so results stay exact however the relation was
-/// mutated. Lookups take a shared lock; a miss prepares outside the lock
-/// and inserts only the finished relation, so a failed preparation leaves
-/// no entry behind. Entries are never evicted: there is at most one per
-/// (relation, path order), and a database has few of each.
+/// prepared from; a lookup whose relation has moved on prepares afresh,
+/// and publishing drops every entry of that relation under an older stamp,
+/// so results stay exact however the relation was mutated and stale copies
+/// do not linger. Lookups take a shared lock; a miss prepares outside the
+/// lock and inserts only the finished relation, so a failed preparation
+/// leaves no entry behind.
+///
+/// Admission: a miss without predicates prepares the whole relation and
+/// keeps it. A miss under predicates is a first sighting: it only records
+/// the (relation, path order) and returns nothing, so that a one-off
+/// selective query sorts just the rows its predicates keep, as grounding
+/// without a cache does. The next miss on a recorded pair prepares the
+/// whole relation and keeps it. Entries are not evicted otherwise: there is
+/// at most one per (relation, path order), each as large as its relation
+/// (less the rows failing a class equality), and none of it is charged to
+/// a query's MemoryBudget.
 class PreparedRelationCache {
  public:
-  /// The prepared form of `rel` (the relation stored under `id`).
-  PreparedInput Get(RelId id, const Relation& rel, const ColumnGroups& groups)
-      EXCLUDES(mu_);
+  /// The prepared form of `rel` (the relation stored under `id`), or no
+  /// relation on a first sighting under predicates (`filtered`).
+  PreparedInput Get(RelId id, const Relation& rel, const ColumnGroups& groups,
+                    bool filtered) EXCLUDES(mu_);
 
-  /// Number of entries (prepared relations held).
+  /// Number of prepared relations held.
   size_t size() const EXCLUDES(mu_);
+
+  /// Lookup outcomes since construction.
+  struct Stats {
+    uint64_t hits = 0;      ///< served a prepared relation
+    uint64_t prepared = 0;  ///< prepared and kept a relation
+    uint64_t deferred = 0;  ///< first sightings under predicates
+  };
+  Stats stats() const;
 
  private:
   struct Entry {
     ColumnGroups groups;
-    std::shared_ptr<const Relation> rel;
+    std::shared_ptr<const Relation> rel;  // null: seen once, not prepared
     uint64_t stamp = 0;
   };
+  const Entry* FindLocked(RelId id, const ColumnGroups& groups) const
+      REQUIRES_SHARED(mu_);
+  void PublishLocked(RelId id, const ColumnGroups& groups, uint64_t stamp,
+                     std::shared_ptr<const Relation> rel) REQUIRES(mu_);
+
   mutable SharedMutex mu_;
   // Per relation, one entry per path order seen.
   std::map<RelId, std::vector<Entry>> entries_ GUARDED_BY(mu_);
+  std::atomic<uint64_t> hits_{0}, prepared_{0}, deferred_{0};
 };
 
 }  // namespace fdb

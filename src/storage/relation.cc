@@ -207,22 +207,6 @@ void Relation::MarkSorted(std::vector<size_t> order) {
   sort_order_ = std::move(order);
 }
 
-size_t Relation::LowerBound(size_t lo, size_t hi, size_t col, Value v) const {
-  const size_t k = arity();
-  size_t count = hi - lo;
-  while (count > 0) {
-    size_t step = count / 2;
-    size_t mid = lo + step;
-    if (data_[mid * k + col] < v) {
-      lo = mid + 1;
-      count -= step + 1;
-    } else {
-      count = step;
-    }
-  }
-  return lo;
-}
-
 std::pair<size_t, size_t> Relation::EqualRange(size_t lo, size_t hi,
                                                size_t col, Value v) const {
   size_t b = LowerBound(lo, hi, col, v);

@@ -236,6 +236,27 @@ TEST_F(FaultInjectionTest, PrepareFaultOnCacheMissLeavesNoPartialEntry) {
   EXPECT_EQ(FRepBytes(engine.EvaluateFlat(q).rep), clean);
 }
 
+// The same under a constant predicate, whose first miss only records the
+// relation and prepares its kept rows privately: a fault after it leaves
+// no prepared entry, and the retries keep matching a clean engine.
+TEST_F(FaultInjectionTest, PrepareFaultAfterFilteredFirstSighting) {
+  SKIP_WITHOUT_FAULTS();
+  auto db = MakeGroceryDb();
+  const std::string sql = std::string(kSpj) + " AND oid >= 2";
+  const Query q = Engine(db.get()).Parse(sql);
+  const std::string clean = FRepBytes(Engine(db.get()).EvaluateFlat(q).rep);
+  ASSERT_EQ(q.rels.size(), 2u);
+  Engine engine(db.get());
+  fault::Arm("ground_prepare_relation", {fault::Kind::kBadAlloc, 1, 1, 0.0});
+  EXPECT_THROW(engine.EvaluateFlat(q), std::bad_alloc);
+  fault::DisarmAll();
+  EXPECT_EQ(engine.prepared_cache().size(), 0u);
+  EXPECT_EQ(FRepBytes(engine.EvaluateFlat(q).rep), clean);
+  EXPECT_EQ(engine.prepared_cache().size(), q.rels.size());
+  EXPECT_EQ(FRepBytes(engine.EvaluateFlat(q).rep), clean);
+  EXPECT_EQ(engine.prepared_cache().stats().hits, q.rels.size());
+}
+
 // Repeated faults do not poison the server: alternate faulted and clean
 // queries and check the stats identity at quiescence.
 TEST_F(FaultInjectionTest, StatsStayConsistentAcrossRepeatedFaults) {

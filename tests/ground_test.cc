@@ -1,3 +1,4 @@
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -153,6 +154,15 @@ TEST(Ground, GroceryQ1OverT1MatchesPaper) {
   EXPECT_LT(rep.NumSingletons(), flat.NumTuples() * 6);
 }
 
+TEST(Ground, ExtremeValuesKeepTheirBlocks) {
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  Relation r = MakeRel({0, 1}, {{kMax, 1}, {kMax, 2}, {kMin, 3}, {1, kMax}});
+  FRep rep = GroundQuery(PathFTree({0, 1}, 0), {&r});
+  EXPECT_EQ(rep.CountTuples(), 4.0);
+  EXPECT_TRUE(SameRelation(rep, r));
+}
+
 TEST(Ground, PrepareFiltersSortsAndDeduplicates) {
   // Groups {0, 2} (must agree) then {1}: sorted by columns 0, 1, then 2.
   Relation r = MakeRel({0, 1, 2}, {{3, 1, 3}, {1, 2, 1}, {1, 2, 1}, {2, 0, 9},
@@ -160,6 +170,15 @@ TEST(Ground, PrepareFiltersSortsAndDeduplicates) {
   Relation p = PrepareRelation(r, {{0, 2}, {1}});
   EXPECT_EQ(p, MakeRel({0, 1, 2}, {{1, 1, 1}, {1, 2, 1}, {3, 1, 3}}));
   EXPECT_EQ(p.sort_order(), (std::vector<size_t>{0, 1, 2}));
+}
+
+TEST(Ground, PrepareFiltersByPredicatesBeforeSorting) {
+  Relation r = MakeRel({4, 5}, {{3, 1}, {1, 2}, {1, 2}, {2, 0}, {5, 1}});
+  // A predicate on an attribute the relation lacks is ignored.
+  Relation p = PrepareRelation(
+      r, {{1}, {0}}, {ConstPred{4, CmpOp::kLe, 3}, ConstPred{9, CmpOp::kEq, 0}});
+  EXPECT_EQ(p, MakeRel({4, 5}, {{2, 0}, {3, 1}, {1, 2}}));
+  EXPECT_EQ(p.sort_order(), (std::vector<size_t>{1, 0}));
 }
 
 TEST(Ground, TraceSplitsPrepareAndBuild) {
@@ -174,8 +193,9 @@ TEST(Ground, TraceSplitsPrepareAndBuild) {
   EXPECT_EQ(spans[2].name, "ground-build");
   EXPECT_EQ(spans[1].parent, 0);
   EXPECT_EQ(spans[2].parent, 0);
-  EXPECT_EQ(spans[1].rows, 2u);  // deduplicated, then filtered
-  EXPECT_EQ(spans[1].bytes, 3u * 2u * sizeof(Value));  // prepared here
+  // Filtered first, so only the two distinct kept rows are prepared.
+  EXPECT_EQ(spans[1].rows, 2u);
+  EXPECT_EQ(spans[1].bytes, 2u * 2u * sizeof(Value));
   EXPECT_EQ(spans[2].bytes, rep.MemoryBytes());
   EXPECT_EQ(spans[0].bytes, rep.MemoryBytes());
 }
@@ -198,6 +218,18 @@ bool GroundsFromCache(Engine& engine, const Query& q) {
   }
   ADD_FAILURE() << "no ground-prepare span";
   return false;
+}
+
+// The ground-prepare payload of grounding `q` on `engine`: the bytes of the
+// relations this query prepared itself.
+uint64_t PreparedBytes(Engine& engine, const Query& q) {
+  QueryTrace trace;
+  engine.EvaluateFlat(q, nullptr, &trace);
+  for (const QueryTrace::Span& s : trace.spans()) {
+    if (s.name == "ground-prepare") return s.bytes;
+  }
+  ADD_FAILURE() << "no ground-prepare span";
+  return 0;
 }
 
 // Runs `sql` on a fresh engine (cold cache) and on `engine` (whose cache
@@ -274,6 +306,47 @@ TEST_F(GroundCacheTest, TwoPathOrdersOverOneRelation) {
   // Both orders stay cached side by side.
   ExpectColdWarmExact(db_, engine_, "SELECT * FROM R WHERE b <= 2", &abc);
   ExpectColdWarmExact(db_, engine_, "SELECT * FROM R WHERE b <= 2", &cba);
+  EXPECT_EQ(engine_.prepared_cache().size(), 2u);
+}
+
+TEST_F(GroundCacheTest, OneOffSelectiveQuerySortsOnlyKeptRows) {
+  const std::string sql = "SELECT * FROM R WHERE a = 3";
+  const Query q = engine_.Parse(sql);
+  const FdbResult expected = Engine(&db_).EvaluateFlat(q);
+  // First sighting: only R's rows with a = 3 (i = 3, 10, ..., 38: 6
+  // distinct rows) are prepared, and nothing is kept.
+  EXPECT_EQ(PreparedBytes(engine_, q), 6u * 3u * sizeof(Value));
+  EXPECT_EQ(engine_.prepared_cache().size(), 0u);
+  EXPECT_EQ(engine_.prepared_cache().stats().deferred, 1u);
+  // The repeat prepares the whole relation (its 40 rows are distinct) and
+  // keeps it; from then on the query reuses it.
+  EXPECT_EQ(PreparedBytes(engine_, q), 40u * 3u * sizeof(Value));
+  EXPECT_EQ(engine_.prepared_cache().size(), 1u);
+  EXPECT_TRUE(GroundsFromCache(engine_, q));
+  const PreparedRelationCache::Stats st = engine_.prepared_cache().stats();
+  EXPECT_EQ(st.deferred, 1u);
+  EXPECT_EQ(st.prepared, 1u);
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(FRepBytes(engine_.EvaluateFlat(q).rep), FRepBytes(expected.rep));
+  // A query without predicates on R is kept at once.
+  Engine other(&db_);
+  EXPECT_EQ(PreparedBytes(other, other.Parse("SELECT * FROM R")),
+            40u * 3u * sizeof(Value));
+  EXPECT_EQ(other.prepared_cache().size(), 1u);
+}
+
+TEST_F(GroundCacheTest, MutationDropsEntriesOfEveryOrder) {
+  const AttrId a = db_.Attr("a"), b = db_.Attr("b"), c = db_.Attr("c");
+  FTreeSearchResult abc{PathFTree({a, b, c}, 0), 1.0, 0};
+  FTreeSearchResult cba{PathFTree({c, b, a}, 0), 1.0, 0};
+  ExpectColdWarmExact(db_, engine_, "SELECT * FROM R", &abc);
+  ExpectColdWarmExact(db_, engine_, "SELECT * FROM R", &cba);
+  EXPECT_EQ(engine_.prepared_cache().size(), 2u);
+  db_.relation(r_).AddTuple({9, 4, 2});
+  // Preparing R afresh along one order drops its stale copy along the other.
+  ExpectColdWarmExact(db_, engine_, "SELECT * FROM R", &abc);
+  EXPECT_EQ(engine_.prepared_cache().size(), 1u);
+  ExpectColdWarmExact(db_, engine_, "SELECT * FROM R", &cba);
   EXPECT_EQ(engine_.prepared_cache().size(), 2u);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "storage/catalog.h"
@@ -128,6 +129,29 @@ TEST(Relation, LowerBoundAndEqualRange) {
   EXPECT_EQ(e, 2u);
   auto [b2, e2] = r.EqualRange(0, r.size(), 0, 7);
   EXPECT_EQ(b2, e2);
+}
+
+TEST(Relation, LowerBoundMatchesStdOnEveryWindow) {
+  // Column 1 sorted with runs of equal values; the search gallops from lo,
+  // so check every window start, end and key against std::lower_bound.
+  Relation r({0, 1});
+  std::vector<Value> col;
+  for (Value i = 0; i < 70; ++i) {
+    col.push_back(i / 3 * 2);
+    r.AddTuple({i, col.back()});
+  }
+  for (size_t lo = 0; lo <= col.size(); lo += 5) {
+    for (size_t hi = lo; hi <= col.size(); hi += 7) {
+      for (Value v = -1; v <= 48; ++v) {
+        const size_t expect = static_cast<size_t>(
+            std::lower_bound(col.begin() + static_cast<ptrdiff_t>(lo),
+                             col.begin() + static_cast<ptrdiff_t>(hi), v) -
+            col.begin());
+        EXPECT_EQ(r.LowerBound(lo, hi, 1, v), expect)
+            << lo << " " << hi << " " << v;
+      }
+    }
+  }
 }
 
 TEST(Relation, EqualRangeWithDuplicateKeyColumn) {
