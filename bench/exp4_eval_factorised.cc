@@ -23,7 +23,6 @@
 #include "bench_util/report.h"
 #include "bench_util/workload.h"
 #include "common/timer.h"
-#include "core/kernel.h"
 #include "opt/fplan_search.h"
 
 namespace fdb {
@@ -41,7 +40,7 @@ void Run(Report& report) {
       "Figure 8: FDB vs RDB on factorised inputs (R=4, A=10, "
       "combinatorial sizes)");
   Table table({"K", "L", "FDB size", "FDB bytes", "RDB size", "FDB time",
-               "RDB time", "plan s(f)", "mat int", "mat kern", "kern x"});
+               "RDB time", "plan s(f)", "materialise"});
 
   for (int k = 1; k <= 8; ++k) {
     BenchInstance inst = MakeHeterogeneousInstance(
@@ -90,29 +89,15 @@ void Run(Report& report) {
         rdb_size = FmtSci(static_cast<double>(scan.size() * scan.arity()));
       }
 
-      // Materialisation tap: interpreted enumeration vs the compiled
-      // kernel (the serve path's warm plan), single-threaded so the ratio
-      // isolates the kernel itself. Skipped for huge flat results.
-      std::string mat_int = "-", mat_kern = "-", kern_x = "-";
+      // Materialisation tap (MaterializeVisible, kernel compile
+      // included), single-threaded. Skipped for huge flat results.
+      std::string mat = "-";
       if (out.FlatTuples() > 0 && out.FlatTuples() < 2e6) {
         EnumerateOptions seq;
         seq.threads = 1;
-        EnumKernel kernel =
-            EnumKernel::Compile(out.rep.tree(), /*visible_only=*/true);
-        Timer ti;
-        Relation ri = MaterializeVisible(out.rep, seq);
-        const double t_int = ti.Seconds();
-        Timer tk;
-        Relation rk = MaterializeVisible(out.rep, seq, &kernel);
-        const double t_kern = tk.Seconds();
-        if (!(ri == rk)) {
-          std::cerr << "kernel materialisation mismatch at K=" << k
-                    << " L=" << l << "\n";
-          std::exit(1);
-        }
-        mat_int = FmtSecs(t_int);
-        mat_kern = FmtSecs(t_kern);
-        kern_x = FmtDouble(t_kern > 0 ? t_int / t_kern : 0.0, 2);
+        Timer tm;
+        MaterializeVisible(out.rep, seq);
+        mat = FmtSecs(tm.Seconds());
       }
 
       table.AddRow({FmtInt(static_cast<uint64_t>(k)),
@@ -120,8 +105,7 @@ void Run(Report& report) {
                     FmtSci(static_cast<double>(out.NumSingletons())),
                     FmtInt(out.rep.MemoryBytes()), rdb_size,
                     FmtSecs(fdb_time), rdb_time,
-                    FmtDouble(out.plan.cost_max_s, 3), mat_int, mat_kern,
-                    kern_x});
+                    FmtDouble(out.plan.cost_max_s, 3), mat});
     }
   }
   report.Emit(std::cout, table);

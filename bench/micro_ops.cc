@@ -117,7 +117,7 @@ void BM_EnumerateKernel(benchmark::State& state) {
   // Interpreted visible extraction (Arg 0) vs the compiled kernel (Arg 1)
   // over the same N=100k path rep as BM_Enumerate/100000, both assembling
   // the full flat row stream into a reused buffer — the ratio is the
-  // kernel speedup the warm serve path sees per morsel.
+  // kernel's speedup over the public pull iterator, per morsel.
   const bool use_kernel = state.range(0) != 0;
   const size_t n = 100000;
   Relation r = RandomRelation({0, 1, 2}, n, 50, 7);
@@ -145,24 +145,25 @@ BENCHMARK(BM_EnumerateKernel)->Arg(0)->Arg(1);
 
 void BM_ParallelEnumerate(benchmark::State& state) {
   // Same stream as BM_Enumerate (N=100k path rep), chunked through the
-  // morsel planner onto state.range(0) threads. Arg(1) takes the
-  // sequential fallback (no planning), so it measures the wrapper's
-  // overhead against BM_Enumerate/100000; Arg(2+) includes the planner
-  // DP and chunk bookkeeping.
+  // morsel planner onto state.range(0) threads and counted by one
+  // full-mode kernel run per chunk (EnumKernel::CountRows). Arg(1) takes
+  // the sequential fallback (no planning), so it measures the wrapper's
+  // overhead against BM_EnumerateKernel; Arg(2+) includes the planner DP
+  // and chunk bookkeeping.
   int threads = static_cast<int>(state.range(0));
   size_t n = 100000;
   Relation r = RandomRelation({0, 1, 2}, n, 50, 7);
   FRep rep = GroundRelation(r, 0);
+  const EnumKernel kernel =
+      EnumKernel::Compile(rep.tree(), /*visible_only=*/false);
   for (auto _ : state) {
     EnumerateOptions opts;
     opts.threads = threads;
     opts.parallel_cutoff = 0;
     ParallelEnumerator pe(rep, opts);
     std::vector<size_t> counts(pe.num_chunks(), 0);
-    pe.Enumerate([&counts](size_t c, TupleEnumerator& en) {
-      size_t local = 0;
-      while (en.Next()) ++local;
-      counts[c] = local;
+    pe.ForEachChunk([&](size_t c) {
+      counts[c] = kernel.CountRows(rep, pe.plan().morsels[c].bounds);
     });
     size_t total = 0;
     for (size_t c : counts) total += c;

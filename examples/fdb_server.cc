@@ -24,14 +24,12 @@
 //   STATS       Prometheus-style metrics exposition (counters + latency
 //               histograms), framed as a regular OK body so pipelining
 //               clients stay in sync
-//   \stats      one-line legacy counter summary (unframed)
 //   \q          quit (pipe mode) / close the connection (socket mode)
 // EXPLAIN ANALYZE <query> is plain SQL: the server answers with the
 // query's span tree instead of its rows.
 #include <cstring>
 #include <filesystem>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,24 +58,6 @@ void LoadDemo(Database* db) {
   db->Insert(stock, {"Melon", "North"});
 }
 
-std::string StatsLine(const QueryServer& server) {
-  ServerStats s = server.stats();
-  std::ostringstream os;
-  os << "STATS received=" << s.received << " executed=" << s.executed
-     << " coalesced=" << s.coalesced << " errors=" << s.errors
-     << " timeouts=" << s.timeouts << " rejected=" << s.rejected
-     << " cancelled=" << s.cancelled
-     << " resource_rejected=" << s.resource_rejected
-     << " submit_expired=" << s.submit_expired
-     << " kernels_built=" << s.kernels_built
-     << " plan_hits=" << s.plan_cache.hits
-     << " plan_misses=" << s.plan_cache.misses
-     << " plan_evictions=" << s.plan_cache.evictions
-     << " plan_invalidations=" << s.plan_cache.invalidations
-     << " plan_entries=" << s.plan_cache.size << "\n";
-  return os.str();
-}
-
 /// Serves one request line; returns false when the session should end.
 bool HandleLine(QueryServer& server, const std::string& line,
                 std::string* out) {
@@ -87,10 +67,6 @@ bool HandleLine(QueryServer& server, const std::string& line,
     // pipelining client never desyncs.
     *out = FrameResponse(
         ServeResponse{ServeStatus::kError, "empty request", false, false});
-    return true;
-  }
-  if (line == "\\stats") {
-    *out = StatsLine(server);
     return true;
   }
   if (IsStatsRequest(line)) {

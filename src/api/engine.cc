@@ -131,8 +131,7 @@ Query Engine::Parse(const std::string& sql_text) {
 }
 
 FdbResult Engine::ExecuteTraced(const Query& q, QueryTrace* trace,
-                                const FTreeSearchResult* pretree,
-                                const EnumKernel* kernel) {
+                                const FTreeSearchResult* pretree) {
   if (q.IsAggregate()) {
     AggregateResult ar = ExecuteAggregate(q, pretree, trace);
     FdbResult res{std::move(ar.grouped.rep), std::move(ar.plan),
@@ -144,8 +143,9 @@ FdbResult Engine::ExecuteTraced(const Query& q, QueryTrace* trace,
   if (trace != nullptr) {
     // The SPJ result of plain Execute stays factorised (materialisation is
     // the caller's call); EXPLAIN ANALYZE times the full pipeline, so
-    // enumerate the visible relation for the morsel-plan/enumerate spans.
-    MaterializeResult(res, kernel, trace);
+    // enumerate the visible relation for the kernel-compile, morsel-plan
+    // and enumerate spans.
+    MaterializeResult(res, nullptr, trace);
   }
   return res;
 }

@@ -178,38 +178,28 @@ class Engine {
 
   /// Evaluates a parsed query with every phase recorded into `trace`
   /// (null = no tracing): the aggregate path runs ExecuteAggregate, the
-  /// SPJ path runs EvaluateFlat *and* materialises the visible relation —
-  /// optionally through `kernel` (see MaterializeResult) — so the trace
-  /// covers morsel planning and enumeration. This is the execution core of
-  /// EXPLAIN ANALYZE, both here and in the serve path, which wraps it in
-  /// its own root/parse/cache-lookup spans (serve/query_server.h).
+  /// SPJ path runs EvaluateFlat *and* materialises the visible relation,
+  /// so the trace covers kernel compilation, morsel planning and
+  /// enumeration. This is the execution core of EXPLAIN ANALYZE, both
+  /// here and in the serve path, which wraps it in its own
+  /// root/parse/cache-lookup spans (serve/query_server.h).
   FdbResult ExecuteTraced(const Query& q, QueryTrace* trace,
-                          const FTreeSearchResult* pretree = nullptr,
-                          const EnumKernel* kernel = nullptr);
+                          const FTreeSearchResult* pretree = nullptr);
 
   /// Materialises the visible relation of an evaluation result — the flat
-  /// output tap of EvaluateFlat/Execute. Large representations enumerate
-  /// in parallel per EngineOptions::enumerate (deterministic: identical
-  /// rows and order for every thread count); small ones stay on the
-  /// caller thread. The contract of MaterializeVisible (core/enumerate.h):
-  /// rows distinct and sorted under sort_order(), the visible columns in
-  /// the result f-tree's pre-order; no sort unless the tree projects a
-  /// middle node, which the engine's own projection never leaves. The
-  /// order follows the f-tree, so compare results of different plans as
-  /// sets.
-  Relation MaterializeResult(const FdbResult& res) const {
-    return MaterializeVisible(res.rep, opts_.enumerate);
-  }
-
-  /// Kernel-accelerated materialisation: byte-identical output to the
-  /// overload above, but rows are emitted by a compiled enumeration kernel
-  /// (core/kernel.h) when `kernel` matches the result's f-tree — e.g. the
-  /// kernel attached to the serve-path plan cache entry for this query
-  /// (serve/plan_cache.h) — every morsel writing its slice of one presized
-  /// buffer. Null or mismatching kernels fall back to the interpreted
-  /// path, so callers can pass whatever the cache holds. A non-null
-  /// `trace` records the sink's spans (core/parallel_enumerate.h).
-  Relation MaterializeResult(const FdbResult& res, const EnumKernel* kernel,
+  /// output tap of EvaluateFlat/Execute — through MaterializeVisible
+  /// (core/parallel_enumerate.h) with EngineOptions::enumerate: a compiled
+  /// kernel per call, large representations enumerated in parallel
+  /// (deterministic: identical rows and order for every thread count),
+  /// small ones on the caller thread. Rows are distinct and sorted under
+  /// sort_order(), the visible columns in the result f-tree's pre-order;
+  /// no sort unless the tree projects a middle node, which the engine's
+  /// own projection never leaves. The order follows the f-tree, so
+  /// compare results of different plans as sets. A `kernel` that matches
+  /// the result's f-tree is reused instead of compiling one; a non-null
+  /// `trace` records the sink's spans.
+  Relation MaterializeResult(const FdbResult& res,
+                             const EnumKernel* kernel = nullptr,
                              QueryTrace* trace = nullptr) const {
     return MaterializeVisible(res.rep, opts_.enumerate, kernel, trace);
   }

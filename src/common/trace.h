@@ -19,11 +19,10 @@
 //     project              deferred projection, when the query projects
 //     restructure-aggregate  GroupByAggregate (aggregate queries)
 //     materialize-groups   GroupedRep::Materialize (rows = groups)
-//     kernel-compile       EnumKernel::Compile (first execution of a plan)
+//     kernel-compile       EnumKernel::Compile, at SPJ materialisation
 //     morsel-plan          ParallelEnumerator planning (rows = morsels)
 //     enumerate            materialisation of the flat result (rows)
 //       emit               the sink's enumeration (rows = tuples emitted)
-//       concat             per-morsel buffers joined (interpreted, >1 morsel)
 //       sort-dedup         only for a projected middle node (rows = kept)
 //
 // Tracing is opt-in per query: every traced function takes a

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "common/exec_context.h"
-#include "common/thread_pool.h"
 #include "core/enumerate.h"
 #include "core/ops.h"
 #include "core/validate.h"
@@ -303,8 +302,8 @@ uint64_t GroupedRep::NumGroups() const {
 namespace {
 
 // The frame-odometer walk of GroupedRep::Materialize, restricted to
-// `bounds` on the top pre-order frames (empty = whole group stream; same
-// chain contract as the TupleEnumerator bounds constructor). Appends the
+// `bounds` on the top pre-order frames (empty = whole group stream; the
+// EntryBound chain contract of core/enumerate.h). Appends the
 // covered groups' rows to *tbl in odometer order; `est_rows` pre-reserves
 // the row storage.
 void MaterializeRange(const GroupedRep& g, std::span<const EntryBound> bounds,
@@ -411,7 +410,7 @@ void MaterializeRange(const GroupedRep& g, std::span<const EntryBound> bounds,
     const std::vector<double>& sums = sums_at[i];
     std::vector<double>& next = sums_at[i + 1];
     // Entry bounds restrict the first bounds.size() frames, exactly as in
-    // TupleEnumerator: pinned chain above, one ranged frame at the end.
+    // EnumKernel: pinned chain above, one ranged frame at the end.
     size_t lo = 0, hi = un.size();
     if (i < bounds.size()) {
       lo = bounds[i].begin;
@@ -455,16 +454,13 @@ GroupedTable GroupedRep::Materialize(const EnumerateOptions& opts) const {
     return tbl;
   }
   std::vector<GroupedTable> parts(pe.num_chunks());
-  ThreadPool::Shared().ParallelFor(
-      pe.num_chunks(),
-      [&](size_t i) {
-        GroupedTable& part = parts[i];
-        part.group_schema = tbl.group_schema;
-        part.specs = tbl.specs;
-        MaterializeRange(*this, plan.morsels[i].bounds,
-                         plan.morsels[i].est_tuples, &part);
-      },
-      pe.threads());
+  pe.ForEachChunk([&](size_t i) {
+    GroupedTable& part = parts[i];
+    part.group_schema = tbl.group_schema;
+    part.specs = tbl.specs;
+    MaterializeRange(*this, plan.morsels[i].bounds, plan.morsels[i].est_tuples,
+                     &part);
+  });
   size_t rows = 0;
   for (const GroupedTable& part : parts) rows += part.num_rows;
   tbl.keys.reserve(rows * tbl.group_schema.size());

@@ -124,9 +124,10 @@ struct GroupedRep {
   /// plus one double per spec. Throws FdbError if a per-group count
   /// overflows uint64. The parameterless overload runs sequentially; the
   /// EnumerateOptions overload splits the group forest with the morsel
-  /// planner (core/parallel_enumerate.h) and materialises the chunks on
-  /// the shared thread pool, concatenated in chunk order — the row order
-  /// is identical to the sequential walk for every thread count.
+  /// planner (core/parallel_enumerate.h) and materialises the chunks
+  /// through ParallelEnumerator::ForEachChunk (governed like the SPJ
+  /// sink), concatenated in chunk order — the row order is identical to
+  /// the sequential walk for every thread count.
   GroupedTable Materialize() const;
   GroupedTable Materialize(const EnumerateOptions& opts) const;
 };

@@ -1,7 +1,6 @@
 #include "core/enumerate.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace fdb {
 
@@ -49,18 +48,7 @@ std::vector<char> VisibleKeepMask(const FTree& t) {
 }
 
 TupleEnumerator::TupleEnumerator(const FRep& rep, bool visible_only)
-    : TupleEnumerator(rep, visible_only, {}) {}
-
-TupleEnumerator::TupleEnumerator(const FRep& rep, bool visible_only,
-                                 std::vector<EntryBound> bounds)
-    : rep_(&rep), current_(kMaxAttrs, 0), bounds_(std::move(bounds)) {
-  for (size_t i = 0; i < bounds_.size(); ++i) {
-    FDB_CHECK_MSG(bounds_[i].begin < bounds_[i].end,
-                  "empty entry bound on an enumeration frame");
-    FDB_CHECK_MSG(i + 1 == bounds_.size() ||
-                      bounds_[i].begin + 1 == bounds_[i].end,
-                  "all entry bounds but the last must pin a single entry");
-  }
+    : rep_(&rep), current_(kMaxAttrs, 0) {
   if (rep.empty()) {
     done_ = true;
     return;
@@ -74,8 +62,6 @@ TupleEnumerator::TupleEnumerator(const FRep& rep, bool visible_only,
     static_cast<PreOrderFrame&>(f) = pf;
     frames_.push_back(f);
   }
-  FDB_CHECK_MSG(bounds_.size() <= frames_.size(),
-                "more entry bounds than enumeration frames");
   if (frames_.empty()) {
     // The nullary relation <>, or a non-empty rep whose attributes are all
     // invisible: exactly one (empty) visible tuple.
@@ -83,7 +69,7 @@ TupleEnumerator::TupleEnumerator(const FRep& rep, bool visible_only,
   }
 }
 
-bool TupleEnumerator::ResetFrame(size_t i) {
+void TupleEnumerator::ResetFrame(size_t i) {
   Frame& f = frames_[i];
   if (f.parent_pos < 0) {
     f.union_id = rep_->roots()[f.slot];
@@ -93,17 +79,9 @@ bool TupleEnumerator::ResetFrame(size_t i) {
     const size_t k = rep_->tree().node(pf.node).children.size();
     f.union_id = pu.Child(pf.entry, f.slot, k);
   }
-  size_t begin = 0;
-  size_t limit = rep_->u(f.union_id).size();
-  if (i < bounds_.size()) {
-    begin = bounds_[i].begin;
-    limit = std::min<size_t>(limit, bounds_[i].end);
-  }
-  f.entry = begin;
-  f.limit = limit;
-  if (begin >= limit) return false;
+  f.entry = 0;
+  f.limit = rep_->u(f.union_id).size();
   WriteValues(i);
-  return true;
 }
 
 void TupleEnumerator::WriteValues(size_t i) {
@@ -124,24 +102,15 @@ bool TupleEnumerator::Next() {
     return false;
   }
   if (!started_) {
+    // Unions of a non-empty representation are never empty, so the first
+    // entry of every frame is the first tuple.
     started_ = true;
-    // The first pass doubles as bound validation: bounded frames form a
-    // pinned chain whose unions never change afterwards, so a bound that
-    // survives here can never miss on a mid-odometer reset.
-    for (size_t i = 0; i < frames_.size(); ++i) {
-      if (!ResetFrame(i)) {
-        done_ = true;  // bound misses the union: empty stream
-        return false;
-      }
-    }
+    for (size_t i = 0; i < frames_.size(); ++i) ResetFrame(i);
     return true;
   }
   // Odometer: advance the deepest frame with a next entry; reset the rest.
   size_t i = frames_.size();
   while (i > 0) {
-    // The advance limit was folded into the frame at reset (min of union
-    // size and bound end), so the unrestricted hot path pays no per-frame
-    // header read or bound clamp here.
     Frame& f = frames_[i - 1];
     if (f.entry + 1 < f.limit) {
       ++f.entry;

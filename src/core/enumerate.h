@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/frep.h"
-#include "storage/relation.h"
 
 namespace fdb {
 
@@ -36,8 +35,15 @@ std::vector<PreOrderFrame> BuildPreOrderFrames(const FTree& t,
 std::vector<char> VisibleKeepMask(const FTree& t);
 
 /// Half-open entry range [begin, end) restricting one pre-order frame of
-/// an enumeration (see the TupleEnumerator bounds constructor). Produced
-/// by the morsel planner in core/parallel_enumerate.h.
+/// an enumeration. A bounds vector restricts the first bounds.size()
+/// frames (in the frame order of the walk, after the visible_only skip);
+/// every bound but the last must pin exactly one entry (begin + 1 == end),
+/// so the restricted frames form a chain whose unions never change during
+/// the walk. The restricted stream is a contiguous slice of the
+/// unrestricted stream, in the same order; a bound that misses its union
+/// entirely yields the empty stream. Produced by the morsel planner in
+/// core/parallel_enumerate.h and run by EnumKernel (core/kernel.h) and
+/// GroupedRep::Materialize.
 struct EntryBound {
   uint32_t begin = 0;
   uint32_t end = 0;
@@ -58,23 +64,16 @@ struct EntryBound {
 /// *visible* tuples can still arise from invisible nodes that have visible
 /// descendants (two values of the invisible node may lead to equal visible
 /// sub-tuples below — a data property no structural skip can detect);
-/// MaterializeVisible removes those by sort+dedup, the only shape it
-/// sorts. In this mode only visible attributes of the current tuple are
-/// meaningful.
+/// MaterializeVisible (core/parallel_enumerate.h) removes those by
+/// sort+dedup, the only shape it sorts. In this mode only visible
+/// attributes of the current tuple are meaningful.
+///
+/// This is the public pull iterator. Materialisation runs the compiled
+/// kernel instead (core/kernel.h), which the tests check against this
+/// interpreter as an independent reference.
 class TupleEnumerator {
  public:
   explicit TupleEnumerator(const FRep& rep, bool visible_only = false);
-
-  /// Range-restricted enumeration: `bounds[i]` restricts the entries of
-  /// pre-order frame i (the same frame order the unrestricted enumerator
-  /// walks, after the visible_only skip) to [begin, end). Every bound but
-  /// the last must pin exactly one entry (begin + 1 == end), so the
-  /// restricted frames form a chain whose unions never change during the
-  /// walk — the shape the morsel planner emits. The restricted stream is
-  /// a contiguous slice of the unrestricted stream, in the same order;
-  /// a bound that misses its union entirely yields the empty stream.
-  TupleEnumerator(const FRep& rep, bool visible_only,
-                  std::vector<EntryBound> bounds);
 
   /// Advances to the next tuple; false when exhausted. The first call
   /// positions the enumerator on the first tuple.
@@ -91,48 +90,25 @@ class TupleEnumerator {
   struct Frame : PreOrderFrame {
     uint32_t union_id = 0;
     size_t entry = 0;
-    /// Entries strictly below this advance: min(union size, bound end),
-    /// folded in at reset so the hot advance loop compares one cached
-    /// value instead of re-reading the union header and re-clamping the
-    /// bound on every step.
+    /// The union's size, cached at reset so the hot advance loop compares
+    /// one value instead of re-reading the union header on every step.
     size_t limit = 0;
   };
 
   // Sets frames_[i].union_id from the parent frame (or root slot), resets
-  // its entry to the frame's lower bound (0 when unbounded), caches the
-  // frame's entry limit and writes the class values into current_. Returns
-  // false when the bound misses the union entirely — possible only on the
-  // first pass, since bounded frames form a pinned chain whose unions
-  // never change afterwards.
-  bool ResetFrame(size_t i);
+  // its entry to 0, caches the union's size and writes the class values
+  // into current_.
+  void ResetFrame(size_t i);
   void WriteValues(size_t i);
 
   const FRep* rep_;
   std::vector<Frame> frames_;      // pre-order
   std::vector<size_t> root_slot_;  // frame index -> slot in rep roots
   std::vector<Value> current_;     // indexed by AttrId
-  std::vector<EntryBound> bounds_;  // per-frame ranges on a prefix of frames_
   bool started_ = false;
   bool done_ = false;
   bool nullary_pending_ = false;
 };
-
-/// Materialises the visible part of `rep` as a relation, sequentially on
-/// the calling thread. The output contract, shared by every
-/// materialisation (the overloads in core/parallel_enumerate.h too):
-///  * schema = the visible attributes in increasing id order;
-///  * the rows are distinct (relations are sets) and sorted under
-///    sort_order(), which lists the columns in f-tree pre-order — the
-///    order the odometer emits them in, so it differs from column order
-///    whenever the pre-order does;
-///  * no sort runs unless the tree projects a middle node — a kept frame
-///    with no visible attribute, whose values can repeat and reorder the
-///    rows below it; only that shape is sorted and deduplicated.
-/// Enumerates with `visible_only`, so invisible-only subtrees do not blow
-/// up the stream, and reserves the output from the restricted tuple count
-/// up front (no growth reallocations). Compare two results over different
-/// f-trees as sets (same rows after canonicalising both), not with ==.
-Relation MaterializeVisible(const FRep& rep);
 
 }  // namespace fdb
 

@@ -98,8 +98,8 @@ bool EnumKernel::Matches(const FTree& tree) const {
 template <bool kEmit, typename Grow>
 uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
                          [[maybe_unused]] Grow&& grow) const {
-  // Same bounds contract (and validation) as the TupleEnumerator bounds
-  // constructor: a pinned chain plus one trailing ranged frame.
+  // The EntryBound contract (core/enumerate.h): a pinned chain plus one
+  // trailing ranged frame.
   for (size_t i = 0; i < bounds.size(); ++i) {
     FDB_CHECK_MSG(bounds[i].begin < bounds[i].end,
                   "empty entry bound on an enumeration frame");
@@ -152,10 +152,10 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
     return true;
   };
 
-  // First pass doubles as bound validation, exactly like the interpreted
-  // enumerator: bounded frames form a pinned chain whose unions never
-  // change, so a bound that survives here cannot miss on a later reset
-  // (and unions of a non-empty representation are never empty).
+  // First pass doubles as bound validation: bounded frames form a pinned
+  // chain whose unions never change, so a bound that survives here cannot
+  // miss on a later reset (and unions of a non-empty representation are
+  // never empty).
   for (size_t i = 0; i < n; ++i) {
     if (!reset(i)) return 0;  // a bound missed its union: empty stream
   }

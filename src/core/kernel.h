@@ -1,12 +1,10 @@
-// Per-plan compiled enumeration kernels.
+// Compiled enumeration kernels: the engine's one materialiser.
 //
 // The interpreted TupleEnumerator re-reads the f-tree shape on every frame
 // advance: union headers are resolved per step, child-slot arithmetic uses
 // the tree's child lists, and extracting a tuple re-indexes the sparse
-// current_[] array once per attribute. The serve path pays that cost
-// millions of times per second against a *fixed* shape — the PlanCache pins
-// (query, f-tree) pairs, so the shape is known the first time a plan
-// executes.
+// current_[] array once per attribute. A materialisation walks one *fixed*
+// shape millions of times, so that shape is resolved once up front.
 //
 // EnumKernel specialises the enumeration loop for one shape. Compile()
 // lowers the pre-order frame list (BuildPreOrderFrames) into a flat Step
@@ -26,15 +24,15 @@
 // order on the result (Relation::MarkSorted) and sorts only the
 // non-distinct shape.
 //
-// Morsel bounds (EntryBound, same contract as the TupleEnumerator bounds
-// constructor: a pinned chain plus one ranged frame) restrict the run, so
-// ParallelEnumerator executes one kernel run per morsel.
+// Morsel bounds (the EntryBound contract of core/enumerate.h: a pinned
+// chain plus one ranged frame) restrict the run, so MaterializeVisible
+// (core/parallel_enumerate.h) executes one kernel run per morsel.
 //
-// Fallback rules: a kernel is only valid for representations whose f-tree
-// matches the compiled shape — callers check Matches() (cheap: one frame
-// rebuild + signature compare) and fall back to the interpreted enumerator
-// otherwise. Uncached/ad-hoc queries never compile; the serve path compiles
-// once per plan-cache miss and reuses the kernel warm (serve/plan_cache.h).
+// A kernel is only valid for representations whose f-tree matches the
+// compiled shape (Matches(): one frame rebuild + signature compare).
+// MaterializeVisible compiles one from the result's f-tree on every call
+// (a few microseconds, the "kernel-compile" span) unless the caller
+// passes a kernel that matches.
 #ifndef FDB_CORE_KERNEL_H_
 #define FDB_CORE_KERNEL_H_
 
@@ -50,7 +48,7 @@ namespace fdb {
 
 /// A shape-specialised enumeration program. Immutable after Compile();
 /// safe to share between threads (runs carry all mutable state on the
-/// stack), which is how ParallelEnumerator executes it per morsel.
+/// stack), which is how MaterializeVisible runs it per morsel.
 class EnumKernel {
  public:
   /// Lowers the (optionally visible-restricted) pre-order frame program of
@@ -85,11 +83,11 @@ class EnumKernel {
   /// True iff `tree` lowers to the same step program — the kernel then
   /// enumerates any representation over `tree` correctly. Callers must
   /// check this before running a kernel against a representation it was
-  /// not compiled from (plan-cache entries outlive result trees).
+  /// not compiled from.
   bool Matches(const FTree& tree) const;
 
-  /// Runs the program restricted to `bounds` (same contract as the
-  /// TupleEnumerator bounds constructor; empty = the whole stream) and
+  /// Runs the program restricted to `bounds` (the EntryBound contract of
+  /// core/enumerate.h; empty = the whole stream) and
   /// appends each tuple's values to `out` in schema() order, rows
   /// concatenated flat (Relation::AppendRows format). Returns the number
   /// of rows emitted. The nullary stream appends nothing and returns 1.

@@ -166,15 +166,14 @@ MorselPlan PlanMorsels(const FRep& rep, bool visible_only,
 }
 
 ParallelEnumerator::ParallelEnumerator(const FRep& rep, EnumerateOptions opts,
-                                       bool visible_only)
-    : rep_(&rep), visible_only_(visible_only) {
+                                       bool visible_only) {
   // Resolve against the hardware, not ThreadPool::Shared(): the shared
   // pool must not be spun up for enumerations that stay sequential.
   threads_ = opts.threads > 0
                  ? opts.threads
                  : static_cast<int>(
                        std::max(1u, std::thread::hardware_concurrency()));
-  if (rep.empty()) return;  // zero chunks, Enumerate is a no-op
+  if (rep.empty()) return;  // zero chunks, ForEachChunk is a no-op
   if (threads_ > 1) {
     // One linear pass sizes the stream; below the cutoff the planning and
     // thread handoff are not worth it and the result stays on the caller.
@@ -229,19 +228,9 @@ void ParallelEnumerator::ForEachChunk(
   ThreadPool::Shared().ParallelFor(n, governed, threads_);
 }
 
-void ParallelEnumerator::Enumerate(
-    const std::function<void(size_t, TupleEnumerator&)>& consume) const {
-  ForEachChunk([&](size_t i) {
-    TupleEnumerator en(*rep_, visible_only_, plan_.morsels[i].bounds);
-    consume(i, en);
-  });
-}
-
 // ---------------------------------------------------------------------------
-// Materialisation sinks. Every path — sequential interpreted, parallel
-// interpreted, compiled kernel — meets one contract (SealVisible): the
-// rows are distinct and sorted under sort_order(), the visible columns in
-// f-tree pre-order.
+// The materialiser. One contract (SealVisible): the rows are distinct and
+// sorted under sort_order(), the visible columns in f-tree pre-order.
 
 namespace {
 
@@ -251,101 +240,23 @@ namespace {
 // they are only recorded as such. A kept frame without a visible attribute
 // (a projected middle node) breaks both — its values can lead to equal
 // rows below it — so that shape alone is sorted and deduplicated, under
-// the same order. `layout` is the visible-mode kernel of the rep's f-tree,
-// the single definition of the order (EnumKernel::order/distinct).
-void SealVisible(Relation& out, const EnumKernel& layout, QueryTrace* trace) {
-  if (layout.distinct()) {
-    out.MarkSorted(layout.order());
+// the same order. The kernel's order()/distinct() are the single
+// definition of both.
+void SealVisible(Relation& out, const EnumKernel& kernel, QueryTrace* trace) {
+  if (kernel.distinct()) {
+    out.MarkSorted(kernel.order());
     return;
   }
   QueryTrace::Scope span(trace, "sort-dedup");
-  out.SortByColumns(layout.order());
+  out.SortByColumns(kernel.order());
   span.SetRows(out.size());
 }
 
-// Sequential interpreted sink. `est_rows` is the stream length when known
-// (<= 0: unknown, no reservation).
-Relation EmitSequential(const FRep& rep, double est_rows, QueryTrace* trace) {
-  const EnumKernel layout = EnumKernel::Compile(rep.tree(), true);
-  const std::vector<AttrId>& schema = layout.schema();
-  Relation out(schema);
-  {
-    QueryTrace::Scope emit(trace, "emit");
-    // Skip the reservation when the count is approximate-huge (such
-    // results do not fit memory anyway).
-    if (!schema.empty() && est_rows > 0.0 && est_rows < 1e9) {
-      out.Reserve(static_cast<size_t>(est_rows));
-    }
-    TupleEnumerator en(rep, /*visible_only=*/true);
-    std::vector<Value> tuple(schema.size());
-    uint64_t tuples = 0;
-    while (en.Next()) {
-      for (size_t c = 0; c < schema.size(); ++c) {
-        tuple[c] = en.ValueOf(schema[c]);
-      }
-      out.AddTuple(tuple);
-      ++tuples;
-    }
-    emit.SetRows(tuples);
-  }
-  SealVisible(out, layout, trace);
-  return out;
-}
-
-// Interpreted emission over a planned enumeration (the fallback when no
-// matching kernel is at hand).
-Relation EmitInterpreted(const FRep& rep, const ParallelEnumerator& pe,
-                         QueryTrace* trace) {
-  if (pe.num_chunks() <= 1) {
-    // Sequential fallback, sized by the constructor's estimate when it
-    // computed one (a result below the cutoff), else by one DP pass.
-    double est = pe.plan().est_total;
-    if (est <= 0 && !rep.empty()) {
-      const std::vector<char> keep = VisibleKeepMask(rep.tree());
-      est = RestrictedTotal(rep, &keep, rep.SubtreeTupleCounts(&keep));
-    }
-    return EmitSequential(rep, est, trace);
-  }
-
-  const EnumKernel layout = EnumKernel::Compile(rep.tree(), true);
-  const std::vector<AttrId>& schema = layout.schema();
-  const size_t arity = schema.size();  // > 0: there are frames to split
-  Relation out(schema);
-  // Per-chunk value buffers, concatenated in chunk order below — the
-  // concatenation is byte-identical to the sequential stream.
-  std::vector<std::vector<Value>> chunks(pe.num_chunks());
-  size_t total_values = 0;
-  {
-    QueryTrace::Scope emit(trace, "emit");
-    pe.Enumerate([&](size_t c, TupleEnumerator& en) {
-      ExecContext* const ctx = ExecContext::Current();
-      uint32_t tick = 0;
-      std::vector<Value>& buf = chunks[c];
-      const double est =
-          pe.plan().morsels[c].est_tuples * static_cast<double>(arity);
-      if (est > 0.0 && est < 2e9) buf.reserve(static_cast<size_t>(est));
-      while (en.Next()) {
-        if (ctx != nullptr && (++tick & 8191u) == 0) ctx->CheckCancelled();
-        for (AttrId a : schema) buf.push_back(en.ValueOf(a));
-      }
-    });
-    for (const std::vector<Value>& b : chunks) total_values += b.size();
-    emit.SetRows(total_values / arity);
-  }
-  {
-    QueryTrace::Scope concat(trace, "concat");
-    out.Reserve(total_values / arity);
-    for (const std::vector<Value>& b : chunks) out.AppendRows(b);
-  }
-  SealVisible(out, layout, trace);
-  return out;
-}
-
-// Kernel-accelerated emission over a planned enumeration. The morsels'
-// exact row counts (count mode skips the innermost walk, a fraction of a
-// percent of the emit) and their prefix sum give every morsel its own
-// slice of one presized buffer, so each one writes straight into the
-// result in stream order — no per-chunk buffers, no concatenation copy.
+// One kernel run per morsel. The morsels' exact row counts (count mode
+// skips the innermost walk, a fraction of a percent of the emit) and their
+// prefix sum give every morsel its own slice of one presized buffer, so
+// each one writes straight into the result in stream order — no per-chunk
+// buffers, no concatenation copy.
 Relation EmitWithKernel(const FRep& rep, const EnumKernel& kernel,
                         const ParallelEnumerator& pe, QueryTrace* trace) {
   const size_t arity = kernel.schema().size();
@@ -382,25 +293,18 @@ Relation EmitWithKernel(const FRep& rep, const EnumKernel& kernel,
 
 }  // namespace
 
-Relation MaterializeVisible(const FRep& rep) {
-  EnumerateOptions sequential;
-  sequential.threads = 1;
-  return MaterializeVisible(rep, sequential);
-}
-
-Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts) {
-  ParallelEnumerator pe(rep, opts, /*visible_only=*/true);
-  return EmitInterpreted(rep, pe, nullptr);
-}
-
 Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts,
                             const EnumKernel* kernel, QueryTrace* trace) {
-  // Fallback rules: no kernel, a full-tuple (not visible-mode) kernel, or a
-  // shape mismatch (the rep's f-tree differs from the one compiled against)
-  // all route to the interpreted path — the kernel is an accelerator, never
-  // a requirement.
-  const bool use_kernel = kernel != nullptr && kernel->visible_only() &&
-                          kernel->Matches(rep.tree());
+  // A caller's kernel compiled for another shape, or in full mode, cannot
+  // walk this rep; compiling is a microsecond-scale lowering of the frame
+  // list, so every other case compiles here.
+  std::optional<EnumKernel> compiled;
+  if (kernel == nullptr || !kernel->visible_only() ||
+      !kernel->Matches(rep.tree())) {
+    compiled.emplace(
+        EnumKernel::Compile(rep.tree(), /*visible_only=*/true, trace));
+    kernel = &*compiled;
+  }
   std::optional<ParallelEnumerator> pe;
   {
     QueryTrace::Scope plan_span(trace, "morsel-plan");
@@ -408,8 +312,7 @@ Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts,
     plan_span.SetRows(pe->num_chunks());
   }
   QueryTrace::Scope enum_span(trace, "enumerate");
-  Relation out = use_kernel ? EmitWithKernel(rep, *kernel, *pe, trace)
-                            : EmitInterpreted(rep, *pe, trace);
+  Relation out = EmitWithKernel(rep, *kernel, *pe, trace);
   enum_span.SetRows(out.size());
   return out;
 }

@@ -10,15 +10,16 @@
 // builds such slices ("morsels", after Leis et al., Morsel-Driven
 // Parallelism, SIGMOD'14 — see PAPERS.md) of bounded estimated output
 // using the per-subtree tuple counts of the CountTuples DP
-// (FRep::SubtreeTupleCounts), and ParallelEnumerator runs one
-// range-restricted TupleEnumerator per morsel on the shared thread pool
-// (common/thread_pool.h).
+// (FRep::SubtreeTupleCounts), and ParallelEnumerator schedules one task
+// per morsel on the shared thread pool (common/thread_pool.h) — for
+// MaterializeVisible a bounded run of the compiled kernel (core/kernel.h).
 //
 // Determinism: morsels partition the stream in lexicographic odometer
 // order, so concatenating per-chunk results by chunk index reproduces the
 // sequential enumeration byte for byte, regardless of thread count or
 // scheduling (tests/parallel_enumerate_test.cc asserts this tuple for
-// tuple; the TSan CI job runs it under ThreadSanitizer).
+// tuple against TupleEnumerator; the TSan CI job runs it under
+// ThreadSanitizer).
 #ifndef FDB_CORE_PARALLEL_ENUMERATE_H_
 #define FDB_CORE_PARALLEL_ENUMERATE_H_
 
@@ -55,8 +56,8 @@ struct EnumerateOptions {
   double target_morsel_tuples = 0;
 };
 
-/// One work slice: a restriction chain on the top pre-order frames (see
-/// the TupleEnumerator bounds constructor) plus its estimated output.
+/// One work slice: a restriction chain on the top pre-order frames (the
+/// EntryBound contract of core/enumerate.h) plus its estimated output.
 /// An empty bounds vector denotes the whole stream.
 struct Morsel {
   std::vector<EntryBound> bounds;
@@ -80,8 +81,8 @@ struct MorselPlan {
 MorselPlan PlanMorsels(const FRep& rep, bool visible_only,
                        double target_tuples);
 
-/// Runs range-restricted TupleEnumerators over a morsel plan, one chunk
-/// per morsel, on the shared thread pool.
+/// Schedules per-morsel work over a morsel plan, one chunk per morsel, on
+/// the shared thread pool.
 class ParallelEnumerator {
  public:
   /// Plans the enumeration. Falls back to one whole-stream chunk when the
@@ -90,7 +91,7 @@ class ParallelEnumerator {
   ParallelEnumerator(const FRep& rep, EnumerateOptions opts = {},
                      bool visible_only = false);
 
-  /// Number of chunks Enumerate() will deliver (0 for the empty rep).
+  /// Number of chunks ForEachChunk() will deliver (0 for the empty rep).
   size_t num_chunks() const { return plan_.morsels.size(); }
 
   /// Resolved maximum concurrency (including the caller thread).
@@ -98,53 +99,51 @@ class ParallelEnumerator {
 
   const MorselPlan& plan() const { return plan_; }
 
-  /// Calls consume(chunk, enumerator) for every chunk in [0, num_chunks()),
-  /// concurrently on up to threads() threads. `consume` must be safe to
-  /// run concurrently for distinct chunks; chunk index order equals
-  /// sequential stream order, so writing chunk results into per-index
-  /// slots and concatenating reproduces sequential output exactly.
-  /// Rethrows the first exception a chunk throws.
-  void Enumerate(
-      const std::function<void(size_t, TupleEnumerator&)>& consume) const;
-
-  /// Lower-level scheduling hook: calls fn(chunk) for every chunk index,
-  /// concurrently on up to threads() threads, without constructing
-  /// enumerators — for consumers that run their own per-morsel walk (the
-  /// compiled-kernel materialisation reads plan().morsels[chunk].bounds).
-  /// Same concurrency and exception contract as Enumerate().
+  /// Calls fn(chunk) for every chunk in [0, num_chunks()), concurrently on
+  /// up to threads() threads; fn runs its own walk over
+  /// plan().morsels[chunk].bounds. `fn` must be safe to run concurrently
+  /// for distinct chunks; chunk index order equals sequential stream
+  /// order, so writing chunk results into per-index slots and
+  /// concatenating reproduces sequential output exactly. Every task
+  /// re-binds the caller's ExecContext and passes the "enumerate_morsel"
+  /// fault point. Rethrows the first exception a chunk throws.
   void ForEachChunk(const std::function<void(size_t)>& fn) const;
 
  private:
-  const FRep* rep_;
-  bool visible_only_;
   int threads_;
   MorselPlan plan_;
 };
 
-/// Parallel MaterializeVisible: byte-identical output to the sequential
-/// overload in core/enumerate.h, whose contract it shares — rows distinct
-/// and sorted under sort_order(), the visible columns in f-tree
-/// pre-order; no sort unless the tree projects a middle node. Enumerated
-/// on up to opts.threads cores for large representations; the morsels'
-/// streams concatenate in plan order to the sorted stream.
-Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts);
-
-/// Kernel-accelerated MaterializeVisible: when `kernel` is a visible-mode
-/// kernel whose compiled shape matches rep.tree() (EnumKernel::Matches),
-/// rows are emitted by one kernel run per morsel — extraction fused into
-/// emission, every morsel writing its own slice of one presized buffer —
-/// on up to opts.threads cores; otherwise rows come from the interpreted
-/// enumerator (null kernels are fine). Output is byte-identical either
-/// way, under the same contract as above. A non-null `trace` records a
-/// "morsel-plan" span (rows = chunk count) and an "enumerate" span (rows =
-/// output rows) with the sink's steps below it: "emit" (rows = tuples
-/// emitted), "concat" (interpreted multi-morsel runs only) and
-/// "sort-dedup" (rows = rows kept; only when the tree projects a middle
-/// node). All are opened on the calling thread around the whole fan-out —
-/// per-morsel work is aggregated, never one span per morsel
+/// Materialises the visible part of `rep` as a relation — the one
+/// materialiser. Output contract:
+///  * schema = the visible attributes in increasing id order;
+///  * the rows are distinct (relations are sets) and sorted under
+///    sort_order(), which lists the columns in f-tree pre-order — the
+///    order the odometer emits them in, so it differs from column order
+///    whenever the pre-order does (EnumKernel::order());
+///  * no sort runs unless the tree projects a middle node — a kept frame
+///    with no visible attribute, whose values can repeat and reorder the
+///    rows below it (!EnumKernel::distinct()); only that shape is sorted
+///    and deduplicated;
+///  * the output is byte-identical for every opts.threads and morsel size.
+/// Compare two results over different f-trees as sets (same rows after
+/// canonicalising both), not with ==.
+///
+/// Rows are emitted by one visible-mode kernel run per morsel — extraction
+/// fused into emission, every morsel writing its own slice of one
+/// presized buffer — on up to opts.threads cores for large
+/// representations. `kernel` is reused when it is a visible-mode kernel
+/// whose compiled shape matches rep.tree() (EnumKernel::Matches);
+/// otherwise (null included) one is compiled from rep.tree(). A non-null
+/// `trace` records "kernel-compile" (only when this call compiles),
+/// "morsel-plan" (rows = chunk count) and "enumerate" (rows = output
+/// rows) with the sink's steps below it: "emit" (rows = tuples emitted)
+/// and "sort-dedup" (rows = rows kept; only when the tree projects a
+/// middle node). All are opened on the calling thread around the whole
+/// fan-out — per-morsel work is aggregated, never one span per morsel
 /// (common/trace.h).
-Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts,
-                            const EnumKernel* kernel,
+Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts = {},
+                            const EnumKernel* kernel = nullptr,
                             QueryTrace* trace = nullptr);
 
 }  // namespace fdb

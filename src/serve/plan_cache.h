@@ -30,8 +30,6 @@
 
 namespace fdb {
 
-class EnumKernel;  // core/kernel.h
-
 /// One memoised optimisation outcome. Immutable once published (shared
 /// between all threads executing the same query concurrently). Published
 /// plans have executed successfully at least once: the server inserts
@@ -39,14 +37,6 @@ class EnumKernel;  // core/kernel.h
 struct CachedPlan {
   Query query;               ///< parsed query, literals interned
   FTreeSearchResult search;  ///< optimal f-tree for the query's SPJ core
-
-  /// Compiled enumeration kernel (core/kernel.h), specialised to the shape
-  /// of the first execution's result f-tree in visible-only mode. Null for
-  /// aggregate queries (their output is a grouped table, not an enumerated
-  /// stream). Consumers must check EnumKernel::Matches against the result
-  /// tree they hold — the kernel-aware MaterializeVisible overload does —
-  /// and fall back to interpreted enumeration on a mismatch.
-  std::shared_ptr<const EnumKernel> kernel;
 };
 
 /// Counter view of one PlanCache (see PlanCache::stats). `hits + misses`

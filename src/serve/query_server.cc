@@ -7,7 +7,6 @@
 
 #include "common/fault.h"
 #include "common/thread_pool.h"
-#include "core/kernel.h"
 
 namespace fdb {
 
@@ -22,7 +21,6 @@ QueryServer::QueryServer(Database* db, ServeOptions opts)
       errors_(metrics_.GetCounter("fdb_serve_errors_total")),
       timeouts_(metrics_.GetCounter("fdb_serve_timeouts_total")),
       rejected_(metrics_.GetCounter("fdb_serve_rejected_total")),
-      kernels_built_(metrics_.GetCounter("fdb_serve_kernels_built_total")),
       cancelled_(metrics_.GetCounter("fdb_server_cancelled_total")),
       resource_rejected_(
           metrics_.GetCounter("fdb_server_resource_rejected_total")),
@@ -236,7 +234,6 @@ void QueryServer::ExecuteGroup(Group& group) {
   QueryTrace* tp = trace.has_value() ? &*trace : nullptr;
 
   ServeResponse response;
-  bool built_kernel = false;
   Timer exec_timer;
   // The evaluation proper, lifted into a lambda so the try below can run
   // it under TranslateBadAlloc: an allocation failure anywhere inside
@@ -278,12 +275,11 @@ void QueryServer::ExecuteGroup(Group& group) {
 
     // The steady-state hot path: ground/execute/enumerate on the cached
     // tree — no optimisation. The traced variant covers both branches
-    // (and, for SPJ, materialises through the cached kernel so the trace
-    // includes morsel planning and enumeration).
+    // (and, for SPJ, materialises the result so the trace includes kernel
+    // compilation, morsel planning and enumeration).
     FdbResult result{FRep{FTree{}}, FPlan{}, 0.0, 0.0, {}, {}};
     if (tp != nullptr) {
-      result = engine_.ExecuteTraced(plan->query, tp, &plan->search,
-                                     plan->kernel.get());
+      result = engine_.ExecuteTraced(plan->query, tp, &plan->search);
     } else if (plan->query.IsAggregate()) {
       AggregateResult ar = engine_.ExecuteAggregate(plan->query, &plan->search);
       result = FdbResult{std::move(ar.grouped.rep), std::move(ar.plan),
@@ -294,16 +290,9 @@ void QueryServer::ExecuteGroup(Group& group) {
     }
     if (fresh != nullptr) {
       // Publish only after the first successful execution: failing plans
-      // are never cached, and the result's f-tree is now known, so a
-      // compiled enumeration kernel specialised to it can ride along
-      // (SPJ only — aggregate output is a grouped table, not a stream).
-      // Inserting before the waiters are fulfilled keeps the sequential
-      // repeat guarantee: a client that has its answer hits the cache.
-      if (!fresh->query.IsAggregate()) {
-        fresh->kernel = std::make_shared<const EnumKernel>(EnumKernel::Compile(
-            result.rep.tree(), /*visible_only=*/true, tp));
-        built_kernel = true;
-      }
+      // are never cached. Inserting before the waiters are fulfilled keeps
+      // the sequential repeat guarantee: a client that has its answer hits
+      // the cache.
       cache_.Insert(group.signature, version, std::move(fresh));
     }
     if (tp != nullptr) {
@@ -382,7 +371,6 @@ void QueryServer::ExecuteGroup(Group& group) {
   errors_.Increment(delivered_errors);
   timeouts_.Increment(delivered_timeouts);
   resource_rejected_.Increment(delivered_resource);
-  if (built_kernel) kernels_built_.Increment();
   for (size_t i = 0; i < live.size(); ++i) {
     live[i].promise.set_value(std::move(outcomes[i]));
   }
@@ -396,7 +384,6 @@ ServerStats QueryServer::stats() const {
   s.errors = errors_.Value();
   s.timeouts = timeouts_.Value();
   s.rejected = rejected_.Value();
-  s.kernels_built = kernels_built_.Value();
   s.cancelled = cancelled_.Value();
   s.resource_rejected = resource_rejected_.Value();
   s.submit_expired = submit_expired_.Value();

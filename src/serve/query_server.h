@@ -26,9 +26,9 @@
 // The shared plan cache (serve/plan_cache.h) makes the steady-state hot
 // path cache-lookup -> ground/execute -> enumerate, skipping the
 // exponential f-tree search entirely. A cache entry is published only
-// after its first successful execution, carrying a compiled enumeration
-// kernel (core/kernel.h) specialised to the result shape — warm repeats
-// reuse it without recompiling (ServerStats::kernels_built stays flat).
+// after its first successful execution. Only EXPLAIN ANALYZE materialises
+// an SPJ result here, compiling its kernel from the result's f-tree like
+// every materialisation (core/parallel_enumerate.h).
 // Per-request deadlines are enforced at Submit (an already-expired
 // deadline is answered TIMEOUT without burning a queue slot), at dequeue
 // (expired requests are answered TIMEOUT without evaluating), *during*
@@ -139,10 +139,6 @@ struct ServerStats {
   /// TIMEOUT without ever occupying a queue slot. A subset of timeouts
   /// (each such request counts under both).
   uint64_t submit_expired = 0;
-  /// Enumeration kernels compiled (one per plan-cache miss of a
-  /// non-aggregate query). Stays flat across warm repeats: cached plans
-  /// carry their kernel, so hits never recompile.
-  uint64_t kernels_built = 0;
   PlanCacheStats plan_cache;
 };
 
@@ -227,7 +223,6 @@ class QueryServer {
   Counter& errors_;
   Counter& timeouts_;
   Counter& rejected_;
-  Counter& kernels_built_;
   Counter& cancelled_;          ///< fdb_server_cancelled_total
   Counter& resource_rejected_;  ///< fdb_server_resource_rejected_total
   Counter& submit_expired_;     ///< fdb_server_submit_expired_total

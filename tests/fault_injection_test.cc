@@ -21,6 +21,7 @@
 #include "api/engine.h"
 #include "common/exec_context.h"
 #include "common/fault.h"
+#include "core/aggregate.h"
 #include "core/ground.h"
 #include "core/serialize.h"
 #include "core/kernel.h"
@@ -180,6 +181,31 @@ TEST_F(FaultInjectionTest, EnumerationSitesUnwindCleanly) {
     EXPECT_EQ(retry.size(), clean.size()) << site;
     EXPECT_TRUE(testing_util::SameRelation(rep, retry)) << site;
   }
+}
+
+// Grouped materialisation dispatches its morsels through the same governed
+// ParallelEnumerator::ForEachChunk as the SPJ sink, so the morsel site
+// fires there too, and the disarmed retry equals the clean table.
+TEST_F(FaultInjectionTest, GroupedMaterializeMorselFaultUnwindsCleanly) {
+  SKIP_WITHOUT_FAULTS();
+  Relation rel({0, 1});
+  for (Value a = 0; a < 64; ++a) {
+    for (Value b = 0; b < 8; ++b) rel.AddTuple({a, a * 8 + b});
+  }
+  const GroupedRep grouped = GroupByAggregate(
+      GroundRelation(rel, 0), AttrSet::Of({0}),
+      {{AggFn::kCount, 0}, {AggFn::kSum, 1}});
+  EnumerateOptions opts;
+  opts.threads = 4;
+  opts.parallel_cutoff = 0;  // force morsel dispatch through the pool
+  opts.target_morsel_tuples = 4;  // 64 groups: many morsels
+  const GroupedTable clean = grouped.Materialize(opts);
+  ASSERT_EQ(clean.num_rows, 64u);
+
+  fault::Arm("enumerate_morsel", {fault::Kind::kBadAlloc, 0, 1, 0.0});
+  EXPECT_THROW(grouped.Materialize(opts), std::bad_alloc);
+  fault::DisarmAll();
+  EXPECT_TRUE(grouped.Materialize(opts) == clean);
 }
 
 std::string FRepBytes(const FRep& rep) {

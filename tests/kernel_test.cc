@@ -2,11 +2,12 @@
 //
 // The kernel contract is byte-identity: for every representation shape,
 // visibility mode and morsel restriction, EnumKernel::Emit must reproduce
-// the interpreted TupleEnumerator stream value for value, and the
-// kernel-aware MaterializeVisible must equal the interpreted overload for
-// every thread count. The SIMD primitives are checked against their
-// std:: reference implementations on randomised windows. Runs under
-// ASan/TSan/UBSan in CI alongside the serve suite.
+// the interpreted TupleEnumerator stream value for value, and
+// MaterializeVisible must equal that stream (sorted and deduplicated only
+// when the tree projects a middle node) for every thread count. The SIMD
+// primitives are checked against their std:: reference implementations
+// on randomised windows. Runs under ASan/TSan/UBSan in CI alongside the
+// serve suite.
 #include <algorithm>
 #include <cstdint>
 #include <utility>
@@ -23,7 +24,6 @@
 #include "core/ops.h"
 #include "core/parallel_enumerate.h"
 #include "core/simd.h"
-#include "serve/query_server.h"
 #include "test_util.h"
 
 namespace fdb {
@@ -171,6 +171,23 @@ std::vector<Value> InterpretedFlat(const FRep& rep, const EnumKernel& k) {
   return out;
 }
 
+// The interpreted visible stream as a relation under the materialiser's
+// contract: sorted and deduplicated under the kernel's order when the
+// stream is not already a sorted set.
+Relation InterpretedRelation(const FRep& rep, const EnumKernel& vk) {
+  TupleEnumerator en(rep, /*visible_only=*/true);
+  Relation out(vk.schema());
+  std::vector<Value> row(vk.schema().size());
+  while (en.Next()) {
+    for (size_t c = 0; c < row.size(); ++c) {
+      row[c] = en.ValueOf(vk.schema()[c]);
+    }
+    out.AddTuple(row);
+  }
+  if (!vk.distinct()) out.SortByColumns(vk.order());
+  return out;
+}
+
 uint64_t InterpretedRows(const FRep& rep, bool visible_only) {
   TupleEnumerator en(rep, visible_only);
   uint64_t n = 0;
@@ -213,10 +230,11 @@ void CheckKernel(const FRep& rep) {
       EXPECT_EQ(rows, expect_rows);
     }
   }
-  // The kernel-aware materialiser equals the interpreted one for every
-  // thread count (and for the null-kernel fallback).
+  // The materialiser equals the interpreted visible stream, sealed under
+  // the kernel's order, for every thread count — with the caller's kernel
+  // and with the one it compiles for a null kernel.
   EnumKernel vk = EnumKernel::Compile(rep.tree(), /*visible_only=*/true);
-  const Relation seq = MaterializeVisible(rep);
+  const Relation seq = InterpretedRelation(rep, vk);
   for (int threads : {1, 2, 8}) {
     EnumerateOptions opts;
     opts.threads = threads;
@@ -316,6 +334,8 @@ TEST(Kernel, FullyInvisibleRepVisibleOnly) {
   EXPECT_EQ(MaterializeVisible(rep, opts, &k).size(), 1u);
 }
 
+using testing_util::HasSpan;
+
 TEST(Kernel, MismatchedShapeFallsBack) {
   FRep rep = GroundRelation(RandomRelation({0, 1, 2}, 80, 9, 17), 0);
   FRep other = GroundRelation(RandomRelation({0, 1}, 10, 4, 5), 0);
@@ -323,19 +343,32 @@ TEST(Kernel, MismatchedShapeFallsBack) {
   EXPECT_FALSE(wrong.Matches(rep.tree()));
   // A full-tuple kernel is also rejected by the visible-only materialiser.
   EnumKernel full = EnumKernel::Compile(rep.tree(), /*visible_only=*/false);
-  const Relation seq = MaterializeVisible(rep);
+  EnumKernel right = EnumKernel::Compile(rep.tree(), /*visible_only=*/true);
+  const Relation seq = InterpretedRelation(rep, right);
   EnumerateOptions opts;
   opts.threads = 2;
   opts.parallel_cutoff = 0;
-  EXPECT_TRUE(MaterializeVisible(rep, opts, &wrong) == seq);
-  EXPECT_TRUE(MaterializeVisible(rep, opts, &full) == seq);
+  // A rejected kernel falls back to compiling one from the rep's f-tree,
+  // which the trace shows; a matching kernel is reused as is. Every
+  // morsel writes into one buffer, so no "concat" step runs.
+  const EnumKernel* const rejected[] = {&wrong, &full, nullptr};
+  for (const EnumKernel* k : rejected) {
+    QueryTrace trace;
+    EXPECT_TRUE(MaterializeVisible(rep, opts, k, &trace) == seq);
+    EXPECT_TRUE(HasSpan(trace, "kernel-compile"));
+    EXPECT_FALSE(HasSpan(trace, "concat"));
+  }
+  QueryTrace trace;
+  EXPECT_TRUE(MaterializeVisible(rep, opts, &right, &trace) == seq);
+  EXPECT_FALSE(HasSpan(trace, "kernel-compile"));
+  EXPECT_FALSE(HasSpan(trace, "concat"));
 }
 
 TEST(Kernel, BoundsContract) {
   FRep rep = GroundRelation(RandomRelation({0, 1}, 10, 4, 5), 0);
   EnumKernel k = EnumKernel::Compile(rep.tree(), false);
   std::vector<Value> out;
-  // Same rejection rules as the TupleEnumerator bounds constructor.
+  // The EntryBound contract (core/enumerate.h) is enforced.
   EXPECT_THROW(k.Emit(rep, std::vector<EntryBound>{{0, 2}, {0, 1}}, &out),
                FdbError);
   EXPECT_THROW(k.Emit(rep, std::vector<EntryBound>{{1, 1}}, &out), FdbError);
@@ -388,23 +421,6 @@ TEST(Kernel, EngineMaterializeResultKernel) {
               engine.MaterializeResult(res));
   EXPECT_TRUE(engine.MaterializeResult(res, nullptr) ==
               engine.MaterializeResult(res));
-}
-
-TEST(Kernel, ServerCompilesOncePerPlanMiss) {
-  auto db = testing_util::MakeGroceryDb();
-  ServeOptions opts;
-  opts.num_workers = 2;
-  QueryServer server(db.get(), opts);
-  const std::string sql = "SELECT * FROM Orders, Store WHERE o_item = s_item";
-  ServeResponse first = server.Query(sql);
-  EXPECT_EQ(first.status, ServeStatus::kOk);
-  ServeResponse second = server.Query(sql);
-  EXPECT_EQ(second.status, ServeStatus::kOk);
-  EXPECT_TRUE(second.cache_hit);
-  ServerStats s = server.stats();
-  EXPECT_EQ(s.executed, 2u);
-  // One kernel per plan-cache miss; the warm repeat must not recompile.
-  EXPECT_EQ(s.kernels_built, 1u);
 }
 
 }  // namespace

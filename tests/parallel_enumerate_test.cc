@@ -1,11 +1,12 @@
 // Parallel chunked enumeration: the morsel planner must partition the
-// stream exactly, and ParallelEnumerator's chunks — concatenated in chunk
-// order — must reproduce the sequential TupleEnumerator stream tuple for
-// tuple, for every thread count, morsel size, visibility mode and rep
-// shape (including empty and nullary reps). Runs under ThreadSanitizer in
-// CI alongside the serve suite.
+// stream exactly, and one kernel run per ParallelEnumerator chunk —
+// concatenated in chunk order — must reproduce the sequential
+// TupleEnumerator stream tuple for tuple, for every thread count, morsel
+// size, visibility mode and rep shape (including empty and nullary reps).
+// Runs under ThreadSanitizer in CI alongside the serve suite.
 #include <algorithm>
-#include <mutex>
+#include <cstddef>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "core/aggregate.h"
 #include "core/enumerate.h"
 #include "core/ground.h"
+#include "core/kernel.h"
 #include "core/ops.h"
 #include "core/parallel_enumerate.h"
 #include "test_util.h"
@@ -50,17 +52,25 @@ Tuples SequentialStream(const FRep& rep, bool visible_only) {
   return Drain(en, StreamAttrs(rep, visible_only));
 }
 
-// Runs a ParallelEnumerator and concatenates the per-chunk streams by
-// chunk index; `chunks_out` (optional) receives the chunk count.
+// Runs one kernel (full or visible mode) per ParallelEnumerator chunk and
+// concatenates the per-chunk streams by chunk index; `chunks_out`
+// (optional) receives the chunk count.
 Tuples ParallelStream(const FRep& rep, bool visible_only,
                       const EnumerateOptions& opts,
                       size_t* chunks_out = nullptr) {
-  std::vector<AttrId> attrs = StreamAttrs(rep, visible_only);
+  const EnumKernel k = EnumKernel::Compile(rep.tree(), visible_only);
+  EXPECT_EQ(k.schema(), StreamAttrs(rep, visible_only));
+  const size_t arity = k.schema().size();
   ParallelEnumerator pe(rep, opts, visible_only);
   if (chunks_out != nullptr) *chunks_out = pe.num_chunks();
   std::vector<Tuples> parts(pe.num_chunks());
-  pe.Enumerate([&](size_t c, TupleEnumerator& en) {
-    parts[c] = Drain(en, attrs);
+  pe.ForEachChunk([&](size_t c) {
+    std::vector<Value> flat;
+    const uint64_t rows = k.Emit(rep, pe.plan().morsels[c].bounds, &flat);
+    for (uint64_t r = 0; r < rows; ++r) {
+      const auto row = flat.begin() + static_cast<std::ptrdiff_t>(r * arity);
+      parts[c].emplace_back(row, row + static_cast<std::ptrdiff_t>(arity));
+    }
   });
   Tuples all;
   for (Tuples& p : parts) {
@@ -215,25 +225,13 @@ TEST(ParallelEnumerate, FullyInvisibleRepVisibleOnly) {
   EXPECT_EQ(ParallelStream(rep, true, opts).size(), 1u);
 }
 
-TEST(ParallelEnumerate, BoundsContract) {
-  FRep rep = GroundRelation(RandomRelation({0, 1}, 10, 4, 5), 0);
-  // Non-pinned prefix bound is rejected.
-  EXPECT_THROW((TupleEnumerator(rep, false, {{0, 2}, {0, 1}})), FdbError);
-  // Empty range is rejected.
-  EXPECT_THROW((TupleEnumerator(rep, false, {{1, 1}})), FdbError);
-  // More bounds than frames is rejected.
-  EXPECT_THROW((TupleEnumerator(rep, false, {{0, 1}, {0, 1}, {0, 1}})),
-               FdbError);
-  // A bound past the union's entries yields the empty stream.
-  TupleEnumerator miss(rep, false, {{1000, 1001}});
-  EXPECT_FALSE(miss.Next());
-}
-
 TEST(ParallelEnumerate, MaterializeVisibleParallelMatchesSequential) {
   Relation r = RandomRelation({0, 1, 2}, 300, 10, 77);
   FRep rep = GroundRelation(r, 0);
   rep.tree().node(rep.tree().FindAttr(2)).visible = {};  // deferred proj
-  Relation seq = MaterializeVisible(rep);
+  EnumerateOptions sequential;
+  sequential.threads = 1;
+  Relation seq = MaterializeVisible(rep, sequential);
   for (int threads : {2, 8}) {
     EnumerateOptions opts;
     opts.threads = threads;
@@ -321,7 +319,8 @@ TEST(ParallelEnumerate, PlanMorselsIsOrderedAndSized) {
 TEST(ParallelEnumerate, PlanCoversStreamExactly) {
   // Morsel estimates must add up to the plan total, and the per-chunk
   // streams must be non-overlapping contiguous slices (already implied by
-  // the equality checks; here: chunk sizes sum to the stream length).
+  // the equality checks; here: the chunks' kernel row counts sum to the
+  // stream length).
   FRep rep = GroundRelation(RandomRelation({0, 1, 2}, 400, 12, 55), 0);
   EnumerateOptions opts;
   opts.threads = 4;
@@ -333,14 +332,13 @@ TEST(ParallelEnumerate, PlanCoversStreamExactly) {
   for (const Morsel& m : pe.plan().morsels) est_sum += m.est_tuples;
   EXPECT_NEAR(est_sum, pe.plan().est_total, 1e-6 * pe.plan().est_total);
   EXPECT_EQ(pe.plan().est_total, rep.CountTuples());
-  size_t streamed = 0;
-  pe.Enumerate([&](size_t, TupleEnumerator& en) {
-    size_t local = 0;
-    while (en.Next()) ++local;
-    static std::mutex mu;
-    std::lock_guard<std::mutex> lock(mu);
-    streamed += local;
+  const EnumKernel k = EnumKernel::Compile(rep.tree(), /*visible_only=*/false);
+  std::vector<uint64_t> rows(pe.num_chunks());
+  pe.ForEachChunk([&](size_t c) {
+    rows[c] = k.CountRows(rep, pe.plan().morsels[c].bounds);
   });
+  const uint64_t streamed =
+      std::accumulate(rows.begin(), rows.end(), uint64_t{0});
   EXPECT_EQ(static_cast<double>(streamed), rep.CountTuples());
 }
 

@@ -261,11 +261,11 @@ INSTANTIATE_TEST_SUITE_P(
     ParamName);
 
 // ---------------------------------------------------------------------------
-// The materialisation contract (core/enumerate.h): rows distinct and
-// strictly increasing under sort_order(), the visible columns in f-tree
-// pre-order; the same set as the flat baseline; byte-identical across the
-// interpreted, kernel and parallel sinks; sorted only when the tree
-// projects a middle node.
+// The materialisation contract (core/parallel_enumerate.h): rows distinct
+// and strictly increasing under sort_order(), the visible columns in
+// f-tree pre-order; the same set as the flat baseline; byte-identical
+// across thread counts and with or without a caller's kernel; sorted only
+// when the tree projects a middle node.
 
 void ExpectDistinctAndSorted(const Relation& r) {
   const std::vector<size_t>& order = r.sort_order();
@@ -309,16 +309,13 @@ bool ProjectsMiddle(const FTree& t) {
   return false;
 }
 
-bool HasSpan(const QueryTrace& trace, const std::string& name) {
-  for (const QueryTrace::Span& s : trace.spans()) {
-    if (s.name == name) return true;
-  }
-  return false;
-}
+using testing_util::HasSpan;
 
 // Materialises `rep` every way and checks the contract against `expect`.
 void CheckMaterializeContract(const FRep& rep, const Relation& expect) {
-  const Relation seq = MaterializeVisible(rep);
+  EnumerateOptions sequential;
+  sequential.threads = 1;
+  const Relation seq = MaterializeVisible(rep, sequential);
   ExpectDistinctAndSorted(seq);
   EXPECT_TRUE(testing_util::SameRelation(seq, expect));
   if (seq.arity() > 0) {

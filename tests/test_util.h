@@ -9,8 +9,9 @@
 
 #include "api/database.h"
 #include "api/engine.h"
-#include "core/enumerate.h"
+#include "common/trace.h"
 #include "core/ftree.h"
+#include "core/parallel_enumerate.h"
 
 namespace fdb {
 namespace testing_util {
@@ -125,7 +126,7 @@ inline Relation Canonical(const Relation& r,
 // True iff two relations hold the same set of tuples over the same
 // attributes, whatever their column order, row order or duplicates. Both
 // sides are canonicalised: materialisations come out sorted in the
-// f-tree's pre-order (core/enumerate.h), so results of different f-trees,
+// f-tree's pre-order (core/parallel_enumerate.h), so results of different f-trees,
 // plans or baselines must never be compared with ==.
 inline bool SameRelation(const Relation& a, const Relation& b) {
   if (a.attr_set() != b.attr_set()) return false;
@@ -134,6 +135,14 @@ inline bool SameRelation(const Relation& a, const Relation& b) {
 
 inline bool SameRelation(const FRep& rep, const Relation& flat) {
   return SameRelation(MaterializeVisible(rep), flat);
+}
+
+// True iff `trace` recorded a span called `name`.
+inline bool HasSpan(const QueryTrace& trace, const std::string& name) {
+  for (const QueryTrace::Span& s : trace.spans()) {
+    if (s.name == name) return true;
+  }
+  return false;
 }
 
 }  // namespace testing_util

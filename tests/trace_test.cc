@@ -227,12 +227,19 @@ TEST(EngineTrace, ExecuteTracedSpjSpanStructure) {
   EXPECT_EQ(all[spans["ground-build"]].bytes, all[spans["ground"]].bytes);
   EXPECT_TRUE(all[spans["enumerate"]].has_rows);
   EXPECT_EQ(all[spans["enumerate"]].rows, 4u);  // the demo join has 4 rows
+  // Materialisation compiles its kernel from the result's f-tree first,
+  // then plans the morsels.
+  ASSERT_TRUE(spans.count("kernel-compile"));
+  EXPECT_EQ(all[spans["kernel-compile"]].parent, root);
+  EXPECT_LT(spans["kernel-compile"], spans["morsel-plan"]);
   // The sink's own steps nest under enumerate. The join's f-tree projects
   // no middle node, so the stream is already a sorted set: no sort runs.
+  // The kernel writes every morsel into one buffer: nothing concatenates.
   ASSERT_TRUE(spans.count("emit"));
   EXPECT_EQ(all[spans["emit"]].parent, spans["enumerate"]);
   EXPECT_EQ(all[spans["emit"]].rows, 4u);
   EXPECT_FALSE(spans.count("sort-dedup"));
+  EXPECT_FALSE(spans.count("concat"));
 
   // Direct children of the root account for at most its wall time.
   double child_sum = 0.0;
@@ -278,6 +285,9 @@ TEST(EngineTrace, SinkSpansOfEveryMaterializePath) {
         EXPECT_EQ(all[spans["enumerate"]].rows, out.size());
         ASSERT_EQ(spans.count("sort-dedup") > 0, sorts)
             << "threads=" << threads << " kernel=" << (k != nullptr);
+        // Only a call without a kernel compiles one.
+        EXPECT_EQ(spans.count("kernel-compile") > 0, k == nullptr);
+        EXPECT_FALSE(spans.count("concat"));
         if (sorts) {
           EXPECT_EQ(all[spans["sort-dedup"]].parent, spans["enumerate"]);
           EXPECT_EQ(all[spans["sort-dedup"]].rows, 2u);  // rows kept
