@@ -21,39 +21,6 @@
 namespace fdb {
 namespace {
 
-BenchInstance MakeKeyForeignKey(size_t customers, size_t orders,
-                                size_t lineitems, uint64_t seed) {
-  BenchInstance inst;
-  inst.db = std::make_unique<Database>();
-  Rng rng(seed);
-
-  RelId c = inst.db->CreateRelation("Customer", {"ck", "cnation"});
-  RelId o = inst.db->CreateRelation("Orders", {"ok", "o_ck", "opri"});
-  RelId l = inst.db->CreateRelation("Lineitem", {"lk", "l_ok", "qty"});
-
-  Relation& rc = inst.db->relation(c);
-  for (size_t i = 1; i <= customers; ++i) {
-    rc.AddTuple({static_cast<Value>(i), rng.Uniform(1, 25)});
-  }
-  Relation& ro = inst.db->relation(o);
-  for (size_t i = 1; i <= orders; ++i) {
-    ro.AddTuple({static_cast<Value>(i),
-                 rng.Uniform(1, static_cast<int64_t>(customers)),
-                 rng.Uniform(1, 5)});
-  }
-  Relation& rl = inst.db->relation(l);
-  for (size_t i = 1; i <= lineitems; ++i) {
-    rl.AddTuple({static_cast<Value>(i),
-                 rng.Uniform(1, static_cast<int64_t>(orders)),
-                 rng.Uniform(1, 50)});
-  }
-
-  inst.query.rels = {c, o, l};
-  inst.query.equalities = {{inst.db->Attr("ck"), inst.db->Attr("o_ck")},
-                           {inst.db->Attr("ok"), inst.db->Attr("l_ok")}};
-  return inst;
-}
-
 void Run(Report& report) {
   report.BeginSection(
       std::cout,
@@ -64,7 +31,7 @@ void Run(Report& report) {
   for (size_t n : {1000u, 10000u, 100000u}) {
     size_t scaled = static_cast<size_t>(static_cast<double>(n) * BenchScale());
     BenchInstance inst =
-        MakeKeyForeignKey(scaled / 10 + 1, scaled / 4 + 1, scaled, 42 + n);
+        MakeKeyForeignKeyChain(scaled / 10 + 1, scaled / 4 + 1, scaled, 42 + n);
     Engine engine(inst.db.get());
 
     Timer tf;

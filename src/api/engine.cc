@@ -32,7 +32,8 @@ FdbResult Engine::EvaluateFlat(const Query& q,
                              bool filtered) {
                            return prepared_.Get(q.rels[r], *rels[r], groups,
                                                 filtered);
-                         });
+                         },
+                         opts_.enumerate.threads);
   if (info.projection != info.all_attrs) {
     QueryTrace::Scope span(trace, "project");
     rep = Project(rep, info.projection);

@@ -39,6 +39,9 @@ struct EngineOptions {
   /// flattening of ExecuteAggregate. Defaults enumerate large results on
   /// the shared thread pool and keep small ones on the caller; output is
   /// identical to sequential enumeration for every thread count.
+  /// `threads` also caps the morsel-parallel grounding build of the flat
+  /// path (GroundQuery, core/ground.h), whose result is byte-identical at
+  /// every thread count; 1 keeps both on the calling thread.
   EnumerateOptions enumerate;
 };
 

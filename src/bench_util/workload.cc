@@ -102,6 +102,36 @@ BenchInstance MakeHeterogeneousInstance(
   return inst;
 }
 
+BenchInstance MakeKeyForeignKeyChain(size_t customers, size_t orders,
+                                     size_t lineitems, uint64_t seed) {
+  BenchInstance inst;
+  inst.db = std::make_unique<Database>();
+  Rng rng(seed);
+  RelId c = inst.db->CreateRelation("Customer", {"ck", "cnation"});
+  RelId o = inst.db->CreateRelation("Orders", {"ok", "o_ck", "opri"});
+  RelId l = inst.db->CreateRelation("Lineitem", {"lk", "l_ok", "qty"});
+  Relation& rc = inst.db->relation(c);
+  for (size_t i = 1; i <= customers; ++i) {
+    rc.AddTuple({static_cast<Value>(i), rng.Uniform(1, 25)});
+  }
+  Relation& ro = inst.db->relation(o);
+  for (size_t i = 1; i <= orders; ++i) {
+    ro.AddTuple({static_cast<Value>(i),
+                 rng.Uniform(1, static_cast<int64_t>(customers)),
+                 rng.Uniform(1, 5)});
+  }
+  Relation& rl = inst.db->relation(l);
+  for (size_t i = 1; i <= lineitems; ++i) {
+    rl.AddTuple({static_cast<Value>(i),
+                 rng.Uniform(1, static_cast<int64_t>(orders)),
+                 rng.Uniform(1, 50)});
+  }
+  inst.query.rels = {c, o, l};
+  inst.query.equalities = {{inst.db->Attr("ck"), inst.db->Attr("o_ck")},
+                           {inst.db->Attr("ok"), inst.db->Attr("l_ok")}};
+  return inst;
+}
+
 double BenchScale() {
   const char* s = std::getenv("FDB_BENCH_SCALE");
   if (s == nullptr) return 1.0;

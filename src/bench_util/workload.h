@@ -32,6 +32,14 @@ BenchInstance MakeHeterogeneousInstance(
     int64_t domain, Distribution dist, double zipf_alpha, int num_equalities,
     uint64_t seed);
 
+/// The TPC-H-like key/foreign-key chain Customer(ck, cnation) <-
+/// Orders(ok, o_ck, opri) <- Lineitem(lk, l_ok, qty); every foreign key
+/// references an existing key, so the join has exactly |Lineitem| tuples.
+/// The query joins the chain on ck = o_ck, ok = l_ok. The experiments use
+/// lineitems/10 + 1 customers and lineitems/4 + 1 orders.
+BenchInstance MakeKeyForeignKeyChain(size_t customers, size_t orders,
+                                     size_t lineitems, uint64_t seed);
+
 /// Reads scaling knobs from the environment: FDB_BENCH_SCALE (float,
 /// default 1) multiplies data sizes; FDB_BENCH_TIMEOUT (seconds, default
 /// 10) bounds each baseline run (the paper used 100 s).

@@ -70,8 +70,8 @@ inline void Unpoison(const void* p, size_t n) {
 
 /// Poisons a vector's slack `[data+size, data+capacity)`. Call after every
 /// mutation that may have changed size or relocated the buffer.
-template <typename T>
-inline void PoisonTail(const std::vector<T>& v) {
+template <typename T, typename A>
+inline void PoisonTail(const std::vector<T, A>& v) {
   if constexpr (kEnabled) {
     Poison(v.data() + v.size(), (v.capacity() - v.size()) * sizeof(T));
   } else {
@@ -85,8 +85,8 @@ inline void PoisonTail(const std::vector<T>& v) {
 /// operation reallocates instead, the old buffer is unpoisoned on free by
 /// ASan itself and the new one starts clean — re-poison via PoisonTail
 /// afterwards either way.
-template <typename T>
-inline void UnpoisonTail(std::vector<T>& v) {
+template <typename T, typename A>
+inline void UnpoisonTail(std::vector<T, A>& v) {
   if constexpr (kEnabled) {
     Unpoison(v.data() + v.size(), (v.capacity() - v.size()) * sizeof(T));
   } else {
@@ -97,8 +97,8 @@ inline void UnpoisonTail(std::vector<T>& v) {
 /// Poisons a vector's *entire* buffer `[data, data+capacity)`. For recycled
 /// staging buffers that are logically dead between uses (UnionBuilder
 /// scratch after Finish/Abandon): the vector must be clear()ed first.
-template <typename T>
-inline void PoisonBuffer(const std::vector<T>& v) {
+template <typename T, typename A>
+inline void PoisonBuffer(const std::vector<T, A>& v) {
   if constexpr (kEnabled) {
     Poison(v.data(), v.capacity() * sizeof(T));
   } else {
@@ -107,8 +107,8 @@ inline void PoisonBuffer(const std::vector<T>& v) {
 }
 
 /// Re-admits a recycled buffer before handing it back out.
-template <typename T>
-inline void UnpoisonBuffer(std::vector<T>& v) {
+template <typename T, typename A>
+inline void UnpoisonBuffer(std::vector<T, A>& v) {
   if constexpr (kEnabled) {
     Unpoison(v.data(), v.capacity() * sizeof(T));
   } else {

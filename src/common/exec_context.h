@@ -8,8 +8,9 @@
 // kernel runs (core/kernel.cc), the CountTuples DP — and several of them
 // (UnionBuilder::Finish, FRep::CommitUnion) have no context parameter to
 // thread one through. A query binds its context with an ExecContext::Scope
-// on the evaluating thread; ParallelEnumerator re-binds the caller's
-// context inside each morsel task so pool threads observe the same flag.
+// on the evaluating thread; ParallelEnumerator and the grounding build
+// (core/ground.cc) re-bind the caller's context inside each morsel task so
+// pool threads observe the same flag.
 // Code that runs with no context bound (tests, benchmarks, library use)
 // pays one thread-local load per probe and nothing else.
 //

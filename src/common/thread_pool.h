@@ -13,8 +13,9 @@
 // after all in-flight work has drained.
 //
 // The process-wide Shared() pool is sized to the hardware concurrency and
-// constructed lazily on first use; core/parallel_enumerate.cc runs its
-// morsels on it, and serve/QueryServer can adopt it for its workers.
+// constructed lazily on first use; core/parallel_enumerate.cc and the
+// grounding build (core/ground.cc) run their morsels on it, and
+// serve/QueryServer can adopt it for its workers.
 #ifndef FDB_COMMON_THREAD_POOL_H_
 #define FDB_COMMON_THREAD_POOL_H_
 

@@ -15,7 +15,8 @@
 //       ground-prepare     relations filtered + sorted, or reused from the
 //                          engine's cache (rows = input rows; bytes = rows
 //                          prepared by this query, absent on a full hit)
-//       ground-build       the leapfrog walk (bytes = FRep::MemoryBytes)
+//       ground-build       the morsel-parallel leapfrog walk (rows =
+//                          morsels; bytes = FRep::MemoryBytes)
 //     project              deferred projection, when the query projects
 //     restructure-aggregate  GroupByAggregate (aggregate queries)
 //     materialize-groups   GroupedRep::Materialize (rows = groups)
@@ -32,9 +33,9 @@
 //
 // Thread safety: a QueryTrace is single-threaded by construction — spans
 // open and close on the thread driving the query. Parallel phases
-// (morsel-driven enumeration) are covered by ONE span opened on the
-// driving thread around the whole fan-out, never one span per morsel;
-// worker threads never touch the trace.
+// (morsel-driven grounding and enumeration) are covered by ONE span opened
+// on the driving thread around the whole fan-out, never one span per
+// morsel; worker threads never touch the trace.
 #ifndef FDB_COMMON_TRACE_H_
 #define FDB_COMMON_TRACE_H_
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/thread_pool.h"
+
 namespace fdb {
 
 namespace {
@@ -33,10 +35,70 @@ void FRep::MarkEmpty() {
   // Swap-with-empty releases capacity: an intermediate that became empty
   // mid-f-plan must not keep its peak arena allocation alive.
   std::vector<uint32_t>().swap(roots_);
-  std::vector<Value>().swap(values_);
-  std::vector<uint32_t>().swap(children_);
-  std::vector<UnionHeader>().swap(headers_);
+  Arena<Value>().swap(values_);
+  Arena<uint32_t>().swap(children_);
+  Arena<UnionHeader>().swap(headers_);
   std::vector<std::unique_ptr<Scratch>>().swap(scratch_);
+}
+
+void FRep::AppendUnions(const std::vector<const FRep*>& segs,
+                        int threads) {
+  // Where each segment's windows start.
+  struct Slot {
+    uint32_t shift;
+    size_t val_at, child_at;
+  };
+  std::vector<Slot> slots;
+  slots.reserve(segs.size());
+  size_t nh = headers_.size(), nv = values_.size(), nc = children_.size();
+  for (const FRep* seg : segs) {
+    FDB_CHECK_MSG(seg->scratch_top_ == 0,
+                  "cannot append an FRep with open builders");
+    slots.push_back({static_cast<uint32_t>(nh), nv, nc});
+    nh += seg->headers_.size();
+    nv += seg->values_.size();
+    nc += seg->children_.size();
+  }
+  // Room for the entries open builders have staged, which commit next.
+  size_t staged_v = 0, staged_c = 0;
+  for (size_t i = 0; i < scratch_top_; ++i) {
+    staged_v += scratch_[i]->vals.size();
+    staged_c += scratch_[i]->kids.size();
+  }
+  asan::UnpoisonTail(values_);
+  asan::UnpoisonTail(children_);
+  asan::UnpoisonTail(headers_);
+  values_.reserve(nv + staged_v);
+  children_.reserve(nc + staged_c);
+  values_.resize(nv);
+  children_.resize(nc);
+  headers_.resize(nh);
+  asan::PoisonTail(values_);
+  asan::PoisonTail(children_);
+  asan::PoisonTail(headers_);
+  // The windows are disjoint, so the segments fill them independently.
+  auto fill = [&](size_t i) {
+    const FRep& seg = *segs[i];
+    const Slot at = slots[i];
+    UnionHeader* h = headers_.data() + at.shift;
+    for (UnionHeader x : seg.headers_) {
+      if (x.len != 0 || x.num_children != 0) {
+        x.val_off += at.val_at;
+        x.child_off += at.child_at;
+      }
+      *h++ = x;
+    }
+    std::copy(seg.values_.begin(), seg.values_.end(),
+              values_.data() + at.val_at);
+    std::transform(seg.children_.begin(), seg.children_.end(),
+                   children_.data() + at.child_at,
+                   [shift = at.shift](uint32_t c) { return c + shift; });
+  };
+  if (threads > 1 && segs.size() > 1) {
+    ThreadPool::Shared().ParallelFor(segs.size(), fill, threads);
+  } else {
+    for (size_t i = 0; i < segs.size(); ++i) fill(i);
+  }
 }
 
 size_t FRep::NumSingletons() const {

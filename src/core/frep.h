@@ -54,14 +54,41 @@ namespace fdb {
 
 class FRep;
 
-/// Per-union arena header: where this union's window lives.
+/// Per-union arena header: where this union's window lives. Trivial, so
+/// the header arena can grow without writing it (see Arena); `UnionHeader{}`
+/// is the zeroed header.
 struct UnionHeader {
-  int32_t node = -1;         ///< owning f-tree node id
-  uint32_t len = 0;          ///< number of entries (values)
-  size_t val_off = 0;        ///< first value in the value arena
-  size_t child_off = 0;      ///< first child id in the child arena
-  size_t num_children = 0;   ///< committed child ids (len * #tree children)
+  int32_t node;         ///< owning f-tree node id
+  uint32_t len;         ///< number of entries (values)
+  size_t val_off;       ///< first value in the value arena
+  size_t child_off;     ///< first child id in the child arena
+  size_t num_children;  ///< committed child ids (len * #tree children)
 };
+
+/// Allocator of the FRep arenas: `resize` default-initialises, which
+/// leaves the trivial arena elements unwritten, so FRep::AppendUnions can
+/// size an arena once and fill its windows from several threads.
+template <typename T>
+struct ArenaAllocator : std::allocator<T> {
+  ArenaAllocator() = default;
+  template <typename U>
+  ArenaAllocator(const ArenaAllocator<U>& /*other*/) noexcept {}
+  template <typename U>
+  struct rebind {
+    using other = ArenaAllocator<U>;
+  };
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+template <typename T>
+using Arena = std::vector<T, ArenaAllocator<T>>;
 
 /// Non-owning view of one union. Cheap to copy; stable across arena growth
 /// (offsets are re-resolved through the FRep on every access).
@@ -235,6 +262,22 @@ class FRep {
   /// Builders currently open (non-zero means arenas may still move).
   size_t OpenBuilders() const { return scratch_top_; }
 
+  /// Appends the unions of `segs`, in order, after this representation's
+  /// own: the arenas grow once, then each segment copies its headers,
+  /// values and child ids into its own window, union ids and arena offsets
+  /// shifted past what precedes it, so the arenas read as if the segments'
+  /// unions had been built here. A segment's ids thus shift by NumUnions()
+  /// before the call plus the NumUnions() of the segments before it; add
+  /// that to any id pointing into it, such as a root entry's children. A
+  /// zero-length window (an abandoned stub) keeps its zero offsets, as it
+  /// would have here. The copies run on up to `threads` threads of the
+  /// shared pool (common/thread_pool.h). Segment roots are not carried
+  /// over, and nothing is charged to the ambient budget: a segment charged
+  /// its unions when it committed them. Builders may be open here (they
+  /// stage outside the arenas, and the growth leaves room for what they
+  /// have staged), not on the segments.
+  void AppendUnions(const std::vector<const FRep*>& segs, int threads);
+
   /// Number of singletons (the paper's |E|): every value of a union counts
   /// once per *visible* attribute of its class.
   size_t NumSingletons() const;
@@ -284,9 +327,9 @@ class FRep {
   void CommitUnion(uint32_t id, const Scratch& s);
 
   FTree tree_;
-  std::vector<Value> values_;        ///< value arena
-  std::vector<uint32_t> children_;   ///< child-id arena
-  std::vector<UnionHeader> headers_; ///< union id -> window
+  Arena<Value> values_;          ///< value arena
+  Arena<uint32_t> children_;     ///< child-id arena
+  Arena<UnionHeader> headers_;   ///< union id -> window
   std::vector<uint32_t> roots_;
   bool empty_ = true;
   // LIFO pool of staging buffers for open builders; entries keep their
@@ -368,7 +411,7 @@ inline void UnionBuilder::Abandon() {
 
 inline UnionBuilder FRep::StartUnion(int node) {
   ChargeAmbientMemory(sizeof(UnionHeader));
-  UnionHeader h;
+  UnionHeader h{};
   h.node = node;
   asan::UnpoisonTail(headers_);
   headers_.push_back(h);

@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <thread>
+#include <utility>
 
 #include "common/exec_context.h"
 #include "common/fault.h"
+#include "common/mutex.h"
+#include "common/thread_pool.h"
 #include "core/ops_common.h"
 #include "core/validate.h"
 
@@ -82,53 +87,9 @@ std::shared_ptr<const Relation> ApplyConstPreds(
       in.Filtered([&](size_t row) { return Satisfies(in, row, preds); }));
 }
 
-// The build step: a leapfrog walk over the prepared relations. Everything
-// the walk reads per node is laid out once up front, and every node owns
-// its cursor, saved-range and child slots. A node is active at most once
-// at a time (the walk only descends), so its slots are reused for every
-// value and the walk allocates nothing beyond the result's arenas.
-class Builder {
- public:
-  Builder(const FTree& tree, const std::vector<const Relation*>& rels,
-          const Layout& layout, ExecContext* ctx)
-      : tree_(tree), ctx_(ctx), out_(FTree(tree)), nodes_(tree.pool_size()) {
-    for (int n : tree.AliveNodes()) {
-      const FTreeNode& nd = tree.node(n);
-      Node& slot = nodes_[static_cast<size_t>(n)];
-      slot.cover_begin = covers_.size();
-      for (AttrId r : nd.cover_rels) {
-        const std::vector<int>& path = layout.nodes[r];
-        const size_t d = static_cast<size_t>(
-            std::find(path.begin(), path.end(), n) - path.begin());
-        covers_.push_back(Cover{rels[r], layout.groups[r][d][0], r});
-      }
-      slot.cover_end = covers_.size();
-      slot.kid_begin = kids_.size();
-      kids_.resize(kids_.size() + nd.children.size());
-    }
-    cursor_.resize(covers_.size());
-    saved_.resize(covers_.size());
-    range_.reserve(rels.size());
-    for (const Relation* r : rels) range_.emplace_back(0, r->size());
-  }
-
-  FRep Run() {
-    out_.MarkNonEmpty();
-    for (int root : tree_.roots()) {
-      const uint32_t rid = Build(root);
-      if (rid == kNoUnion) {
-        out_.MarkEmpty();
-        return std::move(out_);
-      }
-      out_.roots().push_back(rid);
-    }
-    FDB_VALIDATE_REP(out_);
-    return std::move(out_);
-  }
-
- private:
-  using Range = std::pair<size_t, size_t>;
-
+// The f-tree laid out for the build step: everything the walk reads per
+// node, computed once per grounding and shared read-only by every morsel.
+struct WalkPlan {
   // One covering relation's column at one node.
   struct Cover {
     const Relation* rel;
@@ -139,23 +100,170 @@ class Builder {
   };
 
   struct Node {
-    size_t cover_begin = 0, cover_end = 0;  // into covers_, cursor_, saved_
-    size_t kid_begin = 0;                   // into kids_
+    size_t cover_begin = 0, cover_end = 0;  // into covers
+    size_t kid_begin = 0;                   // into a walker's child slots
   };
+
+  WalkPlan(const FTree& t, const std::vector<const Relation*>& r,
+           const Layout& layout)
+      : tree(t), rels(r), nodes(t.pool_size()) {
+    for (int n : t.AliveNodes()) {
+      const FTreeNode& nd = t.node(n);
+      Node& slot = nodes[static_cast<size_t>(n)];
+      slot.cover_begin = covers.size();
+      for (AttrId i : nd.cover_rels) {
+        const std::vector<int>& path = layout.nodes[i];
+        const size_t d = static_cast<size_t>(
+            std::find(path.begin(), path.end(), n) - path.begin());
+        covers.push_back(Cover{r[i], layout.groups[i][d][0], i});
+      }
+      slot.cover_end = covers.size();
+      slot.kid_begin = num_kids;
+      num_kids += nd.children.size();
+    }
+  }
+
+  const FTree& tree;
+  const std::vector<const Relation*>& rels;
+  std::vector<Node> nodes;  // by f-tree node id
+  std::vector<Cover> covers;
+  size_t num_kids = 0;
+};
+
+// The first root's values cut into morsels, built on up to `threads`
+// threads. With k covering relations, morsel j takes the rows
+// [rows[j*k + i], rows[(j+1)*k + i]) of the i-th: one range of root values,
+// the same in each relation.
+struct RootMorsels {
+  size_t count = 1;
+  int threads = 1;
+  std::vector<size_t> rows;
+};
+
+// Candidate rows per morsel the split aims for, and the most morsels per
+// thread: a few per thread balance the load, and each one a helper builds
+// costs a splice.
+constexpr size_t kMorselRows = 1024;
+constexpr size_t kMorselsPerThread = 2;
+
+// Cuts the first root for up to `threads` threads (0 = one per hardware
+// thread). The morsel count follows the root's candidate rows, the fewest
+// rows among its covering relations: one morsel per kMorselRows of them,
+// at most kMorselsPerThread per thread. Cut points are values of the first
+// covering relation at row quantiles, each found in every covering
+// relation by LowerBound; equal cuts merge, so a dominating root value
+// stays whole in one morsel.
+RootMorsels PlanRootMorsels(const WalkPlan& plan, int root, int threads) {
+  const WalkPlan::Node& slot = plan.nodes[static_cast<size_t>(root)];
+  const WalkPlan::Cover* cover = plan.covers.data() + slot.cover_begin;
+  const size_t k = slot.cover_end - slot.cover_begin;
+  size_t candidates = k > 0 ? std::numeric_limits<size_t>::max() : 0;
+  for (size_t i = 0; i < k; ++i) {
+    candidates = std::min(candidates, cover[i].rel->size());
+  }
+  RootMorsels m;
+  std::vector<Value> cuts;
+  if (threads != 1 && candidates / kMorselRows > 1) {
+    // Asked only here: the hardware query costs microseconds, a small
+    // build not much more.
+    m.threads = threads > 0 ? threads
+                            : static_cast<int>(std::max(
+                                  1u, std::thread::hardware_concurrency()));
+  }
+  if (m.threads > 1) {
+    const size_t wanted =
+        std::min(candidates / kMorselRows,
+                 static_cast<size_t>(m.threads) * kMorselsPerThread);
+    const size_t n = cover[0].rel->size();
+    Value prev = cover[0].At(0);
+    for (size_t j = 1; j < wanted; ++j) {
+      const Value v = cover[0].At(j * n / wanted);
+      if (v > prev) cuts.push_back(prev = v);
+    }
+  }
+  m.count = cuts.size() + 1;
+  m.rows.reserve((m.count + 1) * k);
+  m.rows.insert(m.rows.end(), k, 0);
+  for (Value v : cuts) {
+    for (size_t i = 0; i < k; ++i) {
+      m.rows.push_back(
+          cover[i].rel->LowerBound(0, cover[i].rel->size(), cover[i].col, v));
+    }
+  }
+  for (size_t i = 0; i < k; ++i) m.rows.push_back(cover[i].rel->size());
+  return m;
+}
+
+// Opens the union of node n in `out`: the ground_build_union fault site
+// fires once per union the build starts, whichever thread starts it.
+UnionBuilder StartGroundUnion(FRep& out, int n) {
+  FDB_FAULT_POINT("ground_build_union");
+  return out.StartUnion(n);
+}
+
+// One thread's leapfrog walk over the prepared relations, writing unions
+// into `out`. Every node owns its cursor, saved-range and child slots; a
+// node is active at most once at a time (the walk only descends), so its
+// slots are reused for every value and the walk allocates nothing beyond
+// the result's arenas.
+class Walker {
+ public:
+  Walker(const WalkPlan& plan, ExecContext* ctx, FRep* out)
+      : plan_(plan),
+        ctx_(ctx),
+        out_(out),
+        cursor_(plan.covers.size()),
+        saved_(plan.covers.size()),
+        kids_(plan.num_kids) {
+    range_.reserve(plan.rels.size());
+    for (const Relation* r : plan.rels) range_.emplace_back(0, r->size());
+  }
+
+  void set_out(FRep* out) { out_ = out; }
 
   // Builds the union for tree node n under the current ranges; kNoUnion if
   // no value survives.
   uint32_t Build(int n) {
-    const Node& slot = nodes_[static_cast<size_t>(n)];
+    UnionBuilder nu = StartGroundUnion(*out_, n);
+    Walk(n, nu);
+    if (nu.empty()) {
+      nu.Abandon();
+      return kNoUnion;
+    }
+    return nu.Finish();
+  }
+
+  // Morsel j of root node `root`: its root entries go to `sink`, the
+  // unions below them to out.
+  template <typename Sink>
+  void BuildMorsel(int root, const RootMorsels& m, size_t j, Sink& sink) {
+    const WalkPlan::Node& slot = plan_.nodes[static_cast<size_t>(root)];
+    const WalkPlan::Cover* cover = plan_.covers.data() + slot.cover_begin;
+    const size_t k = slot.cover_end - slot.cover_begin;
+    for (size_t i = 0; i < k; ++i) {
+      range_[cover[i].index] = {m.rows[j * k + i], m.rows[(j + 1) * k + i]};
+    }
+    Walk(root, sink);
+    for (size_t i = 0; i < k; ++i) {
+      range_[cover[i].index] = {0, cover[i].rel->size()};
+    }
+  }
+
+ private:
+  using Range = std::pair<size_t, size_t>;
+
+  // Intersects node n's covering relations under the current ranges and
+  // passes each surviving value, with its child unions, to `sink`.
+  template <typename Sink>
+  void Walk(int n, Sink& sink) {
+    const WalkPlan::Node& slot = plan_.nodes[static_cast<size_t>(n)];
     FDB_CHECK(slot.cover_begin < slot.cover_end);
-    FDB_FAULT_POINT("ground_build_union");
-    const std::vector<int>& children = tree_.node(n).children;
-    const Cover* cover = covers_.data() + slot.cover_begin;
+    const std::vector<int>& children = plan_.tree.node(n).children;
+    const WalkPlan::Cover* cover = plan_.covers.data() + slot.cover_begin;
     size_t* cur = cursor_.data() + slot.cover_begin;
     Range* saved = saved_.data() + slot.cover_begin;
     uint32_t* kids = kids_.data() + slot.kid_begin;
     const size_t m = slot.cover_end - slot.cover_begin;
-    UnionBuilder nu = out_.StartUnion(n);
 
     for (size_t i = 0; i < m; ++i) cur[i] = range_[cover[i].index].first;
     for (;;) {
@@ -211,27 +319,169 @@ class Builder {
         r = saved[i];
       }
       if (!dead) {
-        nu.AddValue(v);
-        for (size_t c = 0; c < children.size(); ++c) nu.AddChild(kids[c]);
+        sink.AddValue(v);
+        for (size_t c = 0; c < children.size(); ++c) sink.AddChild(kids[c]);
       }
     }
-    if (nu.empty()) {
-      nu.Abandon();
-      return kNoUnion;
-    }
-    return nu.Finish();
   }
 
-  const FTree& tree_;
+  const WalkPlan& plan_;
   ExecContext* const ctx_;
-  FRep out_;
-  std::vector<Node> nodes_;  // by f-tree node id
-  std::vector<Cover> covers_;
-  std::vector<size_t> cursor_;
-  std::vector<Range> saved_;
-  std::vector<uint32_t> kids_;
-  std::vector<Range> range_;  // current row range per relation
+  FRep* out_;
+  std::vector<size_t> cursor_;  // per cover
+  std::vector<Range> saved_;    // per cover
+  std::vector<uint32_t> kids_;  // child slots, per node
+  std::vector<Range> range_;    // current row range per relation
 };
+
+// A morsel built by a pool helper: the unions below its root entries in a
+// private segment, its root entries (child ids local to the segment) beside
+// them.
+struct Segment {
+  FRep rep{FTree{}};
+  std::vector<Value> vals;
+  std::vector<uint32_t> kids;
+
+  void AddValue(Value v) { vals.push_back(v); }
+  void AddChild(uint32_t c) { kids.push_back(c); }
+};
+
+// Morsel claims: the front thread takes morsels from the front, helpers
+// from the back, until the two meet. The front thread's morsels thus form a
+// prefix, built in place, and the helpers' a suffix, spliced after it in
+// order.
+class Claims {
+ public:
+  explicit Claims(size_t n) : back_(n) {}
+
+  // True for the first thread to ask: it becomes the front thread.
+  bool TakeFront() EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return !std::exchange(front_taken_, true);
+  }
+
+  std::optional<size_t> Front() EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (front_ == back_) return std::nullopt;
+    return front_++;
+  }
+  std::optional<size_t> Back() EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (front_ == back_) return std::nullopt;
+    return --back_;
+  }
+  // Stops all further claims (a morsel failed).
+  void Abort() EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    back_ = front_;
+  }
+  // The first morsel a helper took, once every morsel is claimed.
+  size_t split() EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return front_;
+  }
+
+ private:
+  Mutex mu_;
+  bool front_taken_ GUARDED_BY(mu_) = false;
+  size_t front_ GUARDED_BY(mu_) = 0;
+  size_t back_ GUARDED_BY(mu_);
+};
+
+// Builds the union of the first root, morsel by morsel, on up to
+// m.threads threads; kNoUnion if no value survives. The first thread to
+// start — the caller, unless a helper wakes first — builds its morsels in
+// place into `out` with the caller's walker; helpers build theirs into
+// segments, which are appended after them in morsel order with their root
+// entries rebased. That reproduces the arenas and union ids of a build in
+// one piece. When the pool is busy the caller builds every morsel in
+// place, copying nothing.
+uint32_t BuildFirstRoot(const WalkPlan& plan, Walker& walker, FRep& out,
+                        int root, const RootMorsels& m, ExecContext* ctx) {
+  UnionBuilder nu = StartGroundUnion(out, root);
+  if (m.count == 1) {
+    walker.BuildMorsel(root, m, 0, nu);
+  } else {
+    std::vector<Segment> segs(m.count);
+    Claims claims(m.count);
+    // Helpers re-bind the caller's governance context, as
+    // ParallelEnumerator::ForEachChunk does, so cancellation, deadlines,
+    // budget charges and fault sites behave as on the caller. ParallelFor
+    // rethrows the first failure once every thread has stopped.
+    auto run = [&](size_t) {
+      ExecContext::Scope scope(ctx);
+      try {
+        if (claims.TakeFront()) {
+          while (const std::optional<size_t> j = claims.Front()) {
+            walker.BuildMorsel(root, m, *j, nu);
+          }
+          return;
+        }
+        std::optional<Walker> own;
+        while (const std::optional<size_t> j = claims.Back()) {
+          Segment& seg = segs[*j];
+          if (own) {
+            own->set_out(&seg.rep);
+          } else {
+            own.emplace(plan, ctx, &seg.rep);
+          }
+          own->BuildMorsel(root, m, *j, seg);
+        }
+      } catch (...) {
+        claims.Abort();
+        throw;
+      }
+    };
+    ThreadPool::Shared().ParallelFor(
+        std::min(m.count, static_cast<size_t>(m.threads)), run, m.threads);
+
+    std::vector<const FRep*> tail;
+    uint32_t shift = static_cast<uint32_t>(out.NumUnions());
+    for (size_t j = claims.split(); j < m.count; ++j) {
+      const Segment& seg = segs[j];
+      nu.AddValues(seg.vals.data(), seg.vals.size());
+      for (uint32_t c : seg.kids) nu.AddChild(c + shift);
+      shift += static_cast<uint32_t>(seg.rep.NumUnions());
+      tail.push_back(&seg.rep);
+    }
+    out.AppendUnions(tail, m.threads);
+  }
+  if (nu.empty()) {
+    nu.Abandon();
+    return kNoUnion;
+  }
+  return nu.Finish();
+}
+
+// The build step. The first root is built in morsels (BuildFirstRoot), the
+// other roots of a forest after it on the caller, each in one piece.
+FRep BuildRep(const FTree& tree, const std::vector<const Relation*>& rels,
+              const Layout& layout, ExecContext* ctx, int threads,
+              size_t* morsels) {
+  const WalkPlan plan(tree, rels, layout);
+  FRep out{FTree(tree)};
+  out.MarkNonEmpty();
+  Walker walker(plan, ctx, &out);
+  const std::vector<int>& roots = tree.roots();
+  *morsels = 1;
+  for (size_t r = 0; r < roots.size(); ++r) {
+    uint32_t rid;
+    if (r == 0) {
+      const RootMorsels m = PlanRootMorsels(plan, roots[0], threads);
+      *morsels = m.count;
+      rid = BuildFirstRoot(plan, walker, out, roots[0], m, ctx);
+    } else {
+      rid = walker.Build(roots[r]);
+    }
+    if (rid == kNoUnion) {
+      out.MarkEmpty();
+      return out;
+    }
+    out.roots().push_back(rid);
+  }
+  FDB_VALIDATE_REP(out);
+  return out;
+}
 
 }  // namespace
 
@@ -262,7 +512,7 @@ Relation PrepareRelation(const Relation& rel, const ColumnGroups& groups,
 
 FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
                  const std::vector<ConstPred>& preds, QueryTrace* trace,
-                 const PrepareFn& prepare) {
+                 const PrepareFn& prepare, int threads) {
   QueryTrace::Scope span(trace, "ground");
   const Layout layout = ComputeLayout(tree, rels);
 
@@ -309,8 +559,10 @@ FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
   }
 
   QueryTrace::Scope step(trace, "ground-build");
-  FRep out = Builder(tree, ptrs, layout, ctx).Run();
+  size_t morsels = 1;
+  FRep out = BuildRep(tree, ptrs, layout, ctx, threads, &morsels);
   const uint64_t bytes = trace != nullptr ? out.MemoryBytes() : 0;
+  step.SetRows(morsels);
   step.SetBytes(bytes);
   span.SetBytes(bytes);
   return out;

@@ -20,6 +20,22 @@
 //    children turn out empty are dropped. The walk allocates nothing per
 //    node or value beyond the result's arenas, and it never materialises
 //    flat intermediate results.
+//
+// The build is morsel-parallel. The first root's values are cut into
+// morsels, disjoint increasing ranges of root values found in every
+// covering relation by LowerBound, and the morsels run on the shared
+// thread pool (common/thread_pool.h): the first thread to start, normally
+// the caller, takes morsels from the front and builds them in place;
+// helpers take them from the back, each into a private segment. The
+// segments are then appended in morsel order with their union ids and
+// offsets rebased, and the root union is committed from the morsels' root
+// entries. The result therefore has the union numbering and arena layout
+// of a build in one piece, and its WriteFRep output is byte-identical for
+// every thread count. The morsel count grows with the root's candidate
+// rows (the fewest rows among its covering relations), so small inputs
+// build in one morsel on the caller; one morsel is the sequential build,
+// not a separate path. When the pool is busy the caller builds every
+// morsel in place and nothing is copied.
 #ifndef FDB_CORE_GROUND_H_
 #define FDB_CORE_GROUND_H_
 
@@ -75,14 +91,26 @@ using PrepareFn = std::function<PreparedInput(
 /// relations, which the predicates then narrow in one order-preserving
 /// pass each, never re-sorting; it is called once per relation, and the
 /// ground_prepare_relation fault site fires once per relation whatever it
-/// does. A non-null `trace` records a "ground" span
-/// (bytes = FRep::MemoryBytes) with the children "ground-prepare" (rows =
-/// input rows after preparing and filtering; bytes = the size of the
-/// relations prepared by this call, absent when all were reused) and
-/// "ground-build" (bytes = FRep::MemoryBytes).
+/// does.
+///
+/// The build runs in morsels on up to `threads` threads (0 = one per
+/// hardware thread; 1 = on the caller); the Engine passes
+/// EngineOptions::enumerate.threads. The result is the same, byte for
+/// byte, at every thread count. Helpers re-bind the caller's ExecContext,
+/// so cancellation, deadlines, MemoryBudget charges (the same total at
+/// every thread count) and the ground_build_union fault site behave as on
+/// the caller; the first failure of any morsel is rethrown here once every
+/// thread has stopped, and unfinished segments are discarded.
+///
+/// A non-null `trace` records a "ground" span (bytes = FRep::MemoryBytes)
+/// with the children "ground-prepare" (rows = input rows after preparing
+/// and filtering; bytes = the size of the relations prepared by this call,
+/// absent when all were reused) and "ground-build" (rows = morsels; bytes =
+/// FRep::MemoryBytes).
 FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
                  const std::vector<ConstPred>& preds = {},
-                 QueryTrace* trace = nullptr, const PrepareFn& prepare = {});
+                 QueryTrace* trace = nullptr, const PrepareFn& prepare = {},
+                 int threads = 0);
 
 /// Factorises a single relation over its path f-tree (trie): the canonical
 /// way to turn flat input into an f-representation before applying f-plan

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "api/engine.h"
+#include "bench_util/workload.h"
 #include "common/exec_context.h"
 #include "common/fault.h"
 #include "core/aggregate.h"
@@ -300,6 +301,120 @@ TEST_F(FaultInjectionTest, StatsStayConsistentAcrossRepeatedFaults) {
   EXPECT_EQ(s.executed + s.coalesced + s.rejected, s.received);
   EXPECT_EQ(s.resource_rejected, 4u);
   EXPECT_EQ(s.cancelled, 4u);
+}
+
+// ---- The morsel-parallel grounding build ---------------------------------
+
+// A chain whose root has 8000 candidate rows: at four threads the build
+// splits into seven morsels, helpers taking them from the back.
+std::unique_ptr<Database> SplitChainDb() {
+  return MakeKeyForeignKeyChain(8000, 16000, 24000, 1).db;
+}
+
+const std::string kChainSpj =
+    std::string("SELECT *") + testing_util::kChainJoin;
+
+EngineOptions Threads(int n) {
+  EngineOptions o;
+  o.enumerate.threads = n;
+  return o;
+}
+
+// Evaluates `q` with `ctx` bound, as a serve worker does.
+FdbResult EvaluateGoverned(Engine& engine, const Query& q, ExecContext& ctx,
+                           QueryTrace* trace = nullptr) {
+  ExecContext::Scope scope(&ctx);
+  return TranslateBadAlloc(
+      [&] { return engine.EvaluateFlat(q, nullptr, trace); }, "ground");
+}
+
+// Faults in the build unwind to RESOURCE whichever thread they hit, and a
+// disarmed retry is byte-identical. The caller builds morsels from the
+// front and helpers from the back, so a hit late in the build, or every
+// hit past the middle, lands in a helper's morsel whenever the pool has a
+// thread free.
+TEST_F(FaultInjectionTest, GroundBuildFaultInHelperMorselIsGraceful) {
+  SKIP_WITHOUT_FAULTS();
+  auto db = SplitChainDb();
+  ServeOptions opts = Workers(1);
+  opts.engine = Threads(4);
+  QueryServer server(db.get(), opts);
+  const uint64_t before = fault::HitCount("ground_build_union");
+  const ServeResponse clean = server.Query(kChainSpj);
+  ASSERT_EQ(clean.status, ServeStatus::kOk);
+  const uint64_t hits = fault::HitCount("ground_build_union") - before;
+  ASSERT_GT(hits, 1000u);
+  const std::vector<fault::Spec> specs = {
+      {fault::Kind::kBadAlloc, hits * 3 / 4, 1, 0.0},
+      {fault::Kind::kBadAlloc, hits - 2, 1, 0.0},
+      {fault::Kind::kBadAlloc, hits / 2, -1, 0.0},
+  };
+  for (const fault::Spec& spec : specs) {
+    SCOPED_TRACE("skip " + std::to_string(spec.skip));
+    fault::Arm("ground_build_union", spec);
+    const ServeResponse faulted = server.Query(kChainSpj);
+    EXPECT_EQ(faulted.status, ServeStatus::kResource) << faulted.body;
+    fault::DisarmAll();
+    const ServeResponse retry = server.Query(kChainSpj);
+    EXPECT_EQ(retry.status, ServeStatus::kOk);
+    EXPECT_EQ(retry.body, clean.body);
+  }
+}
+
+// A context flagged mid-build stops every morsel at its next probe instead
+// of letting the others run to their end.
+TEST_F(FaultInjectionTest, CancelledContextStopsEveryMorsel) {
+  auto db = SplitChainDb();
+  Engine engine(db.get(), Threads(4));
+  const Query q = engine.Parse(kChainSpj);
+  ExecContext full;
+  QueryTrace trace;
+  EvaluateGoverned(engine, q, full, &trace);
+  ASSERT_GT(testing_util::GroundMorsels(trace), 1u);
+  const uint64_t total = full.budget().charged();
+
+  // Over budget halfway: the charge that crosses the limit flags the
+  // context, and the other threads stop at their next probe.
+  ExecContext over;
+  over.budget().set_limit(total / 2);
+  EXPECT_THROW(EvaluateGoverned(engine, q, over), FdbResourceExhausted);
+  EXPECT_EQ(over.stop_reason(), ExecContext::StopReason::kResource);
+  EXPECT_LT(over.budget().charged(), total * 3 / 4);
+
+  // Cancelled before the build: no morsel builds anything.
+  ExecContext cancelled;
+  cancelled.Cancel();
+  EXPECT_THROW(EvaluateGoverned(engine, q, cancelled), FdbCancelled);
+  EXPECT_LE(cancelled.budget().charged(), sizeof(UnionHeader));
+
+  if (!fault::kEnabled) return;
+  // Cancelled from inside a morsel halfway: the rest of the build stops.
+  const uint64_t before = fault::HitCount("ground_build_union");
+  EvaluateGoverned(engine, q, full);
+  const uint64_t hits = fault::HitCount("ground_build_union") - before;
+  fault::Arm("ground_build_union", {fault::Kind::kCancel, hits / 2, 1, 0.0});
+  ExecContext mid;
+  const uint64_t start = fault::HitCount("ground_build_union");
+  EXPECT_THROW(EvaluateGoverned(engine, q, mid), FdbCancelled);
+  EXPECT_LT(fault::HitCount("ground_build_union") - start, hits * 3 / 4);
+}
+
+// The build charges the same bytes however it is split, so a budget
+// verdict never depends on the core count.
+TEST_F(FaultInjectionTest, GroundBudgetChargeIsIndependentOfThreads) {
+  auto db = SplitChainDb();
+  std::vector<uint64_t> charged;
+  for (const int threads : {1, 4}) {
+    Engine engine(db.get(), Threads(threads));
+    const Query q = engine.Parse(kChainSpj);
+    ExecContext ctx;
+    QueryTrace trace;
+    EvaluateGoverned(engine, q, ctx, &trace);
+    EXPECT_EQ(testing_util::GroundMorsels(trace) > 1, threads > 1);
+    charged.push_back(ctx.budget().charged());
+  }
+  EXPECT_GT(charged[0], 0u);
+  EXPECT_EQ(charged[0], charged[1]);
 }
 
 }  // namespace

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -6,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "api/engine.h"
+#include "bench_util/workload.h"
 #include "core/enumerate.h"
 #include "core/ground.h"
 #include "core/serialize.h"
@@ -15,6 +18,7 @@
 namespace fdb {
 namespace {
 
+using testing_util::GroundMorsels;
 using testing_util::SameRelation;
 
 Relation MakeRel(std::vector<AttrId> schema,
@@ -431,6 +435,151 @@ TEST_F(GroundCacheTest, ConcurrentColdCacheIsExact) {
   for (std::thread& th : threads) th.join();
   for (int bad : mismatches) EXPECT_EQ(bad, 0);
   for (const Query& q : queries) EXPECT_TRUE(GroundsFromCache(engine_, q));
+}
+
+// ---- The morsel-parallel build --------------------------------------------
+
+// Two builds compared union by union: the same ids, windows and contents,
+// as if both had been built in one piece.
+void ExpectSameArenas(const FRep& a, const FRep& b) {
+  ASSERT_EQ(a.empty(), b.empty());
+  ASSERT_EQ(a.NumUnions(), b.NumUnions());
+  ASSERT_EQ(a.ValueArenaSize(), b.ValueArenaSize());
+  ASSERT_EQ(a.ChildArenaSize(), b.ChildArenaSize());
+  EXPECT_EQ(a.roots(), b.roots());
+  for (uint32_t id = 0; id < a.NumUnions(); ++id) {
+    const UnionHeader& x = a.HeaderOf(id);
+    const UnionHeader& y = b.HeaderOf(id);
+    ASSERT_EQ(x.node, y.node) << "union " << id;
+    ASSERT_EQ(x.len, y.len) << "union " << id;
+    ASSERT_EQ(x.val_off, y.val_off) << "union " << id;
+    ASSERT_EQ(x.child_off, y.child_off) << "union " << id;
+    ASSERT_EQ(x.num_children, y.num_children) << "union " << id;
+    const UnionRef ua = a.u(id), ub = b.u(id);
+    ASSERT_TRUE(std::equal(ua.values(), ua.values() + ua.size(), ub.values()))
+        << "union " << id;
+    ASSERT_TRUE(std::equal(ua.children(), ua.children() + ua.num_children(),
+                           ub.children()))
+        << "union " << id;
+  }
+}
+
+// Grounds with `ground(threads, trace)` at thread caps 1, 2, 3 and 8 and
+// expects one result: a valid rep with the same WriteFRep bytes, arenas
+// and materialised rows as the build on the caller, whose rows equal
+// `expected`. Returns the build's morsel count per cap.
+template <typename Ground>
+std::vector<uint64_t> ExpectSameAtEveryThreadCap(const Ground& ground,
+                                                 const Relation& expected) {
+  std::vector<uint64_t> morsels;
+  std::optional<FRep> first;
+  std::optional<Relation> rows;
+  for (const int threads : {1, 2, 3, 8}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    QueryTrace trace;
+    FRep rep = ground(threads, &trace);
+    morsels.push_back(GroundMorsels(trace));
+    rep.Validate();
+    EnumerateOptions opts;
+    opts.threads = threads;
+    Relation got = MaterializeVisible(rep, opts);
+    if (!first) {
+      EXPECT_TRUE(SameRelation(got, expected));
+      first.emplace(std::move(rep));
+      rows.emplace(std::move(got));
+      continue;
+    }
+    EXPECT_EQ(FRepBytes(rep), FRepBytes(*first));
+    ExpectSameArenas(rep, *first);
+    EXPECT_EQ(got, *rows);
+  }
+  return morsels;
+}
+
+// `sql` evaluated by engines whose enumerate.threads is each cap, checked
+// against rdb.
+std::vector<uint64_t> ExpectSqlSameAtEveryThreadCap(Database& db,
+                                                    const std::string& sql) {
+  SCOPED_TRACE(sql);
+  const Query q = Engine(&db).Parse(sql);
+  auto ground = [&](int threads, QueryTrace* trace) {
+    EngineOptions opts;
+    opts.enumerate.threads = threads;
+    Engine engine(&db, opts);
+    return engine.EvaluateFlat(q, nullptr, trace).rep;
+  };
+  return ExpectSameAtEveryThreadCap(ground, Engine(&db).ExecuteRdb(q).relation);
+}
+
+TEST(Ground, ParallelBuildIsByteIdentical) {
+  // A chain whose root has 8000 candidate rows: it splits at every cap
+  // above 1 (into 4, 6 and 7 morsels at caps 2, 3 and 8).
+  auto chain = MakeKeyForeignKeyChain(8000, 16000, 24000, 1).db;
+  const std::vector<uint64_t> split = ExpectSqlSameAtEveryThreadCap(
+      *chain, std::string("SELECT *") + testing_util::kChainJoin);
+  EXPECT_EQ(split[0], 1u);
+  for (size_t i = 1; i < split.size(); ++i) EXPECT_GT(split[i], 1u);
+
+  // Constant predicates: no order of a customer past 2000 survives, so
+  // the morsels over those customers come back empty; then nothing
+  // survives at all.
+  const std::vector<uint64_t> partly = ExpectSqlSameAtEveryThreadCap(
+      *chain,
+      std::string("SELECT *") + testing_util::kChainJoin + " AND o_ck <= 2000");
+  EXPECT_GT(partly.back(), 1u);
+  ExpectSqlSameAtEveryThreadCap(
+      *chain,
+      std::string("SELECT *") + testing_util::kChainJoin + " AND qty > 1000");
+
+  // A star S(sa, sb) |x| T(tb, tc) on b whose root has 32 values, each
+  // with 64 rows per side: morsels cut between values, never inside one.
+  Database star;
+  const RelId s = star.CreateRelation("S", {"sa", "sb"});
+  const RelId t = star.CreateRelation("T", {"tb", "tc"});
+  for (int64_t i = 1; i <= 2048; ++i) {
+    star.Insert(s, {i, i % 32});
+    star.Insert(t, {(i * 7) % 32, i});
+  }
+  const std::vector<uint64_t> star_morsels =
+      ExpectSqlSameAtEveryThreadCap(star, "SELECT * FROM S, T WHERE sb = tb");
+  EXPECT_GT(star_morsels.back(), 1u);
+
+  // A two-root forest, R x P: the first root splits, the second is built
+  // after it in one piece.
+  Relation r({0});
+  Relation p({1});
+  Relation product({0, 1});
+  for (Value i = 1; i <= 4096; ++i) {
+    r.AddTuple({i});
+    for (Value j = 1; j <= 3; ++j) product.AddTuple({i, j});
+  }
+  for (Value j = 1; j <= 3; ++j) p.AddTuple({j});
+  FTree forest;
+  const int nr = forest.NewNode(AttrSet::Of({0}), AttrSet::Of({0}),
+                                RelSet::Of({0}), RelSet::Of({0}));
+  const int np = forest.NewNode(AttrSet::Of({1}), AttrSet::Of({1}),
+                                RelSet::Of({1}), RelSet::Of({1}));
+  forest.AttachRoot(nr);
+  forest.AttachRoot(np);
+  const std::vector<uint64_t> forest_morsels = ExpectSameAtEveryThreadCap(
+      [&](int threads, QueryTrace* trace) {
+        return GroundQuery(forest, {&r, &p}, {}, trace, {}, threads);
+      },
+      product);
+  EXPECT_GT(forest_morsels.back(), 1u);
+
+  // One root value holds almost every row: its block cannot be split.
+  Relation skew({0, 1});
+  for (Value i = 1; i <= 4000; ++i) skew.AddTuple({1, i});
+  for (Value i = 2; i <= 9; ++i) skew.AddTuple({i, i});
+  for (uint64_t m : ExpectSameAtEveryThreadCap(
+           [&](int threads, QueryTrace* trace) {
+             return GroundQuery(PathFTree({0, 1}, 0), {&skew}, {}, trace, {},
+                                threads);
+           },
+           skew)) {
+    EXPECT_EQ(m, 1u);
+  }
 }
 
 }  // namespace

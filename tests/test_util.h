@@ -137,6 +137,18 @@ inline bool SameRelation(const FRep& rep, const Relation& flat) {
   return SameRelation(MaterializeVisible(rep), flat);
 }
 
+// The join of bench_util's MakeKeyForeignKeyChain, as SQL.
+inline constexpr const char* kChainJoin =
+    " FROM Customer, Orders, Lineitem WHERE ck = o_ck AND ok = l_ok";
+
+// The rows of the "ground-build" span of `trace`: the build's morsel count.
+inline uint64_t GroundMorsels(const QueryTrace& trace) {
+  for (const QueryTrace::Span& s : trace.spans()) {
+    if (s.name == "ground-build") return s.rows;
+  }
+  return 0;
+}
+
 // True iff `trace` recorded a span called `name`.
 inline bool HasSpan(const QueryTrace& trace, const std::string& name) {
   for (const QueryTrace::Span& s : trace.spans()) {

@@ -13,12 +13,14 @@
 
 #include "api/database.h"
 #include "api/engine.h"
+#include "bench_util/workload.h"
 #include "common/trace.h"
 #include "common/types.h"
 #include "core/ground.h"
 #include "core/kernel.h"
 #include "core/parallel_enumerate.h"
 #include "sql/parser.h"
+#include "test_util.h"
 
 namespace fdb {
 namespace {
@@ -350,6 +352,29 @@ TEST(EngineTrace, WarmGroundPreparesNothing) {
     EXPECT_EQ(prepare.has_bytes, cold);
     EXPECT_EQ(prepare.rows, 3u + 2u);  // orders + stock in the North
   }
+}
+
+// The ground-build span counts the build's morsels: one for a small
+// query, several for the 100k chain at four threads.
+TEST(EngineTrace, GroundBuildRecordsMorsels) {
+  Database db;
+  LoadDemo(&db);
+  Engine engine(&db);
+  QueryTrace small;
+  engine.EvaluateFlat(
+      engine.Parse("SELECT * FROM orders, stock WHERE item = sitem"), nullptr,
+      &small);
+  EXPECT_EQ(testing_util::GroundMorsels(small), 1u);
+
+  auto chain = MakeKeyForeignKeyChain(10001, 25001, 100000, 1).db;
+  EngineOptions opts;
+  opts.enumerate.threads = 4;
+  Engine parallel(chain.get(), opts);
+  QueryTrace big;
+  parallel.EvaluateFlat(
+      parallel.Parse(std::string("SELECT *") + testing_util::kChainJoin),
+      nullptr, &big);
+  EXPECT_GT(testing_util::GroundMorsels(big), 1u);
 }
 
 TEST(EngineTrace, ExplainAnalyzeExecute) {
