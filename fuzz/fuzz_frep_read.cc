@@ -9,13 +9,19 @@
 //     overlap) — run here unconditionally, not just in FDB_VALIDATE
 //     builds;
 //   * an accepted representation round-trips through WriteFRep/ReadFRep to
-//     a byte-identical fixpoint, and its tuple-count DP terminates.
+//     a byte-identical fixpoint;
+//   * every pass of FRep::SweepBottomUp terminates (SubtreeTupleCounts with
+//     and without the visible mask, NumValues, NumSingletons), and on small
+//     reps (at most 1e4 tuples) CountTuples equals the TupleEnumerator
+//     count.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/enumerate.h"
 #include "core/frep.h"
 #include "core/serialize.h"
 #include "core/validate.h"
@@ -26,7 +32,23 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     std::istringstream in(text);
     fdb::FRep rep = fdb::ReadFRep(in);
     fdb::ValidateDeep(rep);
-    (void)rep.CountTuples();
+    const std::vector<char> keep = fdb::VisibleKeepMask(rep.tree());
+    (void)rep.SubtreeTupleCounts();
+    (void)rep.SubtreeTupleCounts(&keep);
+    (void)rep.NumValues();
+    (void)rep.NumSingletons();
+    const double count = rep.CountTuples();
+    if (count <= 1e4) {
+      double enumerated = 0;
+      for (fdb::TupleEnumerator en(rep); en.Next();) ++enumerated;
+      if (enumerated != count) {
+        std::fprintf(stderr,
+                     "fuzz_frep_read: CountTuples %.0f but %.0f tuples "
+                     "enumerated\n",
+                     count, enumerated);
+        std::abort();
+      }
+    }
 
     std::ostringstream first;
     fdb::WriteFRep(first, rep);

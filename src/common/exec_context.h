@@ -5,7 +5,7 @@
 // Why ambient (thread-local) rather than a parameter: the probe sites live
 // in the hottest inner loops of the engine — FRep arena commits
 // (core/frep.h), the leapfrog grounding loop (core/ground.cc), compiled
-// kernel runs (core/kernel.cc), the CountTuples DP — and several of them
+// kernel runs (core/kernel.cc), FRep::SweepBottomUp — and several of them
 // (UnionBuilder::Finish, FRep::CommitUnion) have no context parameter to
 // thread one through. A query binds its context with an ExecContext::Scope
 // on the evaluating thread; ParallelEnumerator and the grounding build

@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -125,6 +126,11 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
     state->cv.Wait(state->mu);
   }
   if (state->error != nullptr) std::rethrow_exception(state->error);
+}
+
+int ResolveThreads(int threads) {
+  if (threads > 0) return threads;
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -30,6 +30,12 @@
 
 namespace fdb {
 
+/// The thread count a `threads` knob asks for: itself when positive, else
+/// (0 = one per hardware thread) std::thread::hardware_concurrency(), at
+/// least 1. The hardware is asked only in that case: the query costs
+/// microseconds, which shows on tiny queries.
+int ResolveThreads(int threads);
+
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).

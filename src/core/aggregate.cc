@@ -5,7 +5,6 @@
 #include <span>
 #include <unordered_set>
 
-#include "common/exec_context.h"
 #include "core/enumerate.h"
 #include "core/ops.h"
 #include "core/validate.h"
@@ -43,44 +42,38 @@ struct CountSum {
   double sum = 0.0;
 };
 
-CountSum SolveUnion(const FRep& rep, uint32_t id, AttrId attr,
-                    std::vector<CountSum>& memo, std::vector<char>& done) {
-  if (done[id]) return memo[id];
-  UnionRef un = rep.u(id);
-  const FTreeNode& nd = rep.tree().node(un.node());
-  const size_t k = nd.children.size();
-  const bool has_attr = nd.attrs.Contains(attr);
-
-  CountSum out;
-  for (size_t e = 0; e < un.size(); ++e) {
-    uint64_t prod = 1;
-    double weighted = 0.0;  // sum_j s_j * prod_{j' != j} c_{j'}
-    for (size_t j = 0; j < k; ++j) {
-      CountSum c = SolveUnion(rep, un.Child(e, j, k), attr, memo, done);
-      weighted = weighted * static_cast<double>(c.count) +
-                 c.sum * static_cast<double>(prod);
-      prod = MulCount(prod, c.count);
-    }
-    out.count = AddCount(out.count, prod);
-    out.sum += weighted;
-    if (has_attr) {
-      out.sum += static_cast<double>(un.value(e)) * static_cast<double>(prod);
-    }
-  }
-  memo[id] = out;
-  done[id] = 1;
-  return out;
-}
-
-// Combines the forest roots (a product): count multiplies; the sum of attr
-// over a product is sum_i s_i * prod_{i' != i} c_{i'} — attr lives in
-// exactly one root tree, so only one s_i is non-zero.
+// Solves every reachable union in one FRep::SweepBottomUp, then combines
+// the forest roots (a product): count multiplies; the sum of attr over a
+// product is sum_i s_i * prod_{i' != i} c_{i'} — attr lives in exactly one
+// root tree, so only one s_i is non-zero.
 CountSum SolveForest(const FRep& rep, AttrId attr) {
   std::vector<CountSum> memo(rep.NumUnions());
-  std::vector<char> done(rep.NumUnions(), 0);
+  rep.SweepBottomUp([&](int node, uint32_t id) {
+    const UnionRef un = rep.u(id);
+    const FTreeNode& nd = rep.tree().node(node);
+    const size_t k = nd.children.size();
+    const bool has_attr = nd.attrs.Contains(attr);
+    CountSum out;
+    for (size_t e = 0; e < un.size(); ++e) {
+      uint64_t prod = 1;
+      double weighted = 0.0;  // sum_j s_j * prod_{j' != j} c_{j'}
+      for (size_t j = 0; j < k; ++j) {
+        const CountSum& c = memo[un.Child(e, j, k)];
+        weighted = weighted * static_cast<double>(c.count) +
+                   c.sum * static_cast<double>(prod);
+        prod = MulCount(prod, c.count);
+      }
+      out.count = AddCount(out.count, prod);
+      out.sum += weighted;
+      if (has_attr) {
+        out.sum += static_cast<double>(un.value(e)) * static_cast<double>(prod);
+      }
+    }
+    memo[id] = out;
+  });
   CountSum total{1, 0.0};
   for (uint32_t r : rep.roots()) {
-    CountSum c = SolveUnion(rep, r, attr, memo, done);
+    const CountSum& c = memo[r];
     total.sum = total.sum * static_cast<double>(c.count) +
                 c.sum * static_cast<double>(total.count);
     total.count = MulCount(total.count, c.count);
@@ -94,21 +87,19 @@ int NodeOfAttr(const FRep& rep, AttrId attr) {
   return n;
 }
 
+// Calls fn(union) for every reachable union of `node`: one sweep pruned to
+// the f-tree path from a root down to `node`.
 template <typename Fn>
-void ForEachUnionOfNode(const FRep& rep, int node, Fn fn) {
-  std::vector<char> seen(rep.NumUnions(), 0);
-  std::vector<uint32_t> stack(rep.roots().begin(), rep.roots().end());
-  while (!stack.empty()) {
-    uint32_t id = stack.back();
-    stack.pop_back();
-    if (seen[id]) continue;
-    seen[id] = 1;
-    UnionRef un = rep.u(id);
-    if (un.node() == node) fn(un);
-    for (size_t i = 0; i < un.num_children(); ++i) {
-      stack.push_back(un.child(i));
-    }
+void SweepUnionsOf(const FRep& rep, int node, Fn fn) {
+  std::vector<char> path(rep.tree().pool_size(), 0);
+  for (int n = node; n != -1; n = rep.tree().node(n).parent) {
+    path[static_cast<size_t>(n)] = 1;
   }
+  rep.SweepBottomUp(
+      [&](int n, uint32_t id) {
+        if (n == node) fn(rep.u(id));
+      },
+      &path);
 }
 
 }  // namespace
@@ -132,7 +123,7 @@ Value Min(const FRep& rep, AttrId attr) {
   int node = NodeOfAttr(rep, attr);
   FDB_CHECK_MSG(!rep.empty(), "MIN over the empty relation");
   Value best = std::numeric_limits<Value>::max();
-  ForEachUnionOfNode(rep, node, [&](const UnionRef& un) {
+  SweepUnionsOf(rep, node, [&](const UnionRef& un) {
     best = std::min(best, un.value(0));  // values are sorted
   });
   return best;
@@ -142,7 +133,7 @@ Value Max(const FRep& rep, AttrId attr) {
   int node = NodeOfAttr(rep, attr);
   FDB_CHECK_MSG(!rep.empty(), "MAX over the empty relation");
   Value best = std::numeric_limits<Value>::min();
-  ForEachUnionOfNode(rep, node, [&](const UnionRef& un) {
+  SweepUnionsOf(rep, node, [&](const UnionRef& un) {
     best = std::max(best, un.value(un.size() - 1));
   });
   return best;
@@ -152,7 +143,7 @@ size_t CountDistinct(const FRep& rep, AttrId attr) {
   int node = NodeOfAttr(rep, attr);
   if (rep.empty()) return 0;
   std::unordered_set<Value> seen;
-  ForEachUnionOfNode(rep, node, [&](const UnionRef& un) {
+  SweepUnionsOf(rep, node, [&](const UnionRef& un) {
     seen.insert(un.values(), un.values() + un.size());
   });
   return seen.size();
@@ -203,10 +194,9 @@ FRep RestructureForGrouping(const FRep& in, AttrSet group_attrs,
   }
 }
 
-// Memoised multi-spec statistics of whole sub-representations (the parts
-// below the grouping frontier and the global root trees): tuple count plus
-// per-spec sum/min/max of the spec's attribute. One pass over each
-// reachable union, shared subtrees solved once.
+// Multi-spec statistics of whole sub-representations (the parts below the
+// grouping frontier and the global root trees): tuple count plus per-spec
+// sum/min/max of the spec's attribute, per union.
 struct CollapseCtx {
   const FRep& rep;
   const std::vector<AggSpec>& specs;
@@ -215,82 +205,54 @@ struct CollapseCtx {
   // when absent from the subtree (or spec j is COUNT).
   std::vector<std::vector<int>> spec_slot;
 
-  std::vector<char> done;
   std::vector<uint64_t> count;  ///< [union]
   std::vector<double> sum;      ///< [spec * NumUnions + union]
   std::vector<Value> mn, mx;    ///< [spec * NumUnions + union]
 };
 
-// Iterative post-order (shared subtrees solved once); the memo arrays of
-// `c` start zeroed / at the min-max sentinels, so stats accumulate into
-// the owning union's slots directly.
-void SolveStats(CollapseCtx& c, uint32_t root) {
-  if (c.done[root]) return;
+// Solves union `id` of `node` from its children's statistics (one step of
+// the FRep::SweepBottomUp collapse). The memo arrays of `c` start zeroed /
+// at the min-max sentinels, so stats accumulate into the owning union's
+// slots directly; `weighted` is per-spec scratch.
+void SolveStats(CollapseCtx& c, int node, uint32_t id,
+                std::vector<double>& weighted) {
   const size_t ns = c.specs.size();
   const size_t nu = c.rep.NumUnions();
-  std::vector<uint32_t> stack{root};
-  std::vector<double> weighted(ns);
-  // Governance probe: the aggregate collapse visits every reachable union,
-  // same cancellation window as the CountTuples DP.
-  ExecContext* const ctx = ExecContext::Current();
-  uint32_t tick = 0;
-  while (!stack.empty()) {
-    if (ctx != nullptr && (++tick & 255u) == 0) ctx->CheckCancelled();
-    uint32_t id = stack.back();
-    if (c.done[id]) {
-      stack.pop_back();
-      continue;
-    }
-    UnionRef un = c.rep.u(id);
-    bool ready = true;
-    const uint32_t* kids = un.children();
-    for (size_t i = 0; i < un.num_children(); ++i) {
-      if (!c.done[kids[i]]) {
-        if (ready) ready = false;
-        stack.push_back(kids[i]);
-      }
-    }
-    if (!ready) continue;
-
-    const FTreeNode& nd = c.rep.tree().node(un.node());
-    const size_t k = nd.children.size();
-    const std::vector<int>& slot =
-        c.spec_slot[static_cast<size_t>(un.node())];
-    uint64_t total_count = 0;
-    for (size_t e = 0; e < un.size(); ++e) {
-      uint64_t prod = 1;
-      std::fill(weighted.begin(), weighted.end(), 0.0);
-      for (size_t j = 0; j < k; ++j) {
-        uint32_t ch = un.Child(e, j, k);
-        for (size_t s = 0; s < ns; ++s) {
-          weighted[s] = weighted[s] * static_cast<double>(c.count[ch]) +
-                        c.sum[s * nu + ch] * static_cast<double>(prod);
-        }
-        prod = MulCount(prod, c.count[ch]);
-      }
-      total_count = AddCount(total_count, prod);
+  const UnionRef un = c.rep.u(id);
+  const size_t k = c.rep.tree().node(node).children.size();
+  const std::vector<int>& slot = c.spec_slot[static_cast<size_t>(node)];
+  uint64_t total_count = 0;
+  for (size_t e = 0; e < un.size(); ++e) {
+    uint64_t prod = 1;
+    std::fill(weighted.begin(), weighted.end(), 0.0);
+    for (size_t j = 0; j < k; ++j) {
+      uint32_t ch = un.Child(e, j, k);
       for (size_t s = 0; s < ns; ++s) {
-        c.sum[s * nu + id] += weighted[s];
-        if (slot[s] == -1) {
-          c.sum[s * nu + id] += static_cast<double>(un.value(e)) *
-                                static_cast<double>(prod);
-        } else if (slot[s] >= 0) {
-          uint32_t ch = un.Child(e, static_cast<size_t>(slot[s]), k);
-          c.mn[s * nu + id] = std::min(c.mn[s * nu + id], c.mn[s * nu + ch]);
-          c.mx[s * nu + id] = std::max(c.mx[s * nu + id], c.mx[s * nu + ch]);
-        }
+        weighted[s] = weighted[s] * static_cast<double>(c.count[ch]) +
+                      c.sum[s * nu + ch] * static_cast<double>(prod);
       }
+      prod = MulCount(prod, c.count[ch]);
     }
+    total_count = AddCount(total_count, prod);
     for (size_t s = 0; s < ns; ++s) {
+      c.sum[s * nu + id] += weighted[s];
       if (slot[s] == -1) {
-        c.mn[s * nu + id] = un.value(0);  // values are sorted
-        c.mx[s * nu + id] = un.value(un.size() - 1);
+        c.sum[s * nu + id] += static_cast<double>(un.value(e)) *
+                              static_cast<double>(prod);
+      } else if (slot[s] >= 0) {
+        uint32_t ch = un.Child(e, static_cast<size_t>(slot[s]), k);
+        c.mn[s * nu + id] = std::min(c.mn[s * nu + id], c.mn[s * nu + ch]);
+        c.mx[s * nu + id] = std::max(c.mx[s * nu + id], c.mx[s * nu + ch]);
       }
     }
-    c.count[id] = total_count;
-    c.done[id] = 1;
-    stack.pop_back();
   }
+  for (size_t s = 0; s < ns; ++s) {
+    if (slot[s] == -1) {
+      c.mn[s * nu + id] = un.value(0);  // values are sorted
+      c.mx[s * nu + id] = un.value(un.size() - 1);
+    }
+  }
+  c.count[id] = total_count;
 }
 
 }  // namespace
@@ -570,8 +532,8 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
     return out;
   }
 
-  // Collapse context (per-node spec routing plus the memoised DP).
-  CollapseCtx ctx{cur, out.specs, {}, {}, {}, {}, {}, {}};
+  // Collapse context (per-node spec routing plus the per-union stats).
+  CollapseCtx ctx{cur, out.specs, {}, {}, {}, {}, {}};
   ctx.spec_slot.assign(t.pool_size(), std::vector<int>(ns, -2));
   for (int n : t.AliveNodes()) {
     const FTreeNode& nd = t.node(n);
@@ -591,11 +553,16 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
     }
   }
   const size_t nu = cur.NumUnions();
-  ctx.done.assign(nu, 0);
   ctx.count.assign(nu, 0);
   ctx.sum.assign(ns * nu, 0.0);
   ctx.mn.assign(ns * nu, std::numeric_limits<Value>::max());
   ctx.mx.assign(ns * nu, std::numeric_limits<Value>::min());
+  // One sweep collapses every reachable non-group union: the subtrees
+  // below the grouping frontier and the global root trees.
+  std::vector<double> weighted(ns);
+  cur.SweepBottomUp([&](int n, uint32_t id) {
+    if (!is_group[static_cast<size_t>(n)]) SolveStats(ctx, n, id, weighted);
+  });
 
   // Global root trees (no grouping class anywhere): collapse each whole
   // tree and pair-combine into the global multipliers.
@@ -603,7 +570,6 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
     int rn = t.roots()[i];
     if (is_group[static_cast<size_t>(rn)]) continue;
     uint32_t rid = cur.roots()[i];
-    SolveStats(ctx, rid);
     for (size_t s = 0; s < ns; ++s) {
       out.global_sum[s] =
           out.global_sum[s] * static_cast<double>(ctx.count[rid]) +
@@ -662,7 +628,6 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
       std::fill(esum.begin(), esum.end(), 0.0);
       for (size_t j : rslots) {
         uint32_t ch = un.Child(e, j, k);
-        SolveStats(ctx, ch);
         for (size_t s = 0; s < ns; ++s) {
           esum[s] = esum[s] * static_cast<double>(ctx.count[ch]) +
                     ctx.sum[s * nu + ch] * static_cast<double>(cnt);

@@ -16,7 +16,7 @@
 //      nodes, so the grouping classes become an upper fragment of the
 //      f-tree ("aggregations compatible with the f-tree order"). Among the
 //      applicable swaps the cheapest next tree by s(T) is chosen greedily.
-//   2. collapse — one linear pass over the union arenas replaces every
+//   2. collapse — one FRep::SweepBottomUp over the union DAG replaces every
 //      subtree hanging below the grouping frontier by its aggregate
 //      statistics (tuple count, per-attribute sum/min/max), attached to
 //      the union entry that owned the subtree. Root trees containing no
@@ -66,7 +66,8 @@ double Avg(const FRep& rep, AttrId attr);
 
 /// MIN/MAX(attr); throw FdbError on the empty relation. Every reachable
 /// union participates in at least one tuple (no-empty-unions invariant), so
-/// these are single passes over the unions of the attribute's node.
+/// these read the reachable unions of the attribute's node: one
+/// FRep::SweepBottomUp pruned to the f-tree path down to that node.
 Value Min(const FRep& rep, AttrId attr);
 Value Max(const FRep& rep, AttrId attr);
 

@@ -6,29 +6,6 @@
 
 namespace fdb {
 
-namespace {
-
-// Operators may leave unreachable (dropped-entry or abandoned) unions in the
-// header table, so statistics walk only what the roots reach; shared unions
-// count once.
-template <typename Fn>
-void ForEachReachable(const FRep& rep, Fn fn) {
-  std::vector<char> seen(rep.NumUnions(), 0);
-  std::vector<uint32_t> stack(rep.roots().begin(), rep.roots().end());
-  while (!stack.empty()) {
-    uint32_t id = stack.back();
-    stack.pop_back();
-    if (seen[id]) continue;
-    seen[id] = 1;
-    UnionRef un = rep.u(id);
-    fn(un);
-    const uint32_t* kids = un.children();
-    for (size_t i = 0; i < un.num_children(); ++i) stack.push_back(kids[i]);
-  }
-}
-
-}  // namespace
-
 void FRep::MarkEmpty() {
   FDB_CHECK_MSG(scratch_top_ == 0, "MarkEmpty with open builders");
   empty_ = true;
@@ -101,20 +78,52 @@ void FRep::AppendUnions(const std::vector<const FRep*>& segs,
   }
 }
 
+std::vector<uint32_t> FRep::ReachableTopDown(
+    const std::vector<char>* keep) const {
+  std::vector<uint32_t> order;
+  if (empty_) return order;
+  const auto kept = [keep](int n) {
+    return keep == nullptr || (*keep)[static_cast<size_t>(n)];
+  };
+  std::vector<char> reached(headers_.size(), 0);
+  const auto reach = [&](uint32_t id) {
+    if (reached[id]) return;
+    reached[id] = 1;
+    order.push_back(id);
+  };
+  order.reserve(headers_.size());
+  for (size_t i = 0; i < roots_.size(); ++i) {
+    if (kept(tree_.roots()[i])) reach(roots_[i]);
+  }
+  // Breadth-first: a child union is bound to a child node, one level
+  // deeper, so `order` lists the unions level by level.
+  ExecContext* const ctx = ExecContext::Current();
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (ctx != nullptr && (i & 255u) == 255u) ctx->CheckCancelled();
+    const UnionHeader h = headers_[order[i]];
+    const std::vector<int>& ch = tree_.node(h.node).children;
+    const uint32_t* kids = children_.data() + h.child_off;
+    for (size_t e = 0; e < h.len; ++e, kids += ch.size()) {
+      for (size_t j = 0; j < ch.size(); ++j) {
+        if (kept(ch[j])) reach(kids[j]);
+      }
+    }
+  }
+  return order;
+}
+
 size_t FRep::NumSingletons() const {
-  if (empty_) return 0;
   size_t total = 0;
-  ForEachReachable(*this, [&](const UnionRef& un) {
-    total += un.size() *
-             static_cast<size_t>(tree_.node(un.node()).visible.Size());
+  SweepBottomUp([&](int node, uint32_t id) {
+    total += header(id).len *
+             static_cast<size_t>(tree_.node(node).visible.Size());
   });
   return total;
 }
 
 size_t FRep::NumValues() const {
-  if (empty_) return 0;
   size_t total = 0;
-  ForEachReachable(*this, [&](const UnionRef& un) { total += un.size(); });
+  SweepBottomUp([&](int /*node*/, uint32_t id) { total += header(id).len; });
   return total;
 }
 
@@ -133,65 +142,31 @@ size_t FRep::MemoryBytes() const {
 
 namespace {
 
-// Shared iterative post-order DP over the union DAG (operators may share
-// subtrees, e.g. push-up hoists one copy). `Num` is the accumulator type;
-// `mul`/`add` fold two values and return false on saturation, which aborts
-// the whole pass.
-template <typename Num, typename Mul, typename Add>
-bool CountDp(const FRep& rep, Num one, Mul mul, Add add, Num* out) {
-  std::vector<Num> memo(rep.NumUnions(), Num{});
-  std::vector<char> done(rep.NumUnions(), 0);
-  std::vector<uint32_t> stack(rep.roots().begin(), rep.roots().end());
-  // Governance probe: the DP touches every reachable union, so large reps
-  // make it a cancellation window in its own right.
-  ExecContext* const ctx = ExecContext::Current();
-  uint32_t tick = 0;
-  while (!stack.empty()) {
-    if (ctx != nullptr && (++tick & 255u) == 0) ctx->CheckCancelled();
-    uint32_t id = stack.back();
-    UnionRef un = rep.u(id);
-    if (done[id]) {
-      stack.pop_back();
-      continue;
-    }
-    bool ready = true;
-    const uint32_t* kids = un.children();
-    for (size_t i = 0; i < un.num_children(); ++i) {
-      if (!done[kids[i]]) {
-        if (ready) ready = false;
-        stack.push_back(kids[i]);
+// The CountTuples DP in uint64_t; false when a count overflows.
+bool TryCountU64(const FRep& rep, uint64_t* out) {
+  std::vector<uint64_t> memo(rep.NumUnions(), 0);
+  bool overflow = false;
+  rep.SweepBottomUp([&](int node, uint32_t id) {
+    if (overflow) return;
+    const UnionRef un = rep.u(id);
+    const size_t k = rep.tree().node(node).children.size();
+    uint64_t total = 0;
+    for (size_t e = 0; e < un.size() && !overflow; ++e) {
+      uint64_t prod = 1;
+      for (size_t j = 0; j < k && !overflow; ++j) {
+        overflow = U64MulOverflow(prod, memo[un.Child(e, j, k)], &prod);
       }
-    }
-    if (!ready) continue;
-    const size_t k = rep.tree().node(un.node()).children.size();
-    Num total{};
-    for (size_t e = 0; e < un.size(); ++e) {
-      Num prod = one;
-      for (size_t j = 0; j < k; ++j) {
-        if (!mul(prod, memo[un.Child(e, j, k)], &prod)) return false;
-      }
-      if (!add(total, prod, &total)) return false;
+      overflow = overflow || U64AddOverflow(total, prod, &total);
     }
     memo[id] = total;
-    done[id] = 1;
-    stack.pop_back();
-  }
-  Num result = one;
+  });
+  if (overflow) return false;
+  uint64_t result = 1;
   for (uint32_t r : rep.roots()) {
-    if (!mul(result, memo[r], &result)) return false;
+    if (U64MulOverflow(result, memo[r], &result)) return false;
   }
   *out = result;
   return true;
-}
-
-bool TryCountU64(const FRep& rep, uint64_t* out) {
-  auto mul = [](uint64_t a, uint64_t b, uint64_t* o) {
-    return !U64MulOverflow(a, b, o);
-  };
-  auto add = [](uint64_t a, uint64_t b, uint64_t* o) {
-    return !U64AddOverflow(a, b, o);
-  };
-  return CountDp<uint64_t>(rep, 1, mul, add, out);
 }
 
 }  // namespace
@@ -211,72 +186,37 @@ double FRep::CountTuples(bool* exact) const {
     }
     return d;
   }
-  // Saturated uint64: fall back to (approximate) double accumulation.
+  // Saturated uint64: the (approximate) double counts, folded over roots.
   if (exact != nullptr) *exact = false;
-  auto mul = [](double a, double b, double* o) {
-    *o = a * b;
-    return true;
-  };
-  auto add = [](double a, double b, double* o) {
-    *o = a + b;
-    return true;
-  };
-  double approx = 0.0;
-  CountDp<double>(*this, 1.0, mul, add, &approx);
+  const std::vector<double> counts = SubtreeTupleCounts();
+  double approx = 1.0;
+  for (uint32_t r : roots_) approx *= counts[r];
   return approx;
 }
 
 std::vector<double> FRep::SubtreeTupleCounts(
     const std::vector<char>* keep) const {
   std::vector<double> memo(NumUnions(), 0.0);
-  if (empty_) return memo;
-  // Same iterative post-order walk as CountDp, but keep-masked (skipped
-  // child slots multiply by 1 and are never visited) and with the whole
-  // memo exposed rather than just the root fold.
-  std::vector<char> done(NumUnions(), 0);
-  std::vector<uint32_t> stack;
-  for (size_t i = 0; i < roots_.size(); ++i) {
-    if (keep == nullptr || (*keep)[static_cast<size_t>(tree_.roots()[i])]) {
-      stack.push_back(roots_[i]);
-    }
-  }
-  ExecContext* const ctx = ExecContext::Current();
-  uint32_t tick = 0;
-  while (!stack.empty()) {
-    if (ctx != nullptr && (++tick & 255u) == 0) ctx->CheckCancelled();
-    uint32_t id = stack.back();
-    if (done[id]) {
-      stack.pop_back();
-      continue;
-    }
-    UnionRef un = u(id);
-    const std::vector<int>& ch = tree_.node(un.node()).children;
-    const size_t k = ch.size();
-    bool ready = true;
-    for (size_t e = 0; e < un.size(); ++e) {
-      for (size_t j = 0; j < k; ++j) {
-        if (keep != nullptr && !(*keep)[static_cast<size_t>(ch[j])]) continue;
-        uint32_t c = un.Child(e, j, k);
-        if (!done[c]) {
-          if (ready) ready = false;
-          stack.push_back(c);
+  // Skipped child slots multiply by 1; the sweep never reaches them.
+  SweepBottomUp(
+      [&](int node, uint32_t id) {
+        const UnionRef un = u(id);
+        const std::vector<int>& ch = tree_.node(node).children;
+        const size_t k = ch.size();
+        double total = 0.0;
+        for (size_t e = 0; e < un.size(); ++e) {
+          double prod = 1.0;
+          for (size_t j = 0; j < k; ++j) {
+            if (keep != nullptr && !(*keep)[static_cast<size_t>(ch[j])]) {
+              continue;
+            }
+            prod *= memo[un.Child(e, j, k)];
+          }
+          total += prod;
         }
-      }
-    }
-    if (!ready) continue;
-    double total = 0.0;
-    for (size_t e = 0; e < un.size(); ++e) {
-      double prod = 1.0;
-      for (size_t j = 0; j < k; ++j) {
-        if (keep != nullptr && !(*keep)[static_cast<size_t>(ch[j])]) continue;
-        prod *= memo[un.Child(e, j, k)];
-      }
-      total += prod;
-    }
-    memo[id] = total;
-    done[id] = 1;
-    stack.pop_back();
-  }
+        memo[id] = total;
+      },
+      keep);
   return memo;
 }
 

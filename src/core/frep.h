@@ -24,7 +24,9 @@
 // recursion that drives them: a child subtree is fully committed before its
 // parent finishes, so each committed union occupies one contiguous window.
 // Abandon() discards a union that turned out empty; its header stays as an
-// unreachable zero-length stub, which walkers skip by reachability.
+// unreachable zero-length stub. Operators also leave committed unions that
+// nothing references (SelectConst drops entries), so every pass over the
+// union DAG visits only what the roots reach: SweepBottomUp.
 //
 // Invariants (checked by Validate(), preserved by every operator):
 //   * values within a union are strictly increasing (the paper's order
@@ -33,6 +35,13 @@
 //     propagates to the whole representation (`empty()`);
 //   * the child count of every entry equals the f-tree node's child count,
 //     and child unions belong to the corresponding child f-tree nodes.
+//
+// Union ids carry no order: a shared union can sit below one parent's id
+// and above another's (memoised copies and WriteFRep's renumbering produce
+// both). The order every pass relies on comes from the last invariant
+// instead: a child union is bound to a child f-tree node, one level deeper
+// than its parents' node, so the unions graded by the depth of their node
+// and visited deepest level first come children before parents.
 //
 // The empty relation over any tree is representable (empty() == true); the
 // nullary relation <> is the non-empty representation over the empty forest.
@@ -290,25 +299,42 @@ class FRep {
   /// the allocator actually handed out, not just live data).
   size_t MemoryBytes() const;
 
+  /// Calls fn(node, id) once for every union reachable from the roots,
+  /// children before parents: a breadth-first pass from the roots grades
+  /// the reachable unions by the depth of their f-tree node (see the
+  /// header comment), and `fn` receives them deepest level first, in
+  /// reverse discovery order (no order is promised within one level).
+  /// When `keep` is given (indexed by f-tree node id, closed under
+  /// parents), masked nodes and everything below them are pruned.
+  /// Abandoned stubs and unreferenced unions are never visited. The one
+  /// pass over the union DAG: counts, statistics and aggregates all fold
+  /// through it, and it holds their governance probe (the ambient
+  /// ExecContext's CheckCancelled every 256 unions). Trusts the child
+  /// binding, so the validators keep their own walks.
+  template <typename Fn>
+  void SweepBottomUp(Fn&& fn, const std::vector<char>* keep = nullptr) const;
+
   /// Number of represented tuples (over all attributes, visible or not),
-  /// by dynamic programming over the union DAG. The DP accumulates in
-  /// uint64_t, so the count is computed exactly whenever it fits 64 bits;
-  /// past that it falls back to double accumulation. When `exact` is given
-  /// it is set to true iff the returned double equals the true count.
+  /// by dynamic programming over the union DAG (SweepBottomUp). The DP
+  /// accumulates in uint64_t, so the count is exact whenever it fits 64
+  /// bits; past that it is the root product of SubtreeTupleCounts(). When
+  /// `exact` is given it is set to true iff the returned double equals the
+  /// true count.
   double CountTuples(bool* exact = nullptr) const;
 
   /// Exact tuple count; throws FdbError when the count overflows uint64_t
   /// (product-heavy representations can exceed 2^64 tuples).
   uint64_t CountTuplesExact() const;
 
-  /// The per-union memo of the CountTuples DP: out[id] = number of tuples
-  /// represented by the subtree rooted at union id, accumulated in double
-  /// (exact below 2^53). When `keep` is given (indexed by f-tree node id,
-  /// closed under parents), child slots whose node is masked out
+  /// The per-union tuple counts of one SweepBottomUp: out[id] = number of
+  /// tuples represented by the subtree rooted at union id, accumulated in
+  /// double (exact below 2^53). When `keep` is given (indexed by f-tree
+  /// node id, closed under parents), child slots whose node is masked out
   /// contribute factor 1 — the count of the enumeration stream restricted
-  /// to kept frames (TupleEnumerator's visible_only mode). Unreachable
-  /// unions stay 0. Feeds the morsel planner in core/parallel_enumerate.h
-  /// and the output reservation of MaterializeVisible.
+  /// to kept frames (TupleEnumerator's visible_only mode). Unions the
+  /// sweep does not reach (abandoned stubs, unreferenced unions, unions
+  /// below a masked node) read 0. Feeds the morsel planner in
+  /// core/parallel_enumerate.h and CountTuples past 2^64.
   std::vector<double> SubtreeTupleCounts(
       const std::vector<char>* keep = nullptr) const;
 
@@ -321,6 +347,10 @@ class FRep {
   using Scratch = UnionBuilder::Scratch;
 
   const UnionHeader& header(uint32_t id) const { return headers_[id]; }
+
+  /// SweepBottomUp's grading: the reachable union ids in breadth-first
+  /// order from the roots (shallower f-tree levels first).
+  std::vector<uint32_t> ReachableTopDown(const std::vector<char>* keep) const;
 
   Scratch* AcquireScratch();
   void ReleaseScratch(Scratch* s);
@@ -359,6 +389,17 @@ inline const uint32_t* UnionRef::children() const {
 }
 inline size_t UnionRef::arena_offset() const {
   return rep_->header(id_).val_off;
+}
+
+template <typename Fn>
+void FRep::SweepBottomUp(Fn&& fn, const std::vector<char>* keep) const {
+  const std::vector<uint32_t> order = ReachableTopDown(keep);
+  ExecContext* const ctx = ExecContext::Current();
+  for (size_t i = order.size(); i > 0; --i) {
+    if (ctx != nullptr && (i & 255u) == 0) ctx->CheckCancelled();
+    const uint32_t id = order[i - 1];
+    fn(static_cast<int>(headers_[id].node), id);
+  }
 }
 
 // ---- UnionBuilder inline members ----

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "common/exec_context.h"
@@ -164,11 +163,9 @@ RootMorsels PlanRootMorsels(const WalkPlan& plan, int root, int threads) {
   RootMorsels m;
   std::vector<Value> cuts;
   if (threads != 1 && candidates / kMorselRows > 1) {
-    // Asked only here: the hardware query costs microseconds, a small
+    // Resolved only here: asking the hardware costs microseconds, a small
     // build not much more.
-    m.threads = threads > 0 ? threads
-                            : static_cast<int>(std::max(
-                                  1u, std::thread::hardware_concurrency()));
+    m.threads = ResolveThreads(threads);
   }
   if (m.threads > 1) {
     const size_t wanted =

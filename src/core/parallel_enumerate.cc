@@ -4,7 +4,6 @@
 #include <numeric>
 #include <optional>
 #include <span>
-#include <thread>
 #include <utility>
 
 #include "common/exec_context.h"
@@ -20,6 +19,10 @@ namespace {
 // Deep chains of dominating single entries stop splitting here; a morsel
 // can always fall back to "one pinned entry, whole range below".
 constexpr size_t kMaxChainDepth = 16;
+
+// Morsels per thread the planner aims for; more morsels = better load
+// balance, more per-chunk overhead.
+constexpr double kMorselsPerThread = 8;
 
 struct PlanCtx {
   const FRep& rep;
@@ -109,28 +112,41 @@ void SplitFrame(PlanCtx& c, size_t frame, uint32_t union_id, double mult) {
   c.chain_unions.pop_back();
 }
 
-// Length of the (possibly visible-restricted) enumeration stream: the
-// product over kept root trees of their restricted subtree counts.
-double RestrictedTotal(const FRep& rep, const std::vector<char>* keep,
-                       const std::vector<double>& counts) {
+// The sizing pass shared by planning and the cutoff decision: the frame
+// mask of the stream (as per visible_only), its per-union restricted
+// subtree counts, and its length — the product over kept root trees of
+// their restricted counts.
+struct SizedStream {
+  bool visible_only;
+  std::vector<char> keep;  // VisibleKeepMask when visible_only
+  std::vector<double> counts;
   double total = 1.0;
+
+  const std::vector<char>* mask() const {
+    return visible_only ? &keep : nullptr;
+  }
+};
+
+SizedStream SizeStream(const FRep& rep, bool visible_only) {
+  SizedStream s{visible_only, {}, {}};
+  if (visible_only) s.keep = VisibleKeepMask(rep.tree());
+  s.counts = rep.SubtreeTupleCounts(s.mask());
   const std::vector<int>& roots = rep.tree().roots();
   for (size_t i = 0; i < roots.size(); ++i) {
-    if (keep == nullptr || (*keep)[static_cast<size_t>(roots[i])]) {
-      total *= counts[rep.roots()[i]];
+    if (!visible_only || s.keep[static_cast<size_t>(roots[i])]) {
+      s.total *= s.counts[rep.roots()[i]];
     }
   }
-  return total;
+  return s;
 }
 
-// Splits an already-sized stream: `counts`/`keep`/`total` are the pieces
-// the caller has computed (one DP pass shared between the cutoff decision
-// and the planning).
-MorselPlan PlanSizedMorsels(const FRep& rep, const std::vector<char>* keep,
-                            const std::vector<double>& counts, double total,
+// Splits a sized stream into morsels of ~target_tuples each.
+MorselPlan PlanSizedMorsels(const FRep& rep, const SizedStream& s,
                             double target_tuples) {
+  const std::vector<char>* keep = s.mask();
+  const std::vector<double>& counts = s.counts;
   MorselPlan plan;
-  plan.est_total = total;
+  plan.est_total = s.total;
   std::vector<PreOrderFrame> frames = BuildPreOrderFrames(rep.tree(), keep);
   if (frames.empty()) {
     // Nullary stream (one empty tuple): nothing to split over.
@@ -151,16 +167,8 @@ MorselPlan PlanSizedMorsels(const FRep& rep, const std::vector<char>* keep,
 MorselPlan PlanMorsels(const FRep& rep, bool visible_only,
                        double target_tuples) {
   if (rep.empty()) return {};
-  std::vector<char> keep;
-  const std::vector<char>* keep_ptr = nullptr;
-  if (visible_only) {
-    keep = VisibleKeepMask(rep.tree());
-    keep_ptr = &keep;
-  }
-  std::vector<double> counts = rep.SubtreeTupleCounts(keep_ptr);
-  MorselPlan plan = PlanSizedMorsels(rep, keep_ptr, counts,
-                                     RestrictedTotal(rep, keep_ptr, counts),
-                                     target_tuples);
+  MorselPlan plan =
+      PlanSizedMorsels(rep, SizeStream(rep, visible_only), target_tuples);
   FDB_VALIDATE_MORSELS(rep, visible_only, plan);
   return plan;
 }
@@ -169,31 +177,21 @@ ParallelEnumerator::ParallelEnumerator(const FRep& rep, EnumerateOptions opts,
                                        bool visible_only) {
   // Resolve against the hardware, not ThreadPool::Shared(): the shared
   // pool must not be spun up for enumerations that stay sequential.
-  threads_ = opts.threads > 0
-                 ? opts.threads
-                 : static_cast<int>(
-                       std::max(1u, std::thread::hardware_concurrency()));
+  threads_ = ResolveThreads(opts.threads);
   if (rep.empty()) return;  // zero chunks, ForEachChunk is a no-op
   if (threads_ > 1) {
     // One linear pass sizes the stream; below the cutoff the planning and
     // thread handoff are not worth it and the result stays on the caller.
-    std::vector<char> keep;
-    const std::vector<char>* keep_ptr = nullptr;
-    if (visible_only) {
-      keep = VisibleKeepMask(rep.tree());
-      keep_ptr = &keep;
-    }
-    std::vector<double> counts = rep.SubtreeTupleCounts(keep_ptr);
-    const double est = RestrictedTotal(rep, keep_ptr, counts);
-    if (est >= opts.parallel_cutoff) {
+    const SizedStream s = SizeStream(rep, visible_only);
+    if (s.total >= opts.parallel_cutoff) {
       const double target =
           opts.target_morsel_tuples > 0
               ? opts.target_morsel_tuples
-              : std::max(1.0, est / (static_cast<double>(threads_) *
-                                     std::max(1, opts.morsels_per_thread)));
-      plan_ = PlanSizedMorsels(rep, keep_ptr, counts, est, target);
+              : std::max(1.0, s.total / (static_cast<double>(threads_) *
+                                         kMorselsPerThread));
+      plan_ = PlanSizedMorsels(rep, s, target);
     } else {
-      plan_.est_total = est;
+      plan_.est_total = s.total;
     }
   }
   if (plan_.morsels.empty()) {

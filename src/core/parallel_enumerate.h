@@ -9,7 +9,7 @@
 // stream into contiguous, disjoint slices. The planner (PlanMorsels)
 // builds such slices ("morsels", after Leis et al., Morsel-Driven
 // Parallelism, SIGMOD'14 — see PAPERS.md) of bounded estimated output
-// using the per-subtree tuple counts of the CountTuples DP
+// using the per-subtree tuple counts of one FRep::SweepBottomUp
 // (FRep::SubtreeTupleCounts), and ParallelEnumerator schedules one task
 // per morsel on the shared thread pool (common/thread_pool.h) — for
 // MaterializeVisible a bounded run of the compiled kernel (core/kernel.h).
@@ -39,7 +39,8 @@ class EnumKernel;  // core/kernel.h
 /// Knobs of one (possibly parallel) enumeration.
 struct EnumerateOptions {
   /// Maximum threads enumerating concurrently (including the caller).
-  /// 0 = size of the shared pool + 1; 1 = sequential on the caller.
+  /// 0 = one per hardware thread (ResolveThreads, common/thread_pool.h);
+  /// 1 = sequential on the caller.
   int threads = 0;
 
   /// Estimated output (tuples) below which enumeration stays on the
@@ -47,12 +48,8 @@ struct EnumerateOptions {
   /// for small results.
   double parallel_cutoff = 32768;
 
-  /// Morsels per thread the planner aims for; more morsels = better load
-  /// balance, more per-chunk overhead.
-  int morsels_per_thread = 8;
-
-  /// Override of the target tuples per morsel (0 = derived from the total
-  /// estimate, threads and morsels_per_thread). Mainly for tests.
+  /// Override of the target tuples per morsel (0 = the total estimate
+  /// split into a fixed number of morsels per thread). Mainly for tests.
   double target_morsel_tuples = 0;
 };
 

@@ -259,7 +259,7 @@ FRep ReadFRep(std::istream& in) {
   // Reject parent cycles and detached alive nodes: every alive node must be
   // reachable from a root through the children lists. A cyclic parent chain
   // would otherwise pass the shallow Validate() below (every member of the
-  // cycle has a consistent parent) and then hang the CountTuples DP.
+  // cycle has a consistent parent) and then hang every pre-order walk.
   {
     size_t reached = 0;
     std::vector<char> seen(static_cast<size_t>(max_id) + 1, 0);

@@ -119,8 +119,8 @@ void CheckDeep(const FRep& rep) {
   }
 
   // Iterative DFS with an explicit on-path mark: a gray union reached
-  // again through a child edge is a cycle, which the recursive walkers
-  // (CountTuples DP, enumerators) must never be exposed to. Black unions
+  // again through a child edge is a cycle, which the enumerators and
+  // FRep::SweepBottomUp must never be exposed to. Black unions
   // are fully validated; re-reaching them is legal sharing.
   enum : char { kWhite = 0, kGray = 1, kBlack = 2 };
   std::vector<char> color(nu, kWhite);

@@ -5,8 +5,9 @@
 // the representation invariants assuming the arena geometry itself is sane.
 // The validators here assume nothing: they bounds-check every header window
 // against the arenas *before* dereferencing a single value, detect cyclic
-// child references (which would send the CountTuples DP and the enumerators
-// into unbounded recursion long before any shallow check fires), and extend
+// child references (which would send the enumerators into unbounded
+// recursion and break FRep::SweepBottomUp's children-first order long
+// before any shallow check fires), and extend
 // the checks to the derived structures built on top of f-representations —
 // grouped aggregates (GroupedRep) and morsel plans (MorselPlan).
 //

@@ -5,6 +5,7 @@
 #include "core/ground.h"
 #include "core/ops.h"
 #include "opt/ftree_search.h"
+#include "rdb/rdb.h"
 #include "storage/generator.h"
 #include "test_util.h"
 
@@ -173,6 +174,159 @@ TEST(Aggregate, MatchesEnumerationOnGrocery) {
     EXPECT_EQ(Min(res.rep, a), ref.min) << name;
     EXPECT_EQ(Max(res.rep, a), ref.max) << name;
     EXPECT_EQ(CountDistinct(res.rep, a), ref.distinct.size()) << name;
+  }
+}
+
+// A hand-built rep with every shape a pass over the union DAG must get
+// right, over the forest A -> {B -> C, E} plus a second root D. E and D
+// are invisible, so the visible stream masks out a child slot of A and
+// the whole D root. Union ids, in build order:
+//   0  abandoned stub (node C)
+//   1  B {10}      -> C: u2
+//   2  C {5, 6}       shared: id below u3's and above u1's
+//   3  B {20, 30}  -> C: u2, u2
+//   4  C {99}         committed, never referenced (SelectConst's leftover)
+//   5  E {100}
+//   6  E {200, 300}
+//   7  A {1, 2}    -> (B, E): (u1, u5), (u3, u6)
+//   8  D {7, 8, 9}
+//   9  B {50}      -> C: u2   committed, never referenced
+FRep SharedAndUnreachableRep() {
+  FTree t;
+  const int a = t.NewNode(AttrSet::Of({0}), AttrSet::Of({0}),
+                          RelSet::Of({0, 2}), RelSet::Of({0, 2}));
+  const int b = t.NewNode(AttrSet::Of({1}), AttrSet::Of({1}),
+                          RelSet::Of({0, 1}), RelSet::Of({0, 1}));
+  const int c = t.NewNode(AttrSet::Of({2}), AttrSet::Of({2}),
+                          RelSet::Of({1}), RelSet::Of({1}));
+  const int e = t.NewNode(AttrSet::Of({3}), AttrSet{}, RelSet::Of({2}),
+                          RelSet::Of({2}));
+  const int d = t.NewNode(AttrSet::Of({4}), AttrSet{}, RelSet::Of({3}),
+                          RelSet::Of({3}));
+  t.AttachRoot(a);
+  t.AttachChild(a, b);
+  t.AttachChild(a, e);
+  t.AttachChild(b, c);
+  t.AttachRoot(d);
+  FRep rep{t};
+  auto leaf = [&](int node, std::vector<Value> vals) {
+    UnionBuilder u = rep.StartUnion(node);
+    u.AddValues(vals.data(), vals.size());
+    return u.Finish();
+  };
+  rep.StartUnion(c).Abandon();
+  UnionBuilder b1 = rep.StartUnion(b);
+  const uint32_t shared = leaf(c, {5, 6});
+  b1.AddValue(10);
+  b1.AddChild(shared);
+  const uint32_t ub1 = b1.Finish();
+  UnionBuilder b2 = rep.StartUnion(b);
+  b2.AddValue(20);
+  b2.AddChild(shared);
+  b2.AddValue(30);
+  b2.AddChild(shared);
+  const uint32_t ub2 = b2.Finish();
+  leaf(c, {99});
+  const uint32_t ue1 = leaf(e, {100});
+  const uint32_t ue2 = leaf(e, {200, 300});
+  UnionBuilder ua = rep.StartUnion(a);
+  ua.AddValue(1);
+  ua.AddChild(ub1);
+  ua.AddChild(ue1);
+  ua.AddValue(2);
+  ua.AddChild(ub2);
+  ua.AddChild(ue2);
+  rep.roots().push_back(ua.Finish());
+  rep.roots().push_back(leaf(d, {7, 8, 9}));
+  UnionBuilder orphan = rep.StartUnion(b);
+  orphan.AddValue(50);
+  orphan.AddChild(shared);
+  orphan.Finish();
+  rep.MarkNonEmpty();
+  rep.Validate();
+  return rep;
+}
+
+size_t StreamLength(const FRep& rep, bool visible_only) {
+  size_t n = 0;
+  for (TupleEnumerator en(rep, visible_only); en.Next();) ++n;
+  return n;
+}
+
+TEST(Aggregate, SweepHandlesSharedAndUnreachableUnions) {
+  const FRep rep = SharedAndUnreachableRep();
+  ASSERT_EQ(rep.NumUnions(), 10u);
+  ASSERT_EQ(rep.roots(), (std::vector<uint32_t>{7, 8}));
+  const std::vector<uint32_t> unreachable = {0, 4, 9};
+
+  // Counts against brute-force enumeration: 10 tuples in the A tree times
+  // 3 in D; the visible stream drops E and D, leaving 6.
+  const size_t n = StreamLength(rep, false);
+  ASSERT_EQ(n, 30u);
+  bool exact = false;
+  EXPECT_EQ(rep.CountTuples(&exact), static_cast<double>(n));
+  EXPECT_TRUE(exact);
+  EXPECT_EQ(rep.CountTuplesExact(), n);
+  EXPECT_EQ(Count(rep), static_cast<double>(n));
+
+  const std::vector<double> all = rep.SubtreeTupleCounts();
+  EXPECT_EQ(all[2], 2.0);
+  EXPECT_EQ(all[3], 4.0);
+  EXPECT_EQ(all[7], 10.0);
+  EXPECT_EQ(all[8], 3.0);
+  EXPECT_EQ(all[7] * all[8], static_cast<double>(n));
+  const std::vector<char> keep = VisibleKeepMask(rep.tree());
+  const std::vector<double> vis = rep.SubtreeTupleCounts(&keep);
+  EXPECT_EQ(vis[7], static_cast<double>(StreamLength(rep, true)));
+  EXPECT_EQ(vis[7], 6.0);
+  for (uint32_t id : {5u, 6u, 8u}) {
+    EXPECT_EQ(vis[id], 0.0) << "union " << id << " is below a masked node";
+  }
+  for (uint32_t id : unreachable) {
+    EXPECT_EQ(all[id], 0.0) << "union " << id;
+    EXPECT_EQ(vis[id], 0.0) << "union " << id;
+  }
+
+  // Unions 1, 2, 3, 5, 6, 7 and 8, the shared one once; only A, B and C
+  // are visible.
+  EXPECT_EQ(rep.NumValues(), 13u);
+  EXPECT_EQ(rep.NumSingletons(), 7u);
+
+  for (AttrId a = 0; a < 5; ++a) {
+    const Ref ref = Enumerated(rep, a);
+    EXPECT_EQ(Sum(rep, a), ref.sum) << "attr " << a;
+    EXPECT_EQ(Avg(rep, a), ref.sum / ref.count) << "attr " << a;
+    EXPECT_EQ(Min(rep, a), ref.min) << "attr " << a;
+    EXPECT_EQ(Max(rep, a), ref.max) << "attr " << a;
+    EXPECT_EQ(CountDistinct(rep, a), ref.distinct.size()) << "attr " << a;
+  }
+
+  // Grouped aggregates against enumerate-then-hash, over every attribute
+  // set that forces a different restructure (none, through the shared
+  // union, into the second root).
+  Relation flat(rep.tree().AllAttrs().ToVector());
+  for (TupleEnumerator en(rep); en.Next();) {
+    std::vector<Value> row;
+    for (AttrId a : flat.schema()) row.push_back(en.ValueOf(a));
+    flat.AddTuple(row);
+  }
+  for (const AttrSet group :
+       {AttrSet{}, AttrSet::Of({0}), AttrSet::Of({1}), AttrSet::Of({2}),
+        AttrSet::Of({4}), AttrSet::Of({1, 4}), AttrSet::Of({2, 3})}) {
+    for (AttrId a : {2, 3, 4}) {
+      const std::vector<AggSpec> specs = {{AggFn::kCount, 0},
+                                          {AggFn::kSum, a},
+                                          {AggFn::kAvg, a},
+                                          {AggFn::kMin, a},
+                                          {AggFn::kMax, a}};
+      GroupedTable got = GroupByAggregate(rep, group, specs).Materialize();
+      got.SortByKey();
+      GroupedTable want = HashGroupBy(flat, group, specs);
+      want.SortByKey();
+      ASSERT_EQ(got.num_rows, want.num_rows) << group.ToString();
+      EXPECT_EQ(got.keys, want.keys) << group.ToString();
+      EXPECT_EQ(got.aggs, want.aggs) << group.ToString() << " attr " << a;
+    }
   }
 }
 

@@ -53,6 +53,17 @@ Rules (each reported as path:line: [rule] message):
                      as RESOURCE; an ad-hoc catch would swallow the
                      resource-governance contract.
 
+  one-dag-walk       No private walk over the union DAG in src/ outside
+                     core/frep.cc (FRep::SweepBottomUp, the shallow
+                     Validate), core/validate.cc (the deep validators) and
+                     core/serialize.cc (WriteFRep, whose pre-order is the
+                     file format): neither an explicit union-id stack
+                     (std::vector<uint32_t> ...stack...) nor a done/seen
+                     array sized NumUnions(). Every other pass over the
+                     unions folds through SweepBottomUp, which owns the
+                     reachability, the bottom-up order and the governance
+                     probe.
+
 Exit status: 0 when clean, 1 when any rule fires, 2 on usage errors.
 --self-test seeds one violation per rule through the checkers and fails if
 any rule does NOT fire (the armed-probe pattern: prove the lint is live).
@@ -295,6 +306,26 @@ def check_bad_alloc_catch(relpath, text):
                   'failure surfaces as RESOURCE')
 
 
+UNION_STACK_RE = re.compile(r'std::vector<uint32_t>\s+\w*stack\w*\b')
+VISITED_ARRAY_RE = re.compile(
+    r'\b\w*(done|seen)\w*\s*(\(|\{|\.assign\s*\(|\.resize\s*\()'
+    r'[^;]*\bNumUnions\s*\(\s*\)')
+DAG_WALK_OWNERS = ('src/core/frep.cc', 'src/core/validate.cc',
+                   'src/core/serialize.cc')
+
+
+def check_one_dag_walk(relpath, text):
+    if not relpath.startswith('src/') or relpath in DAG_WALK_OWNERS:
+        return []
+    out = []
+    for lineno, line in enumerate(strip_comments(text).splitlines(), 1):
+        if UNION_STACK_RE.search(line) or VISITED_ARRAY_RE.search(line):
+            out.append((lineno,
+                        '[one-dag-walk] private walk over the union DAG — '
+                        'fold through FRep::SweepBottomUp (core/frep.h)'))
+    return out
+
+
 CHECKERS = [
     check_raw_threading,
     check_guarded_mutex,
@@ -304,6 +335,7 @@ CHECKERS = [
     check_no_abort_on_input,
     check_fault_points,
     check_bad_alloc_catch,
+    check_one_dag_walk,
 ]
 
 # --------------------------------------------------------------------------
@@ -364,6 +396,11 @@ SELF_TEST_CASES = [
     (check_bad_alloc_catch, 'src/core/x.cc',
      'try { f(); } catch (const std::bad_alloc&) { g(); }\n',
      'TranslateBadAlloc([&] { f(); }, "f");\n'),
+    (check_one_dag_walk, 'src/core/aggregate.cc',
+     'std::vector<char> seen(rep.NumUnions(), 0);\n'
+     'std::vector<uint32_t> stack(rep.roots().begin(), rep.roots().end());\n',
+     'std::vector<uint32_t> memo(rep.NumUnions(), kNoUnion);\n'
+     'rep.SweepBottomUp([&](int n, uint32_t id) { f(n, id); });\n'),
 ]
 
 
