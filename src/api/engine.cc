@@ -48,10 +48,9 @@ FdbResult Engine::EvaluateFlat(const Query& q,
 
 FPlanSearchResult Engine::OptimizeOnTree(
     const FTree& tree, const std::vector<std::pair<AttrId, AttrId>>& eqs) {
-  FPlanSearchOptions so = opts_.search;
-  so.mode = opts_.cost_mode;
-  return opts_.greedy_optimizer ? GreedyFPlan(tree, eqs, solver_, so)
-                                : FindOptimalFPlan(tree, eqs, solver_, so);
+  return opts_.greedy_optimizer
+             ? GreedyFPlan(tree, eqs, solver_, opts_.search)
+             : FindOptimalFPlan(tree, eqs, solver_, opts_.search);
 }
 
 FdbResult Engine::EvaluateOnFRep(

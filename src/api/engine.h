@@ -32,8 +32,9 @@ namespace fdb {
 /// Engine-wide knobs.
 struct EngineOptions {
   bool greedy_optimizer = false;  ///< greedy instead of exhaustive f-plans
-  CostMode cost_mode = CostMode::kAsymptotic;
-  FPlanSearchOptions search;      ///< advanced search options
+  /// f-plan search options: the cost mode, and the statistics that
+  /// CostMode::kEstimates needs.
+  FPlanSearchOptions search;
   /// Parallel enumeration knobs (core/parallel_enumerate.h): drive the
   /// materialisation paths — MaterializeResult and the grouped-table
   /// flattening of ExecuteAggregate. Defaults enumerate large results on

@@ -11,27 +11,16 @@ std::string AttrName(AttrId a, const Catalog* cat) {
   return "a" + std::to_string(a);
 }
 
-// Tree-level projection, mirroring ops_project.cc step for step.
+// Tree-level projection: the steps of Project (ops_project.cc), on the
+// tree alone.
 void SimulateProjectOnTree(FTree* t, AttrSet keep) {
-  for (size_t i = 0; i < t->pool_size(); ++i) {
-    FTreeNode& nd = t->node(static_cast<int>(i));
-    if (nd.alive) nd.visible = nd.visible.Intersect(keep);
-  }
-  for (;;) {
-    int pick = -1, pick_depth = -1;
-    for (int n : t->AliveNodes()) {
-      if (!t->node(n).visible.Empty()) continue;
-      int d = t->Depth(n);
-      if (d > pick_depth) {
-        pick = n;
-        pick_depth = d;
-      }
-    }
-    if (pick == -1) break;
-    if (t->node(pick).children.empty()) {
-      t->RemoveLeaf(pick);
+  t->RestrictVisible(keep);
+  for (FTree::ProjectStep s = t->NextProjectStep(); s.node != -1;
+       s = t->NextProjectStep()) {
+    if (s.child == -1) {
+      t->RemoveLeaf(s.node);
     } else {
-      t->SwapTree(pick, t->node(pick).children.front());
+      t->SwapTree(s.node, s.child);
     }
   }
   t->NormalizeTree();

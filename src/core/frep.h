@@ -24,9 +24,12 @@
 // recursion that drives them: a child subtree is fully committed before its
 // parent finishes, so each committed union occupies one contiguous window.
 // Abandon() discards a union that turned out empty; its header stays as an
-// unreachable zero-length stub. Operators also leave committed unions that
-// nothing references (SelectConst drops entries), so every pass over the
-// union DAG visits only what the roots reach: SweepBottomUp.
+// unreachable zero-length stub. Those stubs are all that the f-plan
+// operators leave unreachable (they rebuild through PathRewrite,
+// core/ops_common.h, which commits nothing for a dropped entry), but a
+// representation read or built elsewhere may hold committed unions that
+// nothing references, so every pass over the union DAG visits only what the
+// roots reach: SweepBottomUp.
 //
 // Invariants (checked by Validate(), preserved by every operator):
 //   * values within a union are strictly increasing (the paper's order

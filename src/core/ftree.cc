@@ -144,30 +144,22 @@ void FTree::PushUpTree(int b) {
   }
 }
 
-int FTree::NormalizeTree() {
-  int pushes = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      int n = static_cast<int>(i);
-      if (!nodes_[i].alive) continue;
-      if (CanPushUp(n)) {
-        PushUpTree(n);
-        ++pushes;
-        changed = true;
-        break;  // restart the scan: indices above may now be liftable
-      }
+int FTree::FirstLiftable() const {
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].alive && CanPushUp(static_cast<int>(i))) {
+      return static_cast<int>(i);
     }
   }
-  return pushes;
+  return -1;
 }
 
-bool FTree::IsNormalized() const {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].alive && CanPushUp(static_cast<int>(i))) return false;
+int FTree::NormalizeTree() {
+  int pushes = 0;
+  for (int n = FirstLiftable(); n != -1; n = FirstLiftable()) {
+    PushUpTree(n);
+    ++pushes;
   }
-  return true;
+  return pushes;
 }
 
 void FTree::SwapTree(int a, int b) {
@@ -260,6 +252,29 @@ void FTree::RemoveLeaf(int n) {
   }
   Detach(n);
   Kill(n);
+}
+
+void FTree::RestrictVisible(AttrSet keep) {
+  for (FTreeNode& n : nodes_) {
+    if (n.alive) n.visible = n.visible.Intersect(keep);
+  }
+}
+
+FTree::ProjectStep FTree::NextProjectStep() const {
+  ProjectStep step;
+  int depth = -1;
+  for (int n : AliveNodes()) {
+    if (!node(n).visible.Empty()) continue;
+    const int d = Depth(n);
+    if (d > depth) {
+      step.node = n;
+      depth = d;
+    }
+  }
+  if (step.node != -1 && !node(step.node).children.empty()) {
+    step.child = node(step.node).children.front();
+  }
+  return step;
 }
 
 void FTree::ShiftRelIndices(int offset) {

@@ -105,13 +105,19 @@ class FTree {
   /// Caller must ensure CanPushUp(b).
   void PushUpTree(int b);
 
-  /// Repeated push-ups until no node can be lifted (eta). Scans alive nodes
-  /// in id order and restarts after every push, so the result is
-  /// deterministic. Returns the number of push-ups performed.
+  /// The next push-up of normalisation: the alive node of lowest id that
+  /// CanPushUp, or -1 when the tree is normalised. Normalize (core/ops.h)
+  /// and NormalizeTree both lift this node, so the representation and the
+  /// simulated tree take the same steps.
+  int FirstLiftable() const;
+
+  /// Repeated push-ups until no node can be lifted (eta): lifts
+  /// FirstLiftable() until there is none. Returns the number of push-ups
+  /// performed.
   int NormalizeTree();
 
   /// True if no push-up is possible (Def. 3).
-  bool IsNormalized() const;
+  bool IsNormalized() const { return FirstLiftable() == -1; }
 
   /// chi_{A,B}: exchanges child `b` with its parent `a`. b takes a's
   /// position; a becomes b's last child; b's children that depend on a
@@ -130,6 +136,21 @@ class FTree {
   /// Removes a fully-projected leaf; its dep_rels are inherited by the
   /// parent (transitive-dependence preservation, §3.4).
   void RemoveLeaf(int n);
+
+  /// Projection's first step (§3.4): narrows every alive node's visible
+  /// attributes to `keep`.
+  void RestrictVisible(AttrSet keep);
+
+  /// One step of projection once RestrictVisible has run: the deepest fully
+  /// invisible node (lowest id among equals) sinks by a swap with its first
+  /// child, or is removed when it is a leaf (`child == -1`). `node == -1`
+  /// when no node is fully invisible. Project (core/ops.h) and
+  /// SimulateStepOnTree (core/fplan.h) both take this step.
+  struct ProjectStep {
+    int node = -1;
+    int child = -1;
+  };
+  ProjectStep NextProjectStep() const;
 
   // ---- Constraints and cost. ----
 

@@ -8,6 +8,15 @@
 // order, no empty unions, path constraint) and f-tree normalisation, and run
 // in time (quasi)linear in input + output size (Prop. 2).
 //
+// Every operator but the product rewrites the entries of one f-tree node
+// and rebuilds the path above it through one walk, PathRewrite
+// (core/ops_common.h): unions off the path are copied whole (memoised for
+// selection, so shared subtrees stay shared; plainly for the others),
+// entries that lose a child are dropped up the path, and the result is
+// deep-validated in FDB_VALIDATE builds. Unions of dropped entries are never
+// committed, so the only unreachable unions an operator leaves are
+// zero-length stubs.
+//
 // Nodes are addressed by any attribute of their class, which is stable
 // across restructuring (classes only ever grow, by merge/absorb).
 #ifndef FDB_CORE_OPS_H_

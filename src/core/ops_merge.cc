@@ -1,17 +1,16 @@
-#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "core/ops.h"
 #include "core/ops_common.h"
 #include "core/simd.h"
-#include "core/validate.h"
 
 namespace fdb {
 
-using ops_internal::CopyTree;
+using ops_internal::ChildSlot;
+using ops_internal::CopyPolicy;
 using ops_internal::kNoUnion;
-using ops_internal::SubtreeContains;
+using ops_internal::PathRewrite;
 
 // mu_{A,B} (§3.3, Fig. 3(c)): sort-merge join of two sibling unions. The
 // merged node keeps A's id; its child slots are A's followed by B's.
@@ -24,15 +23,15 @@ FRep Merge(const FRep& in, AttrId a_attr, AttrId b_attr) {
   FDB_CHECK_MSG(t.node(a).parent == t.node(b).parent,
                 "merge requires sibling nodes (or two roots)");
 
-  const int p = t.node(a).parent;
   const size_t ka = t.node(a).children.size();
   const size_t kb = t.node(b).children.size();
+  const size_t slot_a = ChildSlot(t, a);
+  const size_t slot_b = ChildSlot(t, b);
 
   FTree new_tree = t;
   new_tree.MergeTree(a, b);
-
   FRep out(std::move(new_tree));
-  if (in.empty()) return out;
+  PathRewrite rw(in, &out, CopyPolicy::kTree);
 
   // Sort-merge two unions; kNoUnion when the intersection is empty. The
   // value intersection runs first over the two contiguous arena windows
@@ -50,107 +49,28 @@ FRep Merge(const FRep& in, AttrId a_attr, AttrId b_attr) {
     for (const auto& [i, j] : matches) {
       m.AddValue(ua.value(i));
       for (size_t s = 0; s < ka; ++s) {
-        m.AddChild(CopyTree(in, ua.Child(i, s, ka), &out));
+        m.AddChild(rw.Copy(ua.Child(i, s, ka)));
       }
       for (size_t s = 0; s < kb; ++s) {
-        m.AddChild(CopyTree(in, ub.Child(j, s, kb), &out));
+        m.AddChild(rw.Copy(ub.Child(j, s, kb)));
       }
     }
     return m.Finish();
   };
 
-  out.MarkNonEmpty();
-  if (p == -1) {
-    // Two root unions join at the top level.
-    uint32_t ida = kNoUnion, idb = kNoUnion;
-    for (size_t i = 0; i < in.roots().size(); ++i) {
-      int n = in.u(in.roots()[i]).node();
-      if (n == a) ida = in.roots()[i];
-      if (n == b) idb = in.roots()[i];
-    }
-    FDB_CHECK(ida != kNoUnion && idb != kNoUnion);
-    uint32_t merged = merge_unions(ida, idb);
-    if (merged == kNoUnion) {
-      out.MarkEmpty();
-      return out;
-    }
-    for (uint32_t r : in.roots()) {
-      int n = in.u(r).node();
-      if (n == a) {
-        out.roots().push_back(merged);
-      } else if (n == b) {
-        continue;  // removed root
-      } else {
-        out.roots().push_back(CopyTree(in, r, &out));
-      }
-    }
-    return out;
-  }
-
-  // Interior case: rebuild along the path to P; P-entries whose sibling
-  // unions have an empty intersection are dropped, cascading upwards.
-  std::vector<char> on_path = SubtreeContains(t, p);
-  const size_t kp = t.node(p).children.size();
-  const auto& p_children = t.node(p).children;
-  const size_t slot_a = static_cast<size_t>(
-      std::find(p_children.begin(), p_children.end(), a) - p_children.begin());
-  const size_t slot_b = static_cast<size_t>(
-      std::find(p_children.begin(), p_children.end(), b) - p_children.begin());
-
-  auto rec = [&](auto&& self, uint32_t id) -> uint32_t {
-    UnionRef un = in.u(id);
-    if (!on_path[static_cast<size_t>(un.node())]) {
-      return CopyTree(in, id, &out);
-    }
-    const size_t k = t.node(un.node()).children.size();
-    UnionBuilder nu = out.StartUnion(un.node());
-    std::vector<uint32_t> kept;
-    for (size_t e = 0; e < un.size(); ++e) {
-      kept.clear();
-      bool dead = false;
-      if (un.node() == p) {
-        uint32_t merged =
-            merge_unions(un.Child(e, slot_a, kp), un.Child(e, slot_b, kp));
-        if (merged == kNoUnion) continue;
-        // New slot layout: old slots with B removed; merged union replaces A.
-        for (size_t j = 0; j < kp; ++j) {
-          if (j == slot_b) continue;
-          if (j == slot_a) {
-            kept.push_back(merged);
-          } else {
-            kept.push_back(CopyTree(in, un.Child(e, j, kp), &out));
-          }
-        }
-      } else {
-        for (size_t j = 0; j < k; ++j) {
-          uint32_t nc = self(self, un.Child(e, j, k));
-          if (nc == kNoUnion) {
-            dead = true;
-            break;
-          }
-          kept.push_back(nc);
-        }
-        if (dead) continue;
-      }
-      nu.AddValue(un.value(e));
-      for (uint32_t c : kept) nu.AddChild(c);
-    }
-    if (nu.empty()) {
-      nu.Abandon();
-      return kNoUnion;
-    }
-    return nu.Finish();
-  };
-
-  for (uint32_t r : in.roots()) {
-    uint32_t nr = rec(rec, r);
-    if (nr == kNoUnion) {
-      out.MarkEmpty();
-      return out;
-    }
-    out.roots().push_back(nr);
-  }
-  FDB_VALIDATE_REP(out);
+  // The merged union takes A's slot and B's slot disappears (the slot
+  // layout of MergeTree); a P-entry, or the root list, whose A- and
+  // B-unions do not intersect is dropped, cascading upwards.
+  rw.Run(t.node(a).parent,
+         [&](const uint32_t* kids, size_t k, std::vector<uint32_t>* nk) {
+           const uint32_t merged = merge_unions(kids[slot_a], kids[slot_b]);
+           if (merged == kNoUnion) return false;
+           for (size_t j = 0; j < k; ++j) {
+             if (j == slot_b) continue;
+             nk->push_back(j == slot_a ? merged : rw.Copy(kids[j]));
+           }
+           return true;
+         });
   return out;
 }
 
@@ -166,109 +86,53 @@ FRep Absorb(const FRep& in, AttrId a_attr, AttrId b_attr) {
   FDB_CHECK_MSG(t.IsAncestor(a, b),
                 "absorb requires ancestor/descendant classes");
 
-  // ---- Phase 1: restrict (tree unchanged). ----
+  // ---- Phase 1: restrict (tree unchanged). Each B-union keeps only the
+  // entry of its open A-value; a P-entry whose B-union lacks it is
+  // dropped, cascading upwards. ----
+  const int p = t.node(b).parent;
+  const size_t slot_b = ChildSlot(t, b);
+  const size_t kb = t.node(b).children.size();
   FRep mid(t);
-  std::vector<char> on_path = SubtreeContains(t, b);
-  if (!in.empty()) {
-    mid.MarkNonEmpty();
-    auto rec = [&](auto&& self, uint32_t id, Value a_val,
-                   bool have_a) -> uint32_t {
-      UnionRef un = in.u(id);
-      if (!on_path[static_cast<size_t>(un.node())]) {
-        return CopyTree(in, id, &mid);
-      }
-      const size_t k = t.node(un.node()).children.size();
-      if (un.node() == b) {
-        FDB_CHECK_MSG(have_a, "B-union outside the scope of its A-ancestor");
-        // Branchless point lookup in the contiguous value window.
-        const size_t e = simd::FindValue(un.values(), un.size(), a_val);
-        if (e == un.size()) return kNoUnion;
-        UnionBuilder nu = mid.StartUnion(b);
-        nu.AddValue(a_val);
-        for (size_t j = 0; j < k; ++j) {
-          nu.AddChild(CopyTree(in, un.Child(e, j, k), &mid));
-        }
-        return nu.Finish();
-      }
-      UnionBuilder nu = mid.StartUnion(un.node());
-      std::vector<uint32_t> kept;
-      for (size_t e = 0; e < un.size(); ++e) {
-        Value av = un.node() == a ? un.value(e) : a_val;
-        bool ha = have_a || un.node() == a;
-        kept.clear();
-        bool dead = false;
-        for (size_t j = 0; j < k; ++j) {
-          uint32_t c = un.Child(e, j, k);
-          uint32_t nc = on_path[static_cast<size_t>(in.u(c).node())]
-                            ? self(self, c, av, ha)
-                            : CopyTree(in, c, &mid);
-          if (nc == kNoUnion) {
-            dead = true;
-            break;
-          }
-          kept.push_back(nc);
-        }
-        if (dead) continue;
-        nu.AddValue(un.value(e));
-        for (uint32_t c : kept) nu.AddChild(c);
-      }
-      if (nu.empty()) {
-        nu.Abandon();
-        return kNoUnion;
-      }
-      return nu.Finish();
-    };
-    for (uint32_t r : in.roots()) {
-      uint32_t nr = rec(rec, r, 0, false);
-      if (nr == kNoUnion) {
-        mid.MarkEmpty();
-        break;
-      }
-      mid.roots().push_back(nr);
+  PathRewrite narrow(in, &mid, CopyPolicy::kTree);
+  narrow.Run(p, [&](const uint32_t* kids, size_t k,
+                    std::vector<uint32_t>* nk) {
+    UnionRef ub = in.u(kids[slot_b]);
+    const Value av = narrow.Open(a);
+    // Branchless point lookup in the contiguous value window.
+    const size_t e = simd::FindValue(ub.values(), ub.size(), av);
+    if (e == ub.size()) return false;
+    UnionBuilder nb = mid.StartUnion(b);
+    nb.AddValue(av);
+    for (size_t s = 0; s < kb; ++s) {
+      nb.AddChild(narrow.Copy(ub.Child(e, s, kb)));
     }
-  }
+    const uint32_t restricted = nb.Finish();
+    for (size_t j = 0; j < k; ++j) {
+      nk->push_back(j == slot_b ? restricted : narrow.Copy(kids[j]));
+    }
+    return true;
+  });
 
   // ---- Phase 2: fuse B into A; B's children take B's slot under its
-  // parent. Every surviving B-union has exactly one entry. ----
-  const int p = t.node(b).parent;
-  const size_t kb = t.node(b).children.size();
-  const auto& p_children = t.node(p).children;
-  const size_t slot_b = static_cast<size_t>(
-      std::find(p_children.begin(), p_children.end(), b) - p_children.begin());
-
+  // parent (FuseTree's layout). Every surviving B-union has one entry. ----
   FTree fused_tree = t;
   fused_tree.FuseTree(a, b);
   FRep out(std::move(fused_tree));
-  if (mid.empty()) return Normalize(out);
-  out.MarkNonEmpty();
-
-  std::vector<char> to_p = SubtreeContains(t, p);
-  auto rec2 = [&](auto&& self, uint32_t id) -> uint32_t {
-    UnionRef un = mid.u(id);
-    if (!to_p[static_cast<size_t>(un.node())]) {
-      return CopyTree(mid, id, &out);
-    }
-    const size_t k = t.node(un.node()).children.size();
-    UnionBuilder nu = out.StartUnion(un.node());
-    nu.CopyValues(un);
-    for (size_t e = 0; e < un.size(); ++e) {
-      for (size_t j = 0; j < k; ++j) {
-        uint32_t c = un.Child(e, j, k);
-        if (un.node() == p && j == slot_b) {
-          // Splice the single B entry's children into this slot.
-          UnionRef ub = mid.u(c);
-          FDB_CHECK(ub.size() == 1);
-          for (size_t s = 0; s < kb; ++s) {
-            nu.AddChild(CopyTree(mid, ub.Child(0, s, kb), &out));
-          }
-        } else {
-          nu.AddChild(self(self, c));
-        }
+  PathRewrite fuse(mid, &out, CopyPolicy::kTree);
+  fuse.Run(p, [&](const uint32_t* kids, size_t k, std::vector<uint32_t>* nk) {
+    for (size_t j = 0; j < k; ++j) {
+      if (j != slot_b) {
+        nk->push_back(fuse.Copy(kids[j]));
+        continue;
+      }
+      UnionRef ub = mid.u(kids[j]);
+      FDB_CHECK(ub.size() == 1);
+      for (size_t s = 0; s < kb; ++s) {
+        nk->push_back(fuse.Copy(ub.Child(0, s, kb)));
       }
     }
-    return nu.Finish();
-  };
-  for (uint32_t r : mid.roots()) out.roots().push_back(rec2(rec2, r));
+    return true;
+  });
 
   // ---- Phase 3: normalise (push up what the fuse made independent). ----
   return Normalize(out);

@@ -39,75 +39,24 @@ FRep Product(const FRep& e1, const FRep& e2) {
                 "product inputs must use disjoint relation indices");
 
   FTree tree = t1;
-  AppendForest(&tree, t2);
+  const int node_offset = AppendForest(&tree, t2);
   FRep out(std::move(tree));
   if (e1.empty() || e2.empty()) return out;  // empty x E = empty
 
   out.MarkNonEmpty();
-  // Copy e1's unions as-is, then e2's with shifted tree-node ids.
+  // Copy e1's unions as they are, then e2's with their f-tree node ids
+  // shifted like AppendForest shifted its nodes.
   std::vector<uint32_t> memo1(e1.NumUnions(), ops_internal::kNoUnion);
   for (uint32_t r : e1.roots()) {
     out.roots().push_back(ops_internal::CopySubtree(e1, r, &out, &memo1));
   }
-  const int node_offset = static_cast<int>(t1.pool_size());
-  // CopySubtree keeps node ids; rebuild e2's with the offset applied.
   std::vector<uint32_t> memo2(e2.NumUnions(), ops_internal::kNoUnion);
-  struct Copier {
-    const FRep& src;
-    FRep& dst;
-    int offset;
-    std::vector<uint32_t>& memo;
-    uint32_t Run(uint32_t id) {
-      if (memo[id] != ops_internal::kNoUnion) return memo[id];
-      UnionRef un = src.u(id);
-      UnionBuilder b = dst.StartUnion(un.node() + offset);
-      b.CopyValues(un);
-      for (size_t i = 0; i < un.num_children(); ++i) {
-        b.AddChild(Run(un.child(i)));
-      }
-      return memo[id] = b.Finish();
-    }
-  } copier{e2, out, node_offset, memo2};
-  for (uint32_t r : e2.roots()) out.roots().push_back(copier.Run(r));
+  for (uint32_t r : e2.roots()) {
+    out.roots().push_back(
+        ops_internal::CopySubtree(e2, r, &out, &memo2, node_offset));
+  }
   FDB_VALIDATE_REP(out);
   return out;
 }
-
-namespace ops_internal {
-
-uint32_t CopyTree(const FRep& src, uint32_t id, FRep* dst) {
-  UnionRef un = src.u(id);
-  UnionBuilder b = dst->StartUnion(un.node());
-  b.CopyValues(un);
-  for (size_t i = 0; i < un.num_children(); ++i) {
-    b.AddChild(CopyTree(src, un.child(i), dst));
-  }
-  return b.Finish();
-}
-
-uint32_t CopySubtree(const FRep& src, uint32_t id, FRep* dst,
-                     std::vector<uint32_t>* memo) {
-  if ((*memo)[id] != kNoUnion) return (*memo)[id];
-  UnionRef un = src.u(id);
-  UnionBuilder b = dst->StartUnion(un.node());
-  b.CopyValues(un);
-  for (size_t i = 0; i < un.num_children(); ++i) {
-    b.AddChild(CopySubtree(src, un.child(i), dst, memo));
-  }
-  return (*memo)[id] = b.Finish();
-}
-
-std::vector<char> SubtreeContains(const FTree& tree, int target) {
-  std::vector<char> out(tree.pool_size(), 0);
-  out[static_cast<size_t>(target)] = 1;
-  // Mark ancestors of target: a subtree contains target iff its root is an
-  // ancestor of target (or target itself).
-  for (int x = tree.node(target).parent; x != -1; x = tree.node(x).parent) {
-    out[static_cast<size_t>(x)] = 1;
-  }
-  return out;
-}
-
-}  // namespace ops_internal
 
 }  // namespace fdb

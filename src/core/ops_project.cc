@@ -1,13 +1,11 @@
-#include <algorithm>
-
 #include "core/ops.h"
 #include "core/ops_common.h"
-#include "core/validate.h"
 
 namespace fdb {
 
-using ops_internal::CopyTree;
-using ops_internal::SubtreeContains;
+using ops_internal::ChildSlot;
+using ops_internal::CopyPolicy;
+using ops_internal::PathRewrite;
 
 namespace {
 
@@ -17,80 +15,38 @@ namespace {
 // projection sinks marked nodes to the leaves first.
 FRep RemoveInvisibleLeaf(const FRep& in, int n) {
   const FTree& t = in.tree();
-  const int p = t.node(n).parent;
+  const size_t slot_n = ChildSlot(t, n);
 
   FTree new_tree = t;
   new_tree.RemoveLeaf(n);
-
   FRep out(std::move(new_tree));
-  if (in.empty()) return out;
-  out.MarkNonEmpty();
-
-  if (p == -1) {
-    for (uint32_t r : in.roots()) {
-      if (in.u(r).node() == n) continue;
-      out.roots().push_back(CopyTree(in, r, &out));
-    }
-    return out;
-  }
-
-  std::vector<char> on_path = SubtreeContains(t, p);
-  const auto& p_children = t.node(p).children;
-  const size_t slot_n = static_cast<size_t>(
-      std::find(p_children.begin(), p_children.end(), n) - p_children.begin());
-
-  auto rec = [&](auto&& self, uint32_t id) -> uint32_t {
-    UnionRef un = in.u(id);
-    if (!on_path[static_cast<size_t>(un.node())]) {
-      return CopyTree(in, id, &out);
-    }
-    const size_t k = t.node(un.node()).children.size();
-    UnionBuilder nu = out.StartUnion(un.node());
-    nu.CopyValues(un);
-    for (size_t e = 0; e < un.size(); ++e) {
-      for (size_t j = 0; j < k; ++j) {
-        if (un.node() == p && j == slot_n) continue;  // dropped slot
-        nu.AddChild(self(self, un.Child(e, j, k)));
-      }
-    }
-    return nu.Finish();
-  };
-  for (uint32_t r : in.roots()) out.roots().push_back(rec(rec, r));
-  FDB_VALIDATE_REP(out);
+  PathRewrite rw(in, &out, CopyPolicy::kTree);
+  rw.Run(t.node(n).parent,
+         [&](const uint32_t* kids, size_t k, std::vector<uint32_t>* nk) {
+           for (size_t j = 0; j < k; ++j) {
+             if (j != slot_n) nk->push_back(rw.Copy(kids[j]));
+           }
+           return true;
+         });
   return out;
 }
 
 }  // namespace
 
 // pi_keep (§3.4): mark attributes, sink fully marked nodes to the leaves by
-// swapping them with a child, remove them there, then normalise.
+// swapping them with a child, remove them there, then normalise. The steps
+// are FTree::NextProjectStep's, which the f-plan simulation takes too.
 FRep Project(const FRep& in, AttrSet keep) {
   FRep cur = in;
-  for (size_t i = 0; i < cur.tree().pool_size(); ++i) {
-    FTreeNode& nd = cur.tree().node(static_cast<int>(i));
-    if (nd.alive) nd.visible = nd.visible.Intersect(keep);
-  }
-
-  for (;;) {
-    // Deepest fully-invisible node first (fewer swaps to reach a leaf).
-    int pick = -1, pick_depth = -1;
-    for (int n : cur.tree().AliveNodes()) {
-      if (!cur.tree().node(n).visible.Empty()) continue;
-      int d = cur.tree().Depth(n);
-      if (d > pick_depth) {
-        pick = n;
-        pick_depth = d;
-      }
-    }
-    if (pick == -1) break;
-    const FTreeNode& nd = cur.tree().node(pick);
-    if (nd.children.empty()) {
-      cur = RemoveInvisibleLeaf(cur, pick);
+  cur.tree().RestrictVisible(keep);
+  for (FTree::ProjectStep s = cur.tree().NextProjectStep(); s.node != -1;
+       s = cur.tree().NextProjectStep()) {
+    if (s.child == -1) {
+      cur = RemoveInvisibleLeaf(cur, s.node);
     } else {
-      // chi_{pick, first child}: the child takes pick's place; pick sinks.
-      AttrId pa = nd.attrs.Min();
-      AttrId ca = cur.tree().node(nd.children.front()).attrs.Min();
-      cur = Swap(cur, pa, ca);
+      // chi_{node, first child}: the child takes the node's place.
+      const FTree& t = cur.tree();
+      cur = Swap(cur, t.node(s.node).attrs.Min(), t.node(s.child).attrs.Min());
     }
   }
   return Normalize(cur);

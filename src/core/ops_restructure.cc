@@ -1,21 +1,17 @@
-#include <algorithm>
+#include <functional>
 #include <queue>
 #include <tuple>
+#include <vector>
 
 #include "core/ops.h"
 #include "core/ops_common.h"
-#include "core/validate.h"
 
 namespace fdb {
 
-// CopyTree (ops_common) is deliberately unmemoised here: operators always
-// produce tree-shaped representations (every union has exactly one parent
-// reference), so plain duplication is exact. Swap deliberately duplicates
-// the E_a subtrees per paired B-value — that is the size growth the paper's
-// bounds account for.
-using ops_internal::CopyTree;
+using ops_internal::ChildSlot;
+using ops_internal::CopyPolicy;
 using ops_internal::kNoUnion;
-using ops_internal::SubtreeContains;
+using ops_internal::PathRewrite;
 
 FRep PushUp(const FRep& in, AttrId b_attr) {
   const FTree& t = in.tree();
@@ -27,18 +23,15 @@ FRep PushUp(const FRep& in, AttrId b_attr) {
                 "push-up would violate the path constraint: parent depends "
                 "on the lifted subtree");
 
-  const auto& a_children = t.node(a).children;
-  const size_t slot_b = static_cast<size_t>(
-      std::find(a_children.begin(), a_children.end(), b) - a_children.begin());
-  const size_t ka = a_children.size();
+  const size_t slot_b = ChildSlot(t, b);
+  const size_t ka = t.node(a).children.size();
   const int g = t.node(a).parent;
+  const size_t slot_a = ChildSlot(t, a);
 
   FTree new_tree = t;
   new_tree.PushUpTree(b);
-
   FRep out(std::move(new_tree));
-  if (in.empty()) return out;
-  out.MarkNonEmpty();
+  PathRewrite rw(in, &out, CopyPolicy::kTree);
 
   // Rebuilds one occurrence of A's union without its B slot; the hoisted
   // B-union is taken from the first entry (all copies are equal because
@@ -46,98 +39,43 @@ FRep PushUp(const FRep& in, AttrId b_attr) {
   auto rebuild_a = [&](uint32_t id, uint32_t* hoisted_b) {
     UnionRef un = in.u(id);
     FDB_CHECK(un.node() == a);
-    *hoisted_b = CopyTree(in, un.Child(0, slot_b, ka), &out);
+    *hoisted_b = rw.Copy(un.Child(0, slot_b, ka));
     UnionBuilder na = out.StartUnion(a);
     na.CopyValues(un);
     for (size_t e = 0; e < un.size(); ++e) {
       for (size_t j = 0; j < ka; ++j) {
-        if (j == slot_b) continue;
-        na.AddChild(CopyTree(in, un.Child(e, j, ka), &out));
+        if (j != slot_b) na.AddChild(rw.Copy(un.Child(e, j, ka)));
       }
     }
     return na.Finish();
   };
 
-  if (g == -1) {
-    // A is a root: the hoisted B becomes a new root right after A.
-    for (size_t i = 0; i < in.roots().size(); ++i) {
-      uint32_t r = in.roots()[i];
-      if (in.u(r).node() == a) {
-        uint32_t hb = kNoUnion;
-        uint32_t na = rebuild_a(r, &hb);
-        out.roots().push_back(na);
-        out.roots().push_back(hb);
-      } else {
-        out.roots().push_back(CopyTree(in, r, &out));
+  // Each G-entry gains the B-union hoisted out of its A-union where
+  // PushUpTree puts B: a new last slot under G, or right after A among the
+  // roots when A is a root.
+  rw.Run(g, [&](const uint32_t* kids, size_t k, std::vector<uint32_t>* nk) {
+    uint32_t hb = kNoUnion;
+    for (size_t j = 0; j < k; ++j) {
+      if (j != slot_a) {
+        nk->push_back(rw.Copy(kids[j]));
+        continue;
       }
+      nk->push_back(rebuild_a(kids[j], &hb));
+      if (g == -1) nk->push_back(hb);
     }
-    return out;
-  }
-
-  // Otherwise rebuild along the path to G; each G-entry gains a new last
-  // slot holding the B-union extracted from that entry's A-union.
-  std::vector<char> on_path = SubtreeContains(t, g);
-  const size_t kg = t.node(g).children.size();
-  const auto& g_children = t.node(g).children;
-  const size_t slot_a = static_cast<size_t>(
-      std::find(g_children.begin(), g_children.end(), a) - g_children.begin());
-
-  auto rec = [&](auto&& self, uint32_t id) -> uint32_t {
-    UnionRef un = in.u(id);
-    if (un.node() == g) {
-      UnionBuilder ng = out.StartUnion(g);
-      ng.CopyValues(un);
-      for (size_t e = 0; e < un.size(); ++e) {
-        uint32_t hb = kNoUnion;
-        for (size_t j = 0; j < kg; ++j) {
-          uint32_t c = un.Child(e, j, kg);
-          if (j == slot_a) {
-            ng.AddChild(rebuild_a(c, &hb));
-          } else {
-            ng.AddChild(CopyTree(in, c, &out));
-          }
-        }
-        ng.AddChild(hb);  // new last slot for B
-      }
-      return ng.Finish();
-    }
-    if (!on_path[static_cast<size_t>(un.node())]) {
-      return CopyTree(in, id, &out);
-    }
-    const size_t k = t.node(un.node()).children.size();
-    UnionBuilder nu = out.StartUnion(un.node());
-    nu.CopyValues(un);
-    for (size_t e = 0; e < un.size(); ++e) {
-      for (size_t j = 0; j < k; ++j) {
-        nu.AddChild(self(self, un.Child(e, j, k)));
-      }
-    }
-    return nu.Finish();
-  };
-
-  for (uint32_t r : in.roots()) out.roots().push_back(rec(rec, r));
-  FDB_VALIDATE_REP(out);
+    if (g != -1) nk->push_back(hb);
+    return true;
+  });
   return out;
 }
 
 FRep Normalize(const FRep& in) {
   FRep cur = in;
-  for (;;) {
-    const FTree& t = cur.tree();
-    int pick = -1;
-    for (size_t i = 0; i < t.pool_size(); ++i) {
-      int n = static_cast<int>(i);
-      if (t.node(n).alive && t.CanPushUp(n)) {
-        pick = n;
-        break;
-      }
-    }
-    if (pick == -1) {
-      FDB_VALIDATE_REP(cur);
-      return cur;
-    }
-    cur = PushUp(cur, t.node(pick).attrs.Min());
+  for (int n = cur.tree().FirstLiftable(); n != -1;
+       n = cur.tree().FirstLiftable()) {
+    cur = PushUp(cur, cur.tree().node(n).attrs.Min());
   }
+  return cur;
 }
 
 FRep Swap(const FRep& in, AttrId a_attr, AttrId b_attr) {
@@ -148,10 +86,9 @@ FRep Swap(const FRep& in, AttrId a_attr, AttrId b_attr) {
   FDB_CHECK_MSG(t.node(b).parent == a,
                 "swap requires the second node to be a child of the first");
 
-  const auto& a_children = t.node(a).children;
-  const size_t ka = a_children.size();
-  const size_t slot_b = static_cast<size_t>(
-      std::find(a_children.begin(), a_children.end(), b) - a_children.begin());
+  const size_t ka = t.node(a).children.size();
+  const size_t slot_b = ChildSlot(t, b);
+  const size_t slot_a = ChildSlot(t, a);
   // T_A: A's other children, in order.
   std::vector<size_t> ta_slots;
   for (size_t j = 0; j < ka; ++j) {
@@ -173,8 +110,7 @@ FRep Swap(const FRep& in, AttrId a_attr, AttrId b_attr) {
   new_tree.SwapTree(a, b);
 
   FRep out(std::move(new_tree));
-  if (in.empty()) return out;
-  out.MarkNonEmpty();
+  PathRewrite rw(in, &out, CopyPolicy::kTree);
 
   // Fig. 4: regroups one occurrence of A's union by B-values using a
   // min-priority queue of (b value, A-entry index, position).
@@ -198,17 +134,17 @@ FRep Swap(const FRep& in, AttrId a_attr, AttrId b_attr) {
         UnionRef ub = in.u(un.Child(e, slot_b, ka));
         if (!captured) {
           for (size_t j : tb_slots) {
-            fb.push_back(CopyTree(in, ub.Child(pos, j, kb), &out));
+            fb.push_back(rw.Copy(ub.Child(pos, j, kb)));
           }
           captured = true;
         }
         // New A entry: value a_e with children T_A then T_AB.
         va.AddValue(un.value(e));
         for (size_t j : ta_slots) {
-          va.AddChild(CopyTree(in, un.Child(e, j, ka), &out));
+          va.AddChild(rw.Copy(un.Child(e, j, ka)));
         }
         for (size_t j : tab_slots) {
-          va.AddChild(CopyTree(in, ub.Child(pos, j, kb), &out));
+          va.AddChild(rw.Copy(ub.Child(pos, j, kb)));
         }
         if (pos + 1 < ub.size()) {
           pq.push({ub.value(pos + 1), e, pos + 1});
@@ -222,26 +158,15 @@ FRep Swap(const FRep& in, AttrId a_attr, AttrId b_attr) {
     return nb.Finish();
   };
 
-  std::vector<char> on_path = SubtreeContains(t, a);
-  auto rec = [&](auto&& self, uint32_t id) -> uint32_t {
-    UnionRef un = in.u(id);
-    if (un.node() == a) return swap_union(id);
-    if (!on_path[static_cast<size_t>(un.node())]) {
-      return CopyTree(in, id, &out);
-    }
-    const size_t k = t.node(un.node()).children.size();
-    UnionBuilder nu = out.StartUnion(un.node());
-    nu.CopyValues(un);
-    for (size_t e = 0; e < un.size(); ++e) {
-      for (size_t j = 0; j < k; ++j) {
-        nu.AddChild(self(self, un.Child(e, j, k)));
-      }
-    }
-    return nu.Finish();
-  };
-
-  for (uint32_t r : in.roots()) out.roots().push_back(rec(rec, r));
-  FDB_VALIDATE_REP(out);
+  // B's regrouped union takes A's slot (SwapTree puts B at A's position).
+  rw.Run(t.node(a).parent,
+         [&](const uint32_t* kids, size_t k, std::vector<uint32_t>* nk) {
+           for (size_t j = 0; j < k; ++j) {
+             nk->push_back(j == slot_a ? swap_union(kids[j])
+                                       : rw.Copy(kids[j]));
+           }
+           return true;
+         });
   return out;
 }
 

@@ -4,92 +4,59 @@
 #include "core/ops.h"
 #include "core/ops_common.h"
 #include "core/simd.h"
-#include "core/validate.h"
 
 namespace fdb {
 
-using ops_internal::CopySubtree;
-using ops_internal::kNoUnion;
-using ops_internal::SubtreeContains;
+using ops_internal::ChildSlot;
+using ops_internal::CopyPolicy;
+using ops_internal::PathRewrite;
 
 // sigma_{A theta c} (§3.3): one pass over the representation. Unions of A's
 // node drop the entries failing the comparison; an emptied union removes the
 // enclosing entry, cascading upwards. For theta = '=' the node afterwards
 // holds the single value c everywhere, so it is flagged constant and the
-// final normalisation floats it towards the root.
+// final normalisation floats it towards the root. Copies are memoised, so a
+// subtree shared in the input stays shared.
 FRep SelectConst(const FRep& in, AttrId attr, CmpOp op, Value c) {
   const FTree& t = in.tree();
-  int x = t.FindAttr(attr);
+  const int x = t.FindAttr(attr);
   FDB_CHECK_MSG(x >= 0, "selection attribute not in the f-tree");
+  const size_t slot_x = ChildSlot(t, x);
+  const size_t kx = t.node(x).children.size();
 
   FTree new_tree = t;
   if (op == CmpOp::kEq) new_tree.node(x).constant = true;
+  FRep out(std::move(new_tree));
+  PathRewrite rw(in, &out, CopyPolicy::kShared);
 
-  FRep out(new_tree);
-  if (in.empty()) {
-    if (op == CmpOp::kEq) return Normalize(out);
-    return out;
-  }
-
-  std::vector<char> on_path = SubtreeContains(t, x);
-  std::vector<uint32_t> memo(in.NumUnions(), kNoUnion);
-
-  // Predicate mask scratch, reused across X-unions. Safe to share: only
-  // unions of X's node use it, and X's descendants are off-path (their
-  // subtrees cannot contain X again), so the recursion never reaches a
-  // second X-union while one is being filtered.
+  // Predicate mask scratch, reused across X-unions: batched evaluation over
+  // the contiguous value window (one vectorised pass) instead of per-entry
+  // EvalCmp dispatch.
   std::vector<uint8_t> mask;
-
-  // Returns the rebuilt union or kNoUnion if it became empty.
-  auto rec = [&](auto&& self, uint32_t id) -> uint32_t {
-    UnionRef un = in.u(id);
-    if (!on_path[static_cast<size_t>(un.node())]) {
-      return CopySubtree(in, id, &out, &memo);
-    }
-    const size_t k = t.node(un.node()).children.size();
-    const bool is_x = un.node() == x;
-    if (is_x) {
-      // Batched predicate evaluation over the contiguous value window
-      // (one vectorised pass) instead of per-entry EvalCmp dispatch.
-      mask.resize(un.size());
-      simd::CmpMask(un.values(), un.size(), op, c, mask.data());
-    }
-    UnionBuilder nu = out.StartUnion(un.node());
-    std::vector<uint32_t> kept_children;
-    for (size_t e = 0; e < un.size(); ++e) {
-      if (is_x && mask[e] == 0) continue;
-      kept_children.clear();
-      bool dead = false;
-      for (size_t j = 0; j < k; ++j) {
-        uint32_t nc = self(self, un.Child(e, j, k));
-        if (nc == kNoUnion) {
-          dead = true;
-          break;
-        }
-        kept_children.push_back(nc);
-      }
-      if (dead) continue;
-      nu.AddValue(un.value(e));
-      for (uint32_t nc : kept_children) nu.AddChild(nc);
-    }
-    if (nu.empty()) {
-      nu.Abandon();
-      return kNoUnion;
-    }
-    return nu.Finish();
-  };
-
-  out.MarkNonEmpty();
-  for (uint32_t r : in.roots()) {
-    uint32_t nr = rec(rec, r);
-    if (nr == kNoUnion) {
-      out.MarkEmpty();
-      break;
-    }
-    out.roots().push_back(nr);
-  }
+  rw.Run(t.node(x).parent,
+         [&](const uint32_t* kids, size_t k, std::vector<uint32_t>* nk) {
+           UnionRef ux = in.u(kids[slot_x]);
+           mask.resize(ux.size());
+           simd::CmpMask(ux.values(), ux.size(), op, c, mask.data());
+           UnionBuilder nx = out.StartUnion(x);
+           for (size_t e = 0; e < ux.size(); ++e) {
+             if (mask[e] == 0) continue;
+             nx.AddValue(ux.value(e));
+             for (size_t j = 0; j < kx; ++j) {
+               nx.AddChild(rw.Copy(ux.Child(e, j, kx)));
+             }
+           }
+           if (nx.empty()) {
+             nx.Abandon();
+             return false;
+           }
+           const uint32_t filtered = nx.Finish();
+           for (size_t j = 0; j < k; ++j) {
+             nk->push_back(j == slot_x ? filtered : rw.Copy(kids[j]));
+           }
+           return true;
+         });
   if (op == CmpOp::kEq) return Normalize(out);
-  FDB_VALIDATE_REP(out);
   return out;
 }
 

@@ -121,6 +121,40 @@ TEST_F(EngineTest, GreedyEngineSameResult) {
       SameRelation(MaterializeVisible(a.rep), MaterializeVisible(b.rep)));
 }
 
+TEST_F(EngineTest, EstimatesModeReachesTheFPlanSearch) {
+  // Example 2's join of two factorised results, optimised with
+  // cardinality estimates: EngineOptions::search carries the mode and the
+  // statistics, and the engine's plan is the one FindOptimalFPlan finds
+  // under the same options.
+  FdbResult r1 = engine_.EvaluateFlat(GroceryQ1(*db_));
+  Query q2 = GroceryQ2(*db_);
+  FRep rep2 = engine_.EvaluateFlat(q2).rep;
+  std::vector<const Relation*> rels = db_->RelationPtrs(GroceryQ1(*db_).rels);
+  for (const Relation* r : db_->RelationPtrs(q2.rels)) rels.push_back(r);
+  const DatabaseStats stats = DatabaseStats::Compute(rels);
+
+  EngineOptions opts;
+  opts.search.mode = CostMode::kEstimates;
+  opts.search.stats = &stats;
+  Engine estimating(db_.get(), opts);
+  const std::vector<std::pair<AttrId, AttrId>> eqs = {
+      {db_->Attr("o_item"), db_->Attr("p_item")},
+      {db_->Attr("s_location"), db_->Attr("sv_location")}};
+  FdbResult joined = estimating.JoinFactorised(r1.rep, rep2, eqs);
+
+  FRep shifted = rep2;
+  shifted.tree().ShiftRelIndices(r1.rep.tree().MaxRelIndex() + 1);
+  EdgeCoverSolver solver;
+  FPlanSearchResult direct =
+      FindOptimalFPlan(Product(r1.rep, shifted).tree(), eqs, solver,
+                       opts.search);
+  EXPECT_EQ(joined.plan.ToString(), direct.plan.ToString());
+  // The costs are estimated sizes, not the asymptotic exponents (2 here)
+  // that an ignored mode would report.
+  EXPECT_EQ(joined.plan.cost_max_s, direct.plan.cost_max_s);
+  EXPECT_EQ(joined.plan.result_s, direct.plan.result_s);
+}
+
 TEST_F(EngineTest, EvaluateOnFRepWithConstAndProjection) {
   FdbResult r1 = engine_.EvaluateFlat(GroceryQ1(*db_));
   AttrId oid = db_->Attr("oid");

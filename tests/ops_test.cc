@@ -4,6 +4,7 @@
 #include "core/fplan.h"
 #include "core/ground.h"
 #include "core/ops.h"
+#include "common/rng.h"
 #include "core/print.h"
 #include "test_util.h"
 
@@ -471,6 +472,31 @@ TEST(Plan, ExecuteMatchesSimulation) {
   for (const PlanStep& st : plan.steps) sim = SimulateStepOnTree(sim, st);
   EXPECT_EQ(out.tree().CanonicalKey(), sim.CanonicalKey());
   EXPECT_TRUE(SameRelation(out, RefJoin(r, s, 1, 2)));
+
+  // Random projections after the join: the executed projection and its
+  // simulation take the same steps (FTree::NextProjectStep), so they end in
+  // the same f-tree, node for node.
+  Rng rng(7);
+  const std::vector<AttrId> attrs = {0, 1, 2, 3};
+  for (int round = 0; round < 40; ++round) {
+    AttrSet keep;
+    for (AttrId a : attrs) {
+      if (rng.Uniform(0, 1) == 1) keep.Add(a);
+    }
+    FPlan proj = plan;
+    proj.steps.push_back(PlanStep::MakeProject(keep));
+    if (rng.Uniform(0, 1) == 1) {
+      proj.steps.push_back(PlanStep::MakeProject(
+          keep.Intersect(AttrSet::Of({attrs[rng.Uniform(0, 3)]}))));
+    }
+    FRep got = ExecutePlan(prod, proj);
+    got.Validate();
+    FTree want = prod.tree();
+    for (const PlanStep& st : proj.steps) want = SimulateStepOnTree(want, st);
+    ASSERT_EQ(got.tree().ToString(), want.ToString()) << proj.ToString();
+    EXPECT_TRUE(got.tree().IsNormalized());
+    EXPECT_EQ(got.tree().VisibleAttrs(), proj.steps.back().keep);
+  }
 }
 
 TEST(Plan, StepToString) {

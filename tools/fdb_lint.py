@@ -18,7 +18,9 @@ Rules (each reported as path:line: [rule] message):
 
   validated-ops      Every operator translation unit (src/core/ops_*.cc)
                      must invoke an FDB_VALIDATE_* macro (core/validate.h)
-                     so FDB_VALIDATE builds deep-check operator results.
+                     or rebuild through PathRewrite (core/ops_common.h),
+                     whose Run ends with one, so FDB_VALIDATE builds
+                     deep-check operator results.
 
   include-guard      Headers carry the path-derived guard FDB_<PATH>_H_
                      (src/ stripped), e.g. src/core/frep.h uses
@@ -63,6 +65,15 @@ Rules (each reported as path:line: [rule] message):
                      unions folds through SweepBottomUp, which owns the
                      reachability, the bottom-up order and the governance
                      probe.
+
+  one-path-rewrite   No private rebuild walk in the f-plan operators
+                     (src/core/ops_*.{h,cc}) outside core/ops_common.{h,cc}
+                     (PathRewrite): neither a SubtreeContains( path mask nor
+                     a recursive `auto&& self` lambda. Every operator
+                     rewrites the entries of one node through
+                     PathRewrite::Run, which owns the path rebuild, the
+                     dropped-entry cascade, the root list and the final
+                     validation.
 
 Exit status: 0 when clean, 1 when any rule fires, 2 on usage errors.
 --self-test seeds one violation per rule through the checkers and fails if
@@ -188,15 +199,18 @@ def check_guarded_mutex(relpath, text):
 
 
 VALIDATED_OPS_RE = re.compile(r'\bFDB_VALIDATE_\w+\s*\(')
+PATH_REWRITE_RE = re.compile(r'\bPathRewrite\b')
 
 
 def check_validated_ops(relpath, text):
     if not re.fullmatch(r'src/core/ops_\w+\.cc', relpath):
         return []
-    if VALIDATED_OPS_RE.search(strip_comments(text)):
+    stripped = strip_comments(text)
+    if VALIDATED_OPS_RE.search(stripped) or PATH_REWRITE_RE.search(stripped):
         return []
     return [(1, '[validated-ops] operator translation unit never invokes an '
-                'FDB_VALIDATE_* macro (core/validate.h)')]
+                'FDB_VALIDATE_* macro (core/validate.h) nor rebuilds through '
+                'PathRewrite (core/ops_common.h)')]
 
 
 def expected_guard(relpath):
@@ -326,6 +340,23 @@ def check_one_dag_walk(relpath, text):
     return out
 
 
+PRIVATE_REWRITE_RE = re.compile(
+    r'\bSubtreeContains\s*\(|\bauto\s*&&\s*self\b')
+PATH_REWRITE_OWNERS = ('src/core/ops_common.h', 'src/core/ops_common.cc')
+
+
+def check_one_path_rewrite(relpath, text):
+    if not re.fullmatch(r'src/core/ops_\w+\.(h|cc)', relpath):
+        return []
+    if relpath in PATH_REWRITE_OWNERS:
+        return []
+    return findings_for(
+        PRIVATE_REWRITE_RE, strip_comments(text),
+        lambda m: '[one-path-rewrite] private rebuild walk in an f-plan '
+                  'operator — rewrite the entries of one node through '
+                  'PathRewrite::Run (core/ops_common.h)')
+
+
 CHECKERS = [
     check_raw_threading,
     check_guarded_mutex,
@@ -336,6 +367,7 @@ CHECKERS = [
     check_fault_points,
     check_bad_alloc_catch,
     check_one_dag_walk,
+    check_one_path_rewrite,
 ]
 
 # --------------------------------------------------------------------------
@@ -380,6 +412,8 @@ SELF_TEST_CASES = [
      'class C {\n  Mutex mu_;\n  int n_ GUARDED_BY(mu_);\n};\n'),
     (check_validated_ops, 'src/core/ops_x.cc',
      'void Op() {}\n', 'void Op() { FDB_VALIDATE_REP(rep); }\n'),
+    (check_validated_ops, 'src/core/ops_x.cc',
+     'void Op() {}\n', 'void Op() { PathRewrite rw(in, &out, p); }\n'),
     (check_include_guard, 'src/core/x.h',
      '#ifndef WRONG_H\n#define WRONG_H\n#endif\n',
      '#ifndef FDB_CORE_X_H_\n#define FDB_CORE_X_H_\n#endif\n'),
@@ -401,6 +435,11 @@ SELF_TEST_CASES = [
      'std::vector<uint32_t> stack(rep.roots().begin(), rep.roots().end());\n',
      'std::vector<uint32_t> memo(rep.NumUnions(), kNoUnion);\n'
      'rep.SweepBottomUp([&](int n, uint32_t id) { f(n, id); });\n'),
+    (check_one_path_rewrite, 'src/core/ops_x.cc',
+     'std::vector<char> on_path = SubtreeContains(t, p);\n'
+     'auto rec = [&](auto&& self, uint32_t id) -> uint32_t {\n',
+     'rw.Run(p, [&](const uint32_t* kids, size_t k, '
+     'std::vector<uint32_t>* nk) { return true; });\n'),
 ]
 
 
