@@ -20,6 +20,7 @@ FdbResult Engine::EvaluateFlat(const Query& q,
   if (pretree == nullptr) {
     QueryTrace::Scope span(trace, "f-tree-search");
     searched = FindOptimalFTree(info, solver_);
+    span.SetRows(searched.explored);
   }
   const FTreeSearchResult& t = pretree != nullptr ? *pretree : searched;
   FdbResult res{FRep{FTree{}}, FPlan{}, 0.0, 0.0, {}, {}};

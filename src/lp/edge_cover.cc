@@ -45,10 +45,8 @@ double EdgeCoverSolver::Solve(std::vector<uint64_t> class_covers) {
   class_covers.erase(
       std::unique(class_covers.begin(), class_covers.end()),
       class_covers.end());
-  // A class whose cover mask is a superset of another's is never binding:
-  // any cover of the smaller mask's class covers it too... only when the
-  // *smaller* mask is a subset: the subset constraint is the stronger one.
-  // Drop dominated (superset) masks to shrink the cache key further.
+  // A superset mask is implied by its subset's constraint (any x covering
+  // the subset's class covers it too), so drop it to shrink the key.
   std::vector<uint64_t> kept;
   for (uint64_t mi : class_covers) {
     bool dominated = false;

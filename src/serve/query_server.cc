@@ -267,6 +267,7 @@ void QueryServer::ExecuteGroup(Group& group) {
       {
         QueryTrace::Scope span(tp, "f-tree-search");
         fresh->search = engine_.OptimizeFlat(fresh->query);
+        span.SetRows(fresh->search.explored);
       }
       plan = fresh;
     } else {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <limits>
+#include <optional>
+#include <set>
+
+#include "opt/cost.h"
 #include "opt/estimates.h"
 #include "opt/fplan_search.h"
 #include "opt/ftree_search.h"
@@ -118,6 +125,204 @@ TEST(FTreeSearch, PaperScaleSmokeTest) {
   EXPECT_LE(res.cost, 3.0 + 1e-6);  // "rarely above 2" per the paper
   res.tree.Validate();
   EXPECT_TRUE(res.tree.SatisfiesPathConstraint());
+}
+
+// ---------- Memoised search vs the unmemoised reference ----------
+
+// The plain branch-and-bound FindOptimalFTree ran before it memoised its
+// subproblems, kept here as the oracle: the memo may change how much is
+// searched, never which tree is chosen (the tree fixes the output order).
+struct ReferenceSearcher {
+  std::vector<uint64_t> covers;
+  std::vector<uint64_t> adj;
+  EdgeCoverSolver* solver;
+  uint64_t explored = 0;
+
+  using Edges = std::vector<std::pair<int, int>>;
+  struct Sub {
+    double cost;
+    Edges edges;
+  };
+
+  std::vector<uint64_t> Components(uint64_t set) const {
+    std::vector<uint64_t> comps;
+    uint64_t remaining = set;
+    while (remaining) {
+      uint64_t seed = remaining & (~remaining + 1);
+      uint64_t comp = seed, frontier = seed;
+      while (frontier) {
+        int c = std::countr_zero(frontier);
+        frontier &= frontier - 1;
+        uint64_t nbrs = adj[static_cast<size_t>(c)] & set & ~comp;
+        comp |= nbrs;
+        frontier |= nbrs;
+      }
+      comps.push_back(comp);
+      remaining &= ~comp;
+    }
+    return comps;
+  }
+
+  std::optional<Sub> BestForest(uint64_t set, std::vector<uint64_t>& path,
+                                double upper, int parent) {
+    if (set == 0) return Sub{0.0, {}};
+    Sub out{0.0, {}};
+    for (uint64_t comp : Components(set)) {
+      auto sub = BestComponent(comp, path, upper, parent);
+      if (!sub) return std::nullopt;
+      out.cost = std::max(out.cost, sub->cost);
+      out.edges.insert(out.edges.end(), sub->edges.begin(), sub->edges.end());
+    }
+    return out;
+  }
+
+  std::optional<Sub> BestComponent(uint64_t comp, std::vector<uint64_t>& path,
+                                   double upper, int parent) {
+    uint64_t multi = 0;
+    for (uint64_t rest = comp; rest;) {
+      int c = std::countr_zero(rest);
+      rest &= rest - 1;
+      if (std::popcount(covers[static_cast<size_t>(c)]) >= 2) {
+        multi |= uint64_t{1} << c;
+      }
+    }
+    if (multi == 0) {
+      path.push_back(covers[static_cast<size_t>(std::countr_zero(comp))]);
+      ++explored;
+      double cost = solver->Solve(path);
+      path.pop_back();
+      if (!CostLess(cost, upper)) return std::nullopt;
+      Edges chain;
+      int prev = parent;
+      for (uint64_t rest = comp; rest;) {
+        int c = std::countr_zero(rest);
+        rest &= rest - 1;
+        chain.emplace_back(c, prev);
+        prev = c;
+      }
+      return Sub{cost, std::move(chain)};
+    }
+
+    double best = std::numeric_limits<double>::infinity();
+    Edges best_edges;
+    std::set<uint64_t> tried;
+    for (uint64_t rest = multi; rest;) {
+      int r = std::countr_zero(rest);
+      rest &= rest - 1;
+      if (!tried.insert(covers[static_cast<size_t>(r)]).second) continue;
+      path.push_back(covers[static_cast<size_t>(r)]);
+      ++explored;
+      double prefix = solver->Solve(path);
+      double bound = std::min(upper, best);
+      if (!CostLess(prefix, bound)) {
+        path.pop_back();
+        continue;
+      }
+      uint64_t remainder = comp & ~(uint64_t{1} << r);
+      std::optional<Sub> sub;
+      if (remainder == 0) {
+        sub = Sub{prefix, {}};
+      } else {
+        sub = BestForest(remainder, path, bound, r);
+        if (sub) sub->cost = std::max(sub->cost, prefix);
+      }
+      path.pop_back();
+      if (sub && CostLess(sub->cost, best)) {
+        best = sub->cost;
+        best_edges = std::move(sub->edges);
+        best_edges.emplace_back(r, parent);
+      }
+    }
+    if (best == std::numeric_limits<double>::infinity()) return std::nullopt;
+    return Sub{best, std::move(best_edges)};
+  }
+};
+
+FTreeSearchResult ReferenceOptimalFTree(const QueryInfo& info,
+                                        EdgeCoverSolver& solver) {
+  const size_t m = info.classes.size();
+  ReferenceSearcher s;
+  s.solver = &solver;
+  for (const AttrSet& cls : info.classes) {
+    s.covers.push_back(info.RelsCovering(cls).bits());
+  }
+  s.adj.assign(m, 0);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < m; ++j) {
+      if (i != j && (s.covers[i] & s.covers[j]) != 0) {
+        s.adj[i] |= uint64_t{1} << j;
+      }
+    }
+  }
+  uint64_t all = m == 64 ? ~uint64_t{0} : (uint64_t{1} << m) - 1;
+  std::vector<uint64_t> path;
+  auto res = s.BestForest(all, path, std::numeric_limits<double>::infinity(),
+                          -1);
+  std::vector<int> parent_of(m, -1);
+  for (const auto& [c, p] : res->edges) parent_of[static_cast<size_t>(c)] = p;
+  FTreeSearchResult out;
+  out.tree = FTreeFromShape(info, info.classes, parent_of);
+  out.cost = res->cost;
+  out.explored = s.explored;
+  return out;
+}
+
+// exp7's serve ladder: nine ternary relations r_i(a_i, b_i, c_i) joined on
+// b_i = a_{i+1} and c_i = a_{i+2}, which leaves 12 attribute classes.
+QueryInfo LadderInfo() {
+  constexpr int kRels = 9;
+  std::vector<AttrSet> rels;
+  std::vector<std::pair<AttrId, AttrId>> eqs;
+  auto attr = [](int rel, int col) {
+    return static_cast<AttrId>(3 * rel + col);
+  };
+  for (int i = 0; i < kRels; ++i) {
+    rels.push_back(AttrSet::Of({attr(i, 0), attr(i, 1), attr(i, 2)}));
+    if (i + 1 < kRels) eqs.emplace_back(attr(i, 1), attr(i + 1, 0));
+    if (i + 2 < kRels) eqs.emplace_back(attr(i, 2), attr(i + 2, 0));
+  }
+  return MakeInfo(rels, eqs);
+}
+
+void ExpectMatchesReference(const QueryInfo& info) {
+  EdgeCoverSolver ref_solver, solver;
+  FTreeSearchResult ref = ReferenceOptimalFTree(info, ref_solver);
+  FTreeSearchResult got = FindOptimalFTree(info, solver);
+  EXPECT_EQ(got.tree.ToString(), ref.tree.ToString());
+  EXPECT_NEAR(got.cost, ref.cost, kCostEps);
+  EXPECT_LE(got.explored, ref.explored);
+}
+
+TEST(FTreeSearch, MemoisedSearchMatchesReference) {
+  {
+    SCOPED_TRACE("ladder");
+    ExpectMatchesReference(LadderInfo());
+  }
+  Rng rng(2026);
+  for (uint64_t seed = 0; seed < 600; ++seed) {
+    WorkloadSpec spec;
+    spec.num_rels = static_cast<int>(rng.Uniform(1, 8));
+    spec.num_attrs = static_cast<int>(rng.Uniform(12, 40));
+    // K non-redundant equalities need K < A.
+    spec.num_equalities =
+        static_cast<int>(rng.Uniform(1, std::min(12, spec.num_attrs - 1)));
+    spec.tuples_per_rel = 1;  // data irrelevant for optimisation
+    spec.seed = seed;
+    SCOPED_TRACE(::testing::Message()
+                 << "R=" << spec.num_rels << " A=" << spec.num_attrs
+                 << " K=" << spec.num_equalities << " seed=" << seed);
+    GeneratedWorkload w = GenerateWorkload(spec);
+    ExpectMatchesReference(AnalyzeQuery(w.catalog, w.query));
+  }
+}
+
+TEST(FTreeSearch, LadderExploresFewNodes) {
+  QueryInfo info = LadderInfo();
+  ASSERT_EQ(info.classes.size(), 12u);
+  EdgeCoverSolver solver;
+  FTreeSearchResult res = FindOptimalFTree(info, solver);
+  EXPECT_NEAR(res.cost, 2.0, kCostEps);
+  EXPECT_LT(res.explored, 1000u);  // 3,521 root choices without the memo
 }
 
 // ---------- F-plan search ----------

@@ -588,6 +588,11 @@ TEST(QueryServer, ExplainAnalyzeServesSpanTree) {
                            "enumerate", "-- total"}) {
     EXPECT_NE(cold.body.find(span), std::string::npos) << span;
   }
+  // The search span reports how many subproblems it priced.
+  const size_t search = cold.body.find("f-tree-search");
+  EXPECT_NE(cold.body.substr(search, cold.body.find('\n', search) - search)
+                .find(" rows="),
+            std::string::npos);
 
   // Warm: the cached plan answers, so parse and f-tree-search never run —
   // and their spans must not appear.

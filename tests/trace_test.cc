@@ -227,6 +227,15 @@ TEST(EngineTrace, ExecuteTracedSpjSpanStructure) {
   EXPECT_TRUE(all[spans["ground-prepare"]].has_bytes);    // a cold cache
   EXPECT_GT(all[spans["ground-prepare"]].bytes, 0u);
   EXPECT_EQ(all[spans["ground-build"]].bytes, all[spans["ground"]].bytes);
+  // The search span's rows are the subproblems it priced.
+  const auto& search = all[spans["f-tree-search"]];
+  EXPECT_TRUE(search.has_rows);
+  EXPECT_GT(search.rows, 0u);
+  EXPECT_EQ(search.rows,
+            engine.OptimizeFlat(
+                      engine.Parse(
+                          "SELECT * FROM orders, stock WHERE item = sitem"))
+                .explored);
   EXPECT_TRUE(all[spans["enumerate"]].has_rows);
   EXPECT_EQ(all[spans["enumerate"]].rows, 4u);  // the demo join has 4 rows
   // Materialisation compiles its kernel from the result's f-tree first,
@@ -388,7 +397,11 @@ TEST(EngineTrace, ExplainAnalyzeExecute) {
   EXPECT_EQ(body.rfind("EXPLAIN ANALYZE\n", 0), 0u);
   EXPECT_NE(body.find("query"), std::string::npos);
   EXPECT_NE(body.find("parse"), std::string::npos);
-  EXPECT_NE(body.find("f-tree-search"), std::string::npos);
+  const size_t search = body.find("f-tree-search");
+  ASSERT_NE(search, std::string::npos);
+  EXPECT_NE(body.substr(search, body.find('\n', search) - search)
+                .find(" rows="),
+            std::string::npos);
   EXPECT_NE(body.find("ground"), std::string::npos);
   EXPECT_NE(body.find("    ground-prepare  "), std::string::npos);
   EXPECT_NE(body.find("    ground-build  "), std::string::npos);
