@@ -199,9 +199,9 @@ TEST(EngineTrace, ExecuteTracedSpjSpanStructure) {
   LoadDemo(&db);
   Engine engine(&db);
   QueryTrace trace;
+  Query q = engine.Parse("SELECT * FROM orders, stock WHERE item = sitem");
   {
     QueryTrace::Scope root(&trace, "query");
-    Query q = engine.Parse("SELECT * FROM orders, stock WHERE item = sitem");
     engine.ExecuteTraced(q, &trace);
   }
 
@@ -231,11 +231,7 @@ TEST(EngineTrace, ExecuteTracedSpjSpanStructure) {
   const auto& search = all[spans["f-tree-search"]];
   EXPECT_TRUE(search.has_rows);
   EXPECT_GT(search.rows, 0u);
-  EXPECT_EQ(search.rows,
-            engine.OptimizeFlat(
-                      engine.Parse(
-                          "SELECT * FROM orders, stock WHERE item = sitem"))
-                .explored);
+  EXPECT_EQ(search.rows, engine.OptimizeFlat(q).explored);
   EXPECT_TRUE(all[spans["enumerate"]].has_rows);
   EXPECT_EQ(all[spans["enumerate"]].rows, 4u);  // the demo join has 4 rows
   // Materialisation compiles its kernel from the result's f-tree first,
