@@ -178,9 +178,9 @@ void BM_ParallelEnumerate(benchmark::State& state) {
   // Same stream as BM_Enumerate (N=100k path rep), chunked through the
   // morsel planner onto state.range(0) threads and counted by one
   // full-mode kernel run per chunk (EnumKernel::CountRows). Arg(1) takes
-  // the sequential fallback (no planning), so it measures the wrapper's
-  // overhead against BM_EnumerateKernel; Arg(2+) includes the planner DP
-  // and chunk bookkeeping.
+  // the sequential fallback (one count walk, no split), so it measures the
+  // wrapper's overhead against BM_EnumerateKernel; Arg(2+) includes the
+  // planner's count walk and chunk bookkeeping.
   int threads = static_cast<int>(state.range(0));
   size_t n = 100000;
   Relation r = RandomRelation({0, 1, 2}, n, 50, 7);
@@ -204,6 +204,30 @@ void BM_ParallelEnumerate(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_ParallelEnumerate)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+void BM_MorselPlanChain(benchmark::State& state) {
+  // ParallelEnumerator construction — the "morsel-plan" span of
+  // MaterializeVisible — on the seed-11 100k Customer <- Orders <- Lineitem
+  // chain (`SELECT *`, little sharing: ~167k unions for 100k rows), with
+  // the caller's visible-mode kernel. Arg = thread cap: 1 counts the
+  // stream for the sequential fallback, 4 counts frame 0 in ranges on the
+  // pool and splits it into morsels.
+  BenchInstance inst = MakeKeyForeignKeyChain(10001, 25001, 100000, 11);
+  Engine engine(inst.db.get());
+  const FdbResult res = engine.EvaluateFlat(inst.query);
+  const EnumKernel kernel =
+      EnumKernel::Compile(res.rep.tree(), /*visible_only=*/true);
+  EnumerateOptions opts;
+  opts.threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    ParallelEnumerator pe(res.rep, opts, /*visible_only=*/true, &kernel);
+    benchmark::DoNotOptimize(pe.plan().total_rows);
+  }
+  ParallelEnumerator pe(res.rep, opts, /*visible_only=*/true, &kernel);
+  state.counters["morsels"] = static_cast<double>(pe.num_chunks());
+  state.counters["rows"] = static_cast<double>(pe.plan().total_rows);
+}
+BENCHMARK(BM_MorselPlanChain)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_TraceOverhead(benchmark::State& state) {
   // The warm serve path with tracing plumbed through but OFF (Arg 0,

@@ -21,7 +21,8 @@
 //     restructure-aggregate  GroupByAggregate (aggregate queries)
 //     materialize-groups   GroupedRep::Materialize (rows = groups)
 //     kernel-compile       EnumKernel::Compile, at SPJ materialisation
-//     morsel-plan          ParallelEnumerator planning (rows = morsels)
+//     morsel-plan          ParallelEnumerator planning: the kernel's
+//                          count walk and the split (rows = morsels)
 //     enumerate            materialisation of the flat result (rows)
 //       emit               the sink's enumeration (rows = tuples emitted)
 //       sort-dedup         only for a projected middle node (rows = kept)

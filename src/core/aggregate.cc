@@ -266,19 +266,16 @@ namespace {
 // The frame-odometer walk of GroupedRep::Materialize, restricted to
 // `bounds` on the top pre-order frames (empty = whole group stream; the
 // EntryBound chain contract of core/enumerate.h). Appends the
-// covered groups' rows to *tbl in odometer order; `est_rows` pre-reserves
-// the row storage.
+// covered groups' rows to *tbl in odometer order; `rows`, the morsel's
+// exact row count, pre-reserves the row storage.
 void MaterializeRange(const GroupedRep& g, std::span<const EntryBound> bounds,
-                      double est_rows, GroupedTable* tbl) {
+                      uint64_t rows, GroupedTable* tbl) {
   const FRep& rep = g.rep;
   const FTree& t = rep.tree();
   const size_t ns = g.specs.size();
   GroupedTable& out = *tbl;
-  if (est_rows > 0.0 && est_rows < 1e9) {
-    const size_t rows = static_cast<size_t>(est_rows);
-    out.keys.reserve(out.keys.size() + rows * out.group_schema.size());
-    out.aggs.reserve(out.aggs.size() + rows * ns);
-  }
+  out.keys.reserve(out.keys.size() + rows * out.group_schema.size());
+  out.aggs.reserve(out.aggs.size() + rows * ns);
 
   // Pre-order frames over the group forest (shared with TupleEnumerator)
   // plus the per-frame odometer state of this walk.
@@ -412,7 +409,7 @@ GroupedTable GroupedRep::Materialize(const EnumerateOptions& opts) const {
   ParallelEnumerator pe(rep, opts, /*visible_only=*/false);
   const MorselPlan& plan = pe.plan();
   if (pe.num_chunks() <= 1) {
-    MaterializeRange(*this, {}, plan.est_total, &tbl);
+    MaterializeRange(*this, {}, plan.total_rows, &tbl);
     return tbl;
   }
   std::vector<GroupedTable> parts(pe.num_chunks());
@@ -420,7 +417,7 @@ GroupedTable GroupedRep::Materialize(const EnumerateOptions& opts) const {
     GroupedTable& part = parts[i];
     part.group_schema = tbl.group_schema;
     part.specs = tbl.specs;
-    MaterializeRange(*this, plan.morsels[i].bounds, plan.morsels[i].est_tuples,
+    MaterializeRange(*this, plan.morsels[i].bounds, plan.morsels[i].rows,
                      &part);
   });
   size_t rows = 0;

@@ -336,8 +336,10 @@ class FRep {
   /// contribute factor 1 — the count of the enumeration stream restricted
   /// to kept frames (TupleEnumerator's visible_only mode). Unions the
   /// sweep does not reach (abandoned stubs, unreferenced unions, unions
-  /// below a masked node) read 0. Feeds the morsel planner in
-  /// core/parallel_enumerate.h and CountTuples past 2^64.
+  /// below a masked node) read 0. Feeds CountTuples past 2^64 and the
+  /// morsel-plan validator's oracle (core/validate.h); the planner itself
+  /// sizes the stream with the kernel's count walk (EnumKernel::
+  /// CountEntries), in proportion to the output rather than to the DAG.
   std::vector<double> SubtreeTupleCounts(
       const std::vector<char>* keep = nullptr) const;
 

@@ -97,7 +97,8 @@ bool EnumKernel::Matches(const FTree& tree) const {
 
 template <bool kEmit, typename Grow>
 uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
-                         [[maybe_unused]] Grow&& grow) const {
+                         [[maybe_unused]] Grow&& grow,
+                         std::vector<uint64_t>* per_entry) const {
   // The EntryBound contract (core/enumerate.h): a pinned chain plus one
   // trailing ranged frame.
   for (size_t i = 0; i < bounds.size(); ++i) {
@@ -160,6 +161,21 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
     if (!reset(i)) return 0;  // a bound missed its union: empty stream
   }
 
+  // CountEntries: the frames above the split frame are pinned, so the walk
+  // ends when the split frame runs out and every innermost run belongs to
+  // its current entry. An innermost split frame is the one run, one row
+  // per entry.
+  uint64_t* tally = nullptr;
+  size_t split = 0;
+  uint32_t base = 0;
+  if (per_entry != nullptr) {
+    split = bounds.size() - 1;
+    base = run[split].entry;
+    per_entry->assign(run[split].limit - base, split + 1 == n ? 1 : 0);
+    if (split + 1 == n) return per_entry->size();
+    tally = per_entry->data();
+  }
+
   // Governance probe, hoisted and strided: one thread-local load per Run,
   // then a relaxed atomic load every 64th emitted run — cheap enough to
   // stay within noise on the warm path (BM_GovernanceOverhead) while
@@ -213,6 +229,11 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
       }
     }
     rows += lf.limit - lf.entry;
+    if constexpr (!kEmit) {
+      if (tally != nullptr) {
+        tally[run[split].entry - base] += lf.limit - lf.entry;
+      }
+    }
     // Odometer over the outer frames: advance the deepest one with a next
     // entry, reset everything below it.
     size_t i = n - 1;
@@ -260,6 +281,20 @@ uint64_t EnumKernel::CountRows(const FRep& rep,
                                std::span<const EntryBound> bounds) const {
   return Run<false>(rep, bounds,
                     [](size_t) { return static_cast<Value*>(nullptr); });
+}
+
+std::vector<uint64_t> EnumKernel::CountEntries(
+    const FRep& rep, std::span<const EntryBound> bounds) const {
+  FDB_CHECK_MSG(!bounds.empty(), "CountEntries needs a split frame to count");
+  std::vector<uint64_t> out;
+  Run<false>(
+      rep, bounds, [](size_t) { return static_cast<Value*>(nullptr); }, &out);
+  return out;
+}
+
+uint32_t EnumKernel::TopFrameSize(const FRep& rep) const {
+  if (rep.empty() || steps_.empty()) return 0;
+  return static_cast<uint32_t>(rep.u(rep.roots()[steps_[0].slot]).size());
 }
 
 }  // namespace fdb

@@ -26,7 +26,10 @@
 //
 // Morsel bounds (the EntryBound contract of core/enumerate.h: a pinned
 // chain plus one ranged frame) restrict the run, so MaterializeVisible
-// (core/parallel_enumerate.h) executes one kernel run per morsel.
+// (core/parallel_enumerate.h) executes one kernel run per morsel. The
+// count mode also sizes those morsels: CountEntries splits one count walk
+// by the entries of its ranged frame, which is all the morsel planner
+// needs — no pass over the union DAG.
 //
 // A kernel is only valid for representations whose f-tree matches the
 // compiled shape (Matches(): one frame rebuild + signature compare).
@@ -108,6 +111,31 @@ class EnumKernel {
   uint64_t CountRows(const FRep& rep,
                      std::span<const EntryBound> bounds) const;
 
+  /// An EntryBound end that every union length clamps: {0, kAllEntries}
+  /// ranges over a whole frame.
+  static constexpr uint32_t kAllEntries = 0xFFFFFFFFu;
+
+  /// The count mode split by entry: the row count under each entry of the
+  /// split frame — the frame the last bound restricts. `bounds` is non-empty
+  /// and follows the EntryBound contract (every bound but the last pins one
+  /// entry); the last bound's end is clamped to its union's length, so
+  /// a pinned chain plus {0, kAllEntries} counts every entry of the first
+  /// unpinned frame below it, and a lone [b, e) counts a range of frame 0.
+  /// out[i] == CountRows(rep, bounds with the last bound narrowed to
+  /// [b + i, b + i + 1)), so the entries sum to CountRows(rep, bounds).
+  /// When the split frame is the innermost one every entry counts 1 row.
+  /// Empty when a bound misses its union. One count walk: the cost of
+  /// CountRows(rep, bounds).
+  std::vector<uint64_t> CountEntries(const FRep& rep,
+                                     std::span<const EntryBound> bounds) const;
+
+  /// Number of pre-order frames the program walks (0 = the nullary stream).
+  size_t num_frames() const { return steps_.size(); }
+
+  /// Entries in frame 0's union of `rep` (its first kept root); 0 for the
+  /// empty representation and the nullary stream.
+  uint32_t TopFrameSize(const FRep& rep) const;
+
  private:
   /// One lowered pre-order frame. `out_cols_[out_begin, out_end)` are the
   /// output columns fed by this frame's value (every schema attribute of
@@ -122,10 +150,11 @@ class EnumKernel {
   };
 
   /// The walk. With kEmit, `grow(n)` is called once per innermost run and
-  /// returns where that run's n values go.
+  /// returns where that run's n values go. Without it, a non-null
+  /// `per_entry` receives CountEntries' split of the count.
   template <bool kEmit, typename Grow>
   uint64_t Run(const FRep& rep, std::span<const EntryBound> bounds,
-               Grow&& grow) const;
+               Grow&& grow, std::vector<uint64_t>* per_entry = nullptr) const;
 
   std::vector<Step> steps_;        ///< pre-order, one per kept frame
   std::vector<uint32_t> out_cols_; ///< flat per-step column lists

@@ -24,141 +24,104 @@ constexpr size_t kMaxChainDepth = 16;
 // balance, more per-chunk overhead.
 constexpr double kMorselsPerThread = 8;
 
+// Frame 0 is counted in equal-entry ranges on the pool when its union
+// holds more than one range of kCountRangeEntries entries, at most
+// kCountRangesPerThread ranges per thread — the rule GroundQuery cuts its
+// first root by (core/ground.cc).
+constexpr size_t kCountRangeEntries = 1024;
+constexpr size_t kCountRangesPerThread = 2;
+
 struct PlanCtx {
   const FRep& rep;
-  const FTree& tree;
-  const std::vector<PreOrderFrame>& frames;
-  const std::vector<double>& counts;   // per-union restricted subtree counts
-  const std::vector<char>* keep;       // node mask; null = all kept
-  double target;                       // tuples per morsel aimed for
+  const EnumKernel& kernel;
+  double target;                   // tuples per morsel aimed for
   std::vector<Morsel>* out;
-  std::vector<EntryBound> prefix;      // pinned chain above the split frame
-  std::vector<uint32_t> chain_unions;  // union id per chain frame
+  std::vector<EntryBound> prefix;  // pinned chain above the split frame
 };
 
-bool Kept(const PlanCtx& c, int node) {
-  return c.keep == nullptr || (*c.keep)[static_cast<size_t>(node)];
-}
-
-// Stream tuples below entry `e` of union `u`: the product of the restricted
-// counts of its kept children (1 for a leaf entry).
-double ExtCount(const PlanCtx& c, const UnionRef& u, size_t e) {
-  const std::vector<int>& ch = c.tree.node(u.node()).children;
-  const size_t k = ch.size();
-  double p = 1.0;
-  for (size_t j = 0; j < k; ++j) {
-    if (!Kept(c, ch[j])) continue;
-    p *= c.counts[u.Child(e, j, k)];
-  }
-  return p;
-}
-
-// Union of frame `f` under the pinned prefix (every earlier chain frame is
-// pinned to a single entry, so the resolution is unambiguous).
-uint32_t ResolveUnion(const PlanCtx& c, size_t f) {
-  const PreOrderFrame& pf = c.frames[f];
-  if (pf.parent_pos < 0) return c.rep.roots()[pf.slot];
-  const size_t p = static_cast<size_t>(pf.parent_pos);
-  UnionRef pu = c.rep.u(c.chain_unions[p]);
-  const size_t k = c.tree.node(c.frames[p].node).children.size();
-  return pu.Child(c.prefix[p].begin, pf.slot, k);
-}
-
-// Splits the entries of `union_id` (the union of frame `frame` under the
-// pinned prefix) into ranges of ~target estimated output. `mult` is the
-// stream weight of one subtree tuple of this union — the product of every
-// count outside the subtree under the pinned prefix — so entry `e` covers
-// mult * ExtCount(e) stream tuples. Entries are packed greedily in order;
-// an entry that alone exceeds the target is pinned and the next pre-order
-// frame is split recursively, keeping the emitted morsels in lexicographic
-// odometer order throughout.
-void SplitFrame(PlanCtx& c, size_t frame, uint32_t union_id, double mult) {
-  UnionRef u = c.rep.u(union_id);
-  c.chain_unions.push_back(union_id);
+// Splits the entries of the split frame (frame prefix.size(), under the
+// pinned prefix) into ranges of ~target rows; `rows[e]` is the exact
+// stream length under entry e. Entries are packed greedily in order; an
+// entry that alone exceeds the target is pinned and the next pre-order
+// frame, counted under the pin, is split recursively, keeping the emitted
+// morsels in lexicographic odometer order throughout.
+void SplitFrame(PlanCtx& c, const std::vector<uint64_t>& rows) {
+  const size_t frame = c.prefix.size();
   uint32_t begin = 0;
-  double acc = 0.0;
+  uint64_t acc = 0;
   auto flush = [&](uint32_t end) {
     if (end > begin) {
       Morsel m;
       m.bounds = c.prefix;
       m.bounds.emplace_back(begin, end);
-      m.est_tuples = acc;
+      m.rows = acc;
       c.out->push_back(std::move(m));
     }
     begin = end;
-    acc = 0.0;
+    acc = 0;
   };
-  const uint32_t len = static_cast<uint32_t>(u.size());
+  const uint32_t len = static_cast<uint32_t>(rows.size());
   for (uint32_t e = 0; e < len; ++e) {
-    const double w = mult * ExtCount(c, u, e);
-    // !(w <= target) rather than w > target: a non-finite estimate (counts
-    // past double range) must also split rather than pack everything.
-    const bool oversized = !(w <= c.target);
-    if (oversized && frame + 1 < c.frames.size() &&
+    const uint64_t w = rows[e];
+    if (static_cast<double>(w) > c.target &&
+        frame + 1 < c.kernel.num_frames() &&
         c.prefix.size() + 1 < kMaxChainDepth) {
       flush(e);
       c.prefix.emplace_back(e, e + 1);
-      const uint32_t nu = ResolveUnion(c, frame + 1);
-      const double cn = c.counts[nu];
-      SplitFrame(c, frame + 1, nu, cn > 0 ? w / cn : w);
+      c.prefix.emplace_back(0, EnumKernel::kAllEntries);
+      const std::vector<uint64_t> below =
+          c.kernel.CountEntries(c.rep, c.prefix);
+      c.prefix.pop_back();
+      SplitFrame(c, below);
       c.prefix.pop_back();
       begin = e + 1;
     } else {
-      if (acc > 0.0 && !(acc + w <= c.target)) flush(e);
+      if (acc > 0 && static_cast<double>(acc + w) > c.target) flush(e);
       acc += w;
     }
   }
   flush(len);
-  c.chain_unions.pop_back();
 }
 
-// The sizing pass shared by planning and the cutoff decision: the frame
-// mask of the stream (as per visible_only), its per-union restricted
-// subtree counts, and its length — the product over kept root trees of
-// their restricted counts.
-struct SizedStream {
-  bool visible_only;
-  std::vector<char> keep;  // VisibleKeepMask when visible_only
-  std::vector<double> counts;
-  double total = 1.0;
-
-  const std::vector<char>* mask() const {
-    return visible_only ? &keep : nullptr;
-  }
-};
-
-SizedStream SizeStream(const FRep& rep, bool visible_only) {
-  SizedStream s{visible_only, {}, {}};
-  if (visible_only) s.keep = VisibleKeepMask(rep.tree());
-  s.counts = rep.SubtreeTupleCounts(s.mask());
-  const std::vector<int>& roots = rep.tree().roots();
-  for (size_t i = 0; i < roots.size(); ++i) {
-    if (!visible_only || s.keep[static_cast<size_t>(roots[i])]) {
-      s.total *= s.counts[rep.roots()[i]];
-    }
-  }
-  return s;
+// The rows under every entry of frame 0. A large union is counted in
+// equal-entry ranges on up to `threads` threads; each range re-binds the
+// caller's ExecContext, as ForEachChunk does.
+std::vector<uint64_t> CountTopFrame(const FRep& rep, const EnumKernel& k,
+                                    int threads) {
+  const size_t len = k.TopFrameSize(rep);
+  const size_t ranges =
+      threads > 1 ? std::min(len / kCountRangeEntries,
+                             static_cast<size_t>(threads) *
+                                 kCountRangesPerThread)
+                  : 1;
+  const EntryBound whole{0, EnumKernel::kAllEntries};
+  if (ranges <= 1) return k.CountEntries(rep, {&whole, 1});
+  std::vector<uint64_t> rows(len);
+  ExecContext* const ctx = ExecContext::Current();
+  ThreadPool::Shared().ParallelFor(
+      ranges,
+      [&](size_t r) {
+        ExecContext::Scope scope(ctx);
+        if (ctx != nullptr) ctx->CheckCancelled();
+        const EntryBound b{static_cast<uint32_t>(r * len / ranges),
+                           static_cast<uint32_t>((r + 1) * len / ranges)};
+        const std::vector<uint64_t> part = k.CountEntries(rep, {&b, 1});
+        std::copy(part.begin(), part.end(), rows.begin() + b.begin);
+      },
+      threads);
+  return rows;
 }
 
-// Splits a sized stream into morsels of ~target_tuples each.
-MorselPlan PlanSizedMorsels(const FRep& rep, const SizedStream& s,
-                            double target_tuples) {
-  const std::vector<char>* keep = s.mask();
-  const std::vector<double>& counts = s.counts;
+// Splits a stream whose frame-0 entries hold `top` rows into morsels of
+// ~target_tuples each.
+MorselPlan PlanCounted(const FRep& rep, const EnumKernel& k,
+                       const std::vector<uint64_t>& top,
+                       double target_tuples) {
   MorselPlan plan;
-  plan.est_total = s.total;
-  std::vector<PreOrderFrame> frames = BuildPreOrderFrames(rep.tree(), keep);
-  if (frames.empty()) {
-    // Nullary stream (one empty tuple): nothing to split over.
-    plan.morsels.push_back(Morsel{{}, plan.est_total});
-    return plan;
-  }
+  plan.total_rows = std::accumulate(top.begin(), top.end(), uint64_t{0});
   if (!(target_tuples >= 1.0)) target_tuples = 1.0;
-  PlanCtx ctx{rep,           rep.tree(),    frames, counts, keep,
-              target_tuples, &plan.morsels, {},     {}};
-  const uint32_t u0 = rep.roots()[frames[0].slot];
-  const double c0 = counts[u0];
-  SplitFrame(ctx, 0, u0, c0 > 0 ? plan.est_total / c0 : plan.est_total);
+  PlanCtx ctx{rep, k, target_tuples, &plan.morsels, {}};
+  SplitFrame(ctx, top);
   return plan;
 }
 
@@ -167,36 +130,56 @@ MorselPlan PlanSizedMorsels(const FRep& rep, const SizedStream& s,
 MorselPlan PlanMorsels(const FRep& rep, bool visible_only,
                        double target_tuples) {
   if (rep.empty()) return {};
-  MorselPlan plan =
-      PlanSizedMorsels(rep, SizeStream(rep, visible_only), target_tuples);
+  const EnumKernel k = EnumKernel::Compile(rep.tree(), visible_only);
+  MorselPlan plan;
+  if (k.num_frames() == 0) {
+    // Nullary stream (one empty tuple): nothing to split over.
+    plan.total_rows = k.CountRows(rep, {});
+    plan.morsels.push_back(Morsel{{}, plan.total_rows});
+  } else {
+    plan = PlanCounted(rep, k, CountTopFrame(rep, k, 1), target_tuples);
+  }
   FDB_VALIDATE_MORSELS(rep, visible_only, plan);
   return plan;
 }
 
 ParallelEnumerator::ParallelEnumerator(const FRep& rep, EnumerateOptions opts,
-                                       bool visible_only) {
+                                       bool visible_only,
+                                       const EnumKernel* kernel) {
   // Resolve against the hardware, not ThreadPool::Shared(): the shared
   // pool must not be spun up for enumerations that stay sequential.
   threads_ = ResolveThreads(opts.threads);
   if (rep.empty()) return;  // zero chunks, ForEachChunk is a no-op
-  if (threads_ > 1) {
-    // One linear pass sizes the stream; below the cutoff the planning and
+  std::optional<EnumKernel> compiled;
+  if (kernel == nullptr) {
+    compiled.emplace(EnumKernel::Compile(rep.tree(), visible_only));
+    kernel = &*compiled;
+  }
+  FDB_CHECK_MSG(kernel->visible_only() == visible_only,
+                "the planning kernel walks the other visibility mode");
+  if (threads_ > 1 && kernel->num_frames() > 0) {
+    // One count walk sizes the stream; below the cutoff the planning and
     // thread handoff are not worth it and the result stays on the caller.
-    const SizedStream s = SizeStream(rep, visible_only);
-    if (s.total >= opts.parallel_cutoff) {
+    const std::vector<uint64_t> top = CountTopFrame(rep, *kernel, threads_);
+    const uint64_t total =
+        std::accumulate(top.begin(), top.end(), uint64_t{0});
+    if (static_cast<double>(total) >= opts.parallel_cutoff) {
       const double target =
           opts.target_morsel_tuples > 0
               ? opts.target_morsel_tuples
-              : std::max(1.0, s.total / (static_cast<double>(threads_) *
-                                         kMorselsPerThread));
-      plan_ = PlanSizedMorsels(rep, s, target);
+              : std::max(1.0, static_cast<double>(total) /
+                                  (static_cast<double>(threads_) *
+                                   kMorselsPerThread));
+      plan_ = PlanCounted(rep, *kernel, top, target);
     } else {
-      plan_.est_total = s.total;
+      plan_.total_rows = total;
     }
+  } else {
+    plan_.total_rows = kernel->CountRows(rep, {});
   }
   if (plan_.morsels.empty()) {
     // Sequential fallback: one whole-stream chunk on the caller thread.
-    plan_.morsels.push_back(Morsel{{}, plan_.est_total});
+    plan_.morsels.push_back(Morsel{{}, plan_.total_rows});
     threads_ = 1;
   }
   FDB_VALIDATE_MORSELS(rep, visible_only, plan_);
@@ -250,11 +233,10 @@ void SealVisible(Relation& out, const EnumKernel& kernel, QueryTrace* trace) {
   span.SetRows(out.size());
 }
 
-// One kernel run per morsel. The morsels' exact row counts (count mode
-// skips the innermost walk, a fraction of a percent of the emit) and their
-// prefix sum give every morsel its own slice of one presized buffer, so
-// each one writes straight into the result in stream order — no per-chunk
-// buffers, no concatenation copy.
+// One kernel run per morsel. The plan's exact row counts and their prefix
+// sum give every morsel its own slice of one presized buffer, so each one
+// writes straight into the result in stream order — no count pass, no
+// per-chunk buffers, no concatenation copy.
 Relation EmitWithKernel(const FRep& rep, const EnumKernel& kernel,
                         const ParallelEnumerator& pe, QueryTrace* trace) {
   const size_t arity = kernel.schema().size();
@@ -263,14 +245,13 @@ Relation EmitWithKernel(const FRep& rep, const EnumKernel& kernel,
     QueryTrace::Scope emit(trace, "emit");
     if (arity == 0) {
       // Fully-invisible (or nullary) stream: at most the one empty tuple.
-      if (kernel.CountRows(rep, {}) > 0) out.AddTuple({});
+      if (pe.plan().total_rows > 0) out.AddTuple({});
     } else {
       const size_t n = pe.num_chunks();
       std::vector<size_t> first(n + 1, 0);  // first row of each morsel
-      pe.ForEachChunk([&](size_t c) {
-        first[c + 1] = kernel.CountRows(rep, pe.plan().morsels[c].bounds);
-      });
-      std::partial_sum(first.begin(), first.end(), first.begin());
+      for (size_t c = 0; c < n; ++c) {
+        first[c + 1] = first[c] + pe.plan().morsels[c].rows;
+      }
       std::vector<Value> rows(first[n] * arity);
       pe.ForEachChunk([&](size_t c) {
         const size_t len = first[c + 1] - first[c];
@@ -306,7 +287,7 @@ Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts,
   std::optional<ParallelEnumerator> pe;
   {
     QueryTrace::Scope plan_span(trace, "morsel-plan");
-    pe.emplace(rep, opts, /*visible_only=*/true);
+    pe.emplace(rep, opts, /*visible_only=*/true, kernel);
     plan_span.SetRows(pe->num_chunks());
   }
   QueryTrace::Scope enum_span(trace, "enumerate");

@@ -8,9 +8,12 @@
 // dominates, pinning it and recursing one level down — carves the tuple
 // stream into contiguous, disjoint slices. The planner (PlanMorsels)
 // builds such slices ("morsels", after Leis et al., Morsel-Driven
-// Parallelism, SIGMOD'14 — see PAPERS.md) of bounded estimated output
-// using the per-subtree tuple counts of one FRep::SweepBottomUp
-// (FRep::SubtreeTupleCounts), and ParallelEnumerator schedules one task
+// Parallelism, SIGMOD'14 — see PAPERS.md) of bounded output, sized by
+// the compiled kernel's own count mode (EnumKernel::CountEntries: the
+// exact rows under each entry of one frame, frame 0 counted in entry
+// ranges on the pool when its union is large), so every morsel carries
+// its exact row count and planning costs one count walk of the stream,
+// not a pass over the union DAG. ParallelEnumerator schedules one task
 // per morsel on the shared thread pool (common/thread_pool.h) — for
 // MaterializeVisible a bounded run of the compiled kernel (core/kernel.h).
 //
@@ -24,6 +27,7 @@
 #define FDB_CORE_PARALLEL_ENUMERATE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -43,38 +47,39 @@ struct EnumerateOptions {
   /// 1 = sequential on the caller.
   int threads = 0;
 
-  /// Estimated output (tuples) below which enumeration stays on the
-  /// calling thread — morsel planning and thread handoff are not worth it
-  /// for small results.
+  /// Exact output (tuples, counted by the planner) below which
+  /// enumeration stays on the calling thread — morsel planning and thread
+  /// handoff are not worth it for small results.
   double parallel_cutoff = 32768;
 
-  /// Override of the target tuples per morsel (0 = the total estimate
+  /// Override of the target tuples per morsel (0 = the stream length
   /// split into a fixed number of morsels per thread). Mainly for tests.
   double target_morsel_tuples = 0;
 };
 
 /// One work slice: a restriction chain on the top pre-order frames (the
-/// EntryBound contract of core/enumerate.h) plus its estimated output.
-/// An empty bounds vector denotes the whole stream.
+/// EntryBound contract of core/enumerate.h) plus its exact row count —
+/// EnumKernel::CountRows over the same bounds. An empty bounds vector
+/// denotes the whole stream.
 struct Morsel {
   std::vector<EntryBound> bounds;
-  double est_tuples = 0;
+  uint64_t rows = 0;
 };
 
 /// A partition of the enumeration stream. Morsels are in lexicographic
 /// odometer order: concatenating their streams by index reproduces the
-/// sequential enumeration exactly.
+/// sequential enumeration exactly, and their rows sum to total_rows.
 struct MorselPlan {
   std::vector<Morsel> morsels;
-  double est_total = 0;  ///< estimated stream length (restricted count)
+  uint64_t total_rows = 0;  ///< exact stream length (restricted count)
 };
 
 /// Splits the enumeration stream of `rep` (frames as per `visible_only`)
-/// into morsels of roughly `target_tuples` estimated output each. Entries
-/// of the first frame's union are packed greedily; an entry whose subtree
-/// alone exceeds the target is pinned and the next frame is split
-/// recursively. Always returns at least one morsel for a non-empty rep;
-/// the empty rep yields an empty plan.
+/// into morsels of roughly `target_tuples` rows each. Entries of the first
+/// frame's union are packed greedily by their exact row counts; an entry
+/// whose rows alone exceed the target is pinned and the next frame, counted
+/// under the pin, is split recursively. Always returns at least one morsel
+/// for a non-empty rep; the empty rep yields an empty plan.
 MorselPlan PlanMorsels(const FRep& rep, bool visible_only,
                        double target_tuples);
 
@@ -82,11 +87,18 @@ MorselPlan PlanMorsels(const FRep& rep, bool visible_only,
 /// the shared thread pool.
 class ParallelEnumerator {
  public:
-  /// Plans the enumeration. Falls back to one whole-stream chunk when the
-  /// resolved thread count is 1, the estimate is below
-  /// opts.parallel_cutoff, or the rep has no splittable frames (nullary).
+  /// Plans the enumeration: counts the stream with a kernel in the
+  /// `visible_only` mode — `kernel` when given (compiled from rep.tree()
+  /// in that mode; used only during construction), otherwise one compiled
+  /// here. Falls back to one whole-stream chunk, which still carries the
+  /// stream's row count, when the resolved thread count is 1, the count is
+  /// below opts.parallel_cutoff, or the rep has no splittable frames
+  /// (nullary). The count walk probes the caller's ExecContext as every
+  /// kernel run does, and each pool range at its start, so a query
+  /// cancelled during planning stops here with FdbCancelled.
   ParallelEnumerator(const FRep& rep, EnumerateOptions opts = {},
-                     bool visible_only = false);
+                     bool visible_only = false,
+                     const EnumKernel* kernel = nullptr);
 
   /// Number of chunks ForEachChunk() will deliver (0 for the empty rep).
   size_t num_chunks() const { return plan_.morsels.size(); }
@@ -127,14 +139,15 @@ class ParallelEnumerator {
 /// canonicalising both), not with ==.
 ///
 /// Rows are emitted by one visible-mode kernel run per morsel — extraction
-/// fused into emission, every morsel writing its own slice of one
-/// presized buffer — on up to opts.threads cores for large
-/// representations. `kernel` is reused when it is a visible-mode kernel
-/// whose compiled shape matches rep.tree() (EnumKernel::Matches);
-/// otherwise (null included) one is compiled from rep.tree(). A non-null
-/// `trace` records "kernel-compile" (only when this call compiles),
-/// "morsel-plan" (rows = chunk count) and "enumerate" (rows = output
-/// rows) with the sink's steps below it: "emit" (rows = tuples emitted)
+/// fused into emission, every morsel writing its own slice of one buffer
+/// presized from the plan's exact counts — on up to opts.threads cores for
+/// large representations. `kernel` is reused when it is a visible-mode
+/// kernel whose compiled shape matches rep.tree() (EnumKernel::Matches);
+/// otherwise (null included) one is compiled from rep.tree(). The same
+/// kernel sizes the plan. A non-null `trace` records "kernel-compile"
+/// (only when this call compiles), "morsel-plan" (rows = chunk count; it
+/// holds the count walk) and "enumerate" (rows = output rows) with the
+/// sink's steps below it: "emit" (rows = tuples emitted)
 /// and "sort-dedup" (rows = rows kept; only when the tree projects a
 /// middle node). All are opened on the calling thread around the whole
 /// fan-out — per-morsel work is aggregated, never one span per morsel

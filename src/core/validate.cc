@@ -334,8 +334,9 @@ void CheckGrouped(const GroupedRep& g) {
 
 // ---- ValidateMorselPlan -------------------------------------------------
 
-// Mirrors the arithmetic of the planner (core/parallel_enumerate.cc) over
-// the frames/counts it derived from SubtreeTupleCounts.
+// The independent oracle for the planner's counts (which come from the
+// kernel's count walk, core/parallel_enumerate.cc): the per-union tuple
+// counts of FRep::SubtreeTupleCounts, replayed down each morsel's chain.
 struct MorselCtx {
   const FRep& rep;
   const std::vector<PreOrderFrame>& frames;
@@ -379,6 +380,24 @@ void FailMorsel(size_t m, const std::string& detail) {
   Fail("ValidateMorselPlan", os.str());
 }
 
+// The planner's exact row count against the DP's double: equal whenever
+// the DP is exact (below 2^53), within a relative 1e-6 above that, where
+// the DP rounds.
+void CheckRows(const std::string& what, uint64_t rows, double dp) {
+  const double got = static_cast<double>(rows);
+  const bool ok = dp < 9007199254740992.0
+                      ? got == dp
+                      : !std::isfinite(dp) ||
+                            std::abs(dp - got) <=
+                                1e-6 * std::max({1.0, dp, got});
+  if (!ok) {
+    std::ostringstream os;
+    os << what << " counts " << rows << " rows where the subtree counts "
+       << "give " << dp;
+    Fail("ValidateMorselPlan", os.str());
+  }
+}
+
 void CheckMorsels(const FRep& rep, bool visible_only, const MorselPlan& plan) {
   CheckDeep(rep);
   if (rep.empty()) {
@@ -400,19 +419,27 @@ void CheckMorsels(const FRep& rep, bool visible_only, const MorselPlan& plan) {
     Fail("ValidateMorselPlan",
          "plan over a non-empty representation has no morsels");
   }
+  const std::vector<double> counts = rep.SubtreeTupleCounts(keep_ptr);
+  MorselCtx ctx{rep, frames, counts, keep_ptr};
+  double total = 1.0;  // the stream length: product over kept root trees
+  const std::vector<int>& troots = rep.tree().roots();
+  for (size_t i = 0; i < troots.size(); ++i) {
+    if (Kept(ctx, troots[i])) total *= counts[rep.roots()[i]];
+  }
+  CheckRows("the plan", plan.total_rows, total);
   // A single morsel with an empty bound chain denotes the whole stream
   // (nullary representations and the sequential fallback).
-  if (plan.morsels.size() == 1 && plan.morsels[0].bounds.empty()) return;
+  if (plan.morsels.size() == 1 && plan.morsels[0].bounds.empty()) {
+    CheckRows("the whole-stream morsel", plan.morsels[0].rows, total);
+    return;
+  }
   if (frames.empty()) {
     Fail("ValidateMorselPlan",
          "nullary stream split into more than the whole-stream morsel");
   }
 
-  const std::vector<double> counts = rep.SubtreeTupleCounts(keep_ptr);
-  MorselCtx ctx{rep, frames, counts, keep_ptr};
-
   // Per-morsel: resolve the chain, check the pin/range shape and that
-  // every bound lies inside its union; recompute the estimate.
+  // every bound lies inside its union; recompute the row count.
   std::vector<std::vector<uint32_t>> chains(plan.morsels.size());
   for (size_t m = 0; m < plan.morsels.size(); ++m) {
     const Morsel& mo = plan.morsels[m];
@@ -450,16 +477,10 @@ void CheckMorsels(const FRep& rep, bool visible_only, const MorselPlan& plan) {
         FailMorsel(m, os.str());
       }
     }
-    // Estimate consistency: replay the planner's arithmetic — the stream
-    // weight of one subtree tuple at the chain head, narrowed by each
-    // pinned entry — and compare with a relative tolerance (the planner
-    // accumulates in a different association order).
+    // Row counts: replay the chain over the DP counts — the stream weight
+    // of one subtree tuple at the chain head, narrowed by each pinned
+    // entry — and compare with the morsel's exact count.
     const uint32_t u0 = rep.roots()[frames[0].slot];
-    double total = 1.0;
-    const std::vector<int>& troots = rep.tree().roots();
-    for (size_t i = 0; i < troots.size(); ++i) {
-      if (Kept(ctx, troots[i])) total *= counts[rep.roots()[i]];
-    }
     double mult = counts[u0] > 0 ? total / counts[u0] : total;
     for (size_t i = 0; i + 1 < mo.bounds.size(); ++i) {
       const double w =
@@ -473,15 +494,9 @@ void CheckMorsels(const FRep& rep, bool visible_only, const MorselPlan& plan) {
     for (uint32_t e = mo.bounds[last].begin; e < mo.bounds[last].end; ++e) {
       est += mult * ExtCount(ctx, lu, e);
     }
-    if (std::isfinite(est) && std::isfinite(mo.est_tuples)) {
-      const double tol = 1e-6 * std::max({1.0, est, mo.est_tuples});
-      if (std::abs(est - mo.est_tuples) > tol) {
-        std::ostringstream os;
-        os << "estimates " << mo.est_tuples << " tuples where the subtree "
-           << "counts give " << est;
-        FailMorsel(m, os.str());
-      }
-    }
+    std::ostringstream what;
+    what << "morsel " << m;
+    CheckRows(what.str(), mo.rows, est);
   }
 
   // Tiling: morsels must partition the stream in lexicographic odometer

@@ -56,8 +56,10 @@ void ValidateGroupedRep(const GroupedRep& g);
 /// bound chains resolve (every bound but the last pins one entry, ranges
 /// lie inside their resolved unions), the morsels tile the enumeration
 /// stream — lexicographically ordered, disjoint and covering, first morsel
-/// starts at the stream start, last ends at the stream end — and the
-/// per-morsel estimates are consistent with FRep::SubtreeTupleCounts.
+/// starts at the stream start, last ends at the stream end — and every
+/// row count (the plan total and each morsel's, the whole-stream morsel
+/// included) equals the one FRep::SubtreeTupleCounts gives (exactly below
+/// 2^53, within 1e-6 relative above).
 /// `visible_only` must match the PlanMorsels call that produced the plan.
 void ValidateMorselPlan(const FRep& rep, bool visible_only,
                         const MorselPlan& plan);

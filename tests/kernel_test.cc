@@ -411,6 +411,106 @@ TEST(Kernel, OrderAndDistinctnessFollowTheTree) {
   EXPECT_FALSE(km.distinct());
 }
 
+// CountEntries under every pinned chain: each entry equals CountRows
+// narrowed to that entry, the entries sum to CountRows over the chain, and
+// the split frame's entries are all covered. Recurses until the split
+// frame is the innermost one, where every entry counts one row.
+void CheckCountEntries(const FRep& rep, const EnumKernel& k,
+                       std::vector<EntryBound>* prefix) {
+  std::vector<EntryBound> b = *prefix;
+  b.emplace_back(0, EnumKernel::kAllEntries);
+  const std::vector<uint64_t> counts = k.CountEntries(rep, b);
+  ASSERT_FALSE(counts.empty()) << "depth " << prefix->size();
+  uint64_t sum = 0;
+  for (uint32_t e = 0; e < counts.size(); ++e) {
+    b.back() = EntryBound(e, e + 1);
+    EXPECT_EQ(counts[e], k.CountRows(rep, b))
+        << "depth " << prefix->size() << " entry " << e;
+    sum += counts[e];
+  }
+  EXPECT_EQ(sum, k.CountRows(rep, *prefix)) << "depth " << prefix->size();
+  // One past the last entry misses the union.
+  b.back() = EntryBound(static_cast<uint32_t>(counts.size()),
+                        EnumKernel::kAllEntries);
+  EXPECT_TRUE(k.CountEntries(rep, b).empty());
+  if (prefix->size() + 1 == k.num_frames()) {
+    for (uint64_t c : counts) EXPECT_EQ(c, 1u);  // innermost split frame
+    return;
+  }
+  for (uint32_t e = 0; e < counts.size(); ++e) {
+    prefix->emplace_back(e, e + 1);
+    CheckCountEntries(rep, k, prefix);
+    prefix->pop_back();
+  }
+}
+
+TEST(Kernel, CountEntriesMatchesCountRows) {
+  std::vector<FRep> reps;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    reps.push_back(GroundRelation(RandomRelation({0, 1, 2}, 40, 4, seed), 0));
+  }
+  // Multi-root forest: frame 0's entries carry the second tree's weight.
+  reps.push_back(Product(GroundRelation(RandomRelation({0, 1}, 12, 5, 7), 0),
+                         GroundRelation(RandomRelation({2, 3}, 9, 5, 8), 1)));
+  // Deferred projection: an invisible leaf (skipped in visible mode) and
+  // an invisible middle node (kept without a column).
+  for (AttrId hidden : {2, 1}) {
+    FRep rep = GroundRelation(RandomRelation({0, 1, 2}, 40, 4, 9), 0);
+    rep.tree().node(rep.tree().FindAttr(hidden)).visible = {};
+    reps.push_back(std::move(rep));
+  }
+  // A branching tree: the star join's two leaves below one root.
+  {
+    Database db;
+    const RelId s = db.CreateRelation("S", {"a", "b"});
+    const RelId t = db.CreateRelation("T", {"b2", "c"});
+    Rng rng(5);
+    for (int64_t i = 1; i <= 24; ++i) {
+      db.relation(s).AddTuple({i, rng.Uniform(1, 3)});
+      db.relation(t).AddTuple({rng.Uniform(1, 3), i});
+    }
+    Engine engine(&db);
+    Query q;
+    q.rels = {s, t};
+    q.equalities = {{db.Attr("b"), db.Attr("b2")}};
+    reps.push_back(engine.EvaluateFlat(q).rep);
+  }
+  for (size_t r = 0; r < reps.size(); ++r) {
+    const FRep& rep = reps[r];
+    ASSERT_FALSE(rep.empty()) << r;
+    for (bool visible_only : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "rep " << r << " visible_only "
+                                      << visible_only);
+      const EnumKernel k = EnumKernel::Compile(rep.tree(), visible_only);
+      ASSERT_GT(k.num_frames(), 0u);
+      std::vector<EntryBound> prefix;
+      CheckCountEntries(rep, k, &prefix);
+      // Ranged frame 0: any [b, e) is the matching slice of the whole
+      // frame, and an end past the union is clamped.
+      const EntryBound whole(0, EnumKernel::kAllEntries);
+      const std::vector<uint64_t> all = k.CountEntries(rep, {&whole, 1});
+      ASSERT_EQ(all.size(), k.TopFrameSize(rep));
+      const uint32_t len = k.TopFrameSize(rep);
+      for (uint32_t b = 0; b < len; b += 2) {
+        for (uint32_t e : {b + 1, (b + len + 1) / 2, len + 3}) {
+          const EntryBound range(b, e);
+          const std::vector<uint64_t> part = k.CountEntries(rep, {&range, 1});
+          const uint32_t end = std::min(e, len);
+          ASSERT_EQ(part.size(), end - b);
+          EXPECT_TRUE(std::equal(part.begin(), part.end(), all.begin() + b))
+              << "[" << b << ", " << e << ")";
+        }
+      }
+    }
+  }
+  // The empty representation has no entries to count.
+  FRep empty{PathFTree({0, 1}, 0)};
+  const EnumKernel k = EnumKernel::Compile(empty.tree(), false);
+  const EntryBound whole(0, EnumKernel::kAllEntries);
+  EXPECT_TRUE(k.CountEntries(empty, {&whole, 1}).empty());
+  EXPECT_EQ(k.TopFrameSize(empty), 0u);
+}
+
 TEST(Kernel, EngineMaterializeResultKernel) {
   auto db = testing_util::MakeGroceryDb();
   Engine engine(db.get());

@@ -7,12 +7,15 @@
 #include <algorithm>
 #include <cstddef>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/database.h"
 #include "api/engine.h"
+#include "common/exec_context.h"
+#include "common/fault.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/aggregate.h"
@@ -286,14 +289,14 @@ TEST(ParallelEnumerate, EngineMaterializeResult) {
 
 TEST(ParallelEnumerate, PlanMorselsIsOrderedAndSized) {
   // Direct planner checks: morsels come out in lexicographic odometer
-  // order (prefix-pinned chains, ranges ascending) and their estimates
+  // order (prefix-pinned chains, ranges ascending) and their row counts
   // sum to the stream total.
   FRep rep = GroundRelation(RandomRelation({0, 1}, 120, 9, 3), 0);
   MorselPlan plan = PlanMorsels(rep, /*visible_only=*/false,
                                 /*target_tuples=*/8);
   ASSERT_GT(plan.morsels.size(), 1u);
-  EXPECT_EQ(plan.est_total, rep.CountTuples());
-  double est_sum = 0;
+  EXPECT_EQ(plan.total_rows, rep.CountTuplesExact());
+  uint64_t row_sum = 0;
   for (size_t m = 0; m < plan.morsels.size(); ++m) {
     const std::vector<EntryBound>& b = plan.morsels[m].bounds;
     ASSERT_FALSE(b.empty());
@@ -311,16 +314,16 @@ TEST(ParallelEnumerate, PlanMorselsIsOrderedAndSized) {
       ASSERT_TRUE(i < prev.size() && i < b.size());
       EXPECT_GE(b[i].begin, prev[i].end);
     }
-    est_sum += plan.morsels[m].est_tuples;
+    row_sum += plan.morsels[m].rows;
   }
-  EXPECT_NEAR(est_sum, plan.est_total, 1e-6 * plan.est_total);
+  EXPECT_EQ(row_sum, plan.total_rows);
 }
 
 TEST(ParallelEnumerate, PlanCoversStreamExactly) {
-  // Morsel estimates must add up to the plan total, and the per-chunk
+  // Morsel row counts must add up to the plan total, and the per-chunk
   // streams must be non-overlapping contiguous slices (already implied by
-  // the equality checks; here: the chunks' kernel row counts sum to the
-  // stream length).
+  // the equality checks; here: each chunk's kernel row count is its
+  // morsel's, and they sum to the stream length).
   FRep rep = GroundRelation(RandomRelation({0, 1, 2}, 400, 12, 55), 0);
   EnumerateOptions opts;
   opts.threads = 4;
@@ -328,18 +331,309 @@ TEST(ParallelEnumerate, PlanCoversStreamExactly) {
   opts.target_morsel_tuples = 32;
   ParallelEnumerator pe(rep, opts, false);
   ASSERT_GT(pe.num_chunks(), 1u);
-  double est_sum = 0;
-  for (const Morsel& m : pe.plan().morsels) est_sum += m.est_tuples;
-  EXPECT_NEAR(est_sum, pe.plan().est_total, 1e-6 * pe.plan().est_total);
-  EXPECT_EQ(pe.plan().est_total, rep.CountTuples());
+  uint64_t row_sum = 0;
+  for (const Morsel& m : pe.plan().morsels) row_sum += m.rows;
+  EXPECT_EQ(row_sum, pe.plan().total_rows);
+  EXPECT_EQ(pe.plan().total_rows, rep.CountTuplesExact());
   const EnumKernel k = EnumKernel::Compile(rep.tree(), /*visible_only=*/false);
   std::vector<uint64_t> rows(pe.num_chunks());
   pe.ForEachChunk([&](size_t c) {
     rows[c] = k.CountRows(rep, pe.plan().morsels[c].bounds);
+    EXPECT_EQ(rows[c], pe.plan().morsels[c].rows) << c;
   });
   const uint64_t streamed =
       std::accumulate(rows.begin(), rows.end(), uint64_t{0});
-  EXPECT_EQ(static_cast<double>(streamed), rep.CountTuples());
+  EXPECT_EQ(streamed, rep.CountTuplesExact());
+}
+
+// ---------------------------------------------------------------------------
+// The DP planner the kernel-counted one replaced, kept as its oracle: the
+// same greedy packing, driven by FRep::SubtreeTupleCounts. Below 2^53 its
+// double estimates are exact, so both must give identical bounds and the
+// oracle's estimates must equal the exact row counts.
+
+struct DpCtx {
+  const FRep& rep;
+  const std::vector<PreOrderFrame>& frames;
+  const std::vector<double>& counts;
+  const std::vector<char>* keep;
+  double target;
+  std::vector<std::pair<std::vector<EntryBound>, double>>* out;
+  std::vector<EntryBound> prefix;
+  std::vector<uint32_t> chain_unions;
+};
+
+double DpExtCount(const DpCtx& c, const UnionRef& u, size_t e) {
+  const std::vector<int>& ch = c.rep.tree().node(u.node()).children;
+  const size_t k = ch.size();
+  double p = 1.0;
+  for (size_t j = 0; j < k; ++j) {
+    if (c.keep != nullptr && !(*c.keep)[static_cast<size_t>(ch[j])]) continue;
+    p *= c.counts[u.Child(e, j, k)];
+  }
+  return p;
+}
+
+uint32_t DpResolveUnion(const DpCtx& c, size_t f) {
+  const PreOrderFrame& pf = c.frames[f];
+  if (pf.parent_pos < 0) return c.rep.roots()[pf.slot];
+  const size_t p = static_cast<size_t>(pf.parent_pos);
+  UnionRef pu = c.rep.u(c.chain_unions[p]);
+  const size_t k = c.rep.tree().node(c.frames[p].node).children.size();
+  return pu.Child(c.prefix[p].begin, pf.slot, k);
+}
+
+void DpSplitFrame(DpCtx& c, size_t frame, uint32_t union_id, double mult) {
+  UnionRef u = c.rep.u(union_id);
+  c.chain_unions.push_back(union_id);
+  uint32_t begin = 0;
+  double acc = 0.0;
+  auto flush = [&](uint32_t end) {
+    if (end > begin) {
+      std::vector<EntryBound> b = c.prefix;
+      b.emplace_back(begin, end);
+      c.out->emplace_back(std::move(b), acc);
+    }
+    begin = end;
+    acc = 0.0;
+  };
+  const uint32_t len = static_cast<uint32_t>(u.size());
+  for (uint32_t e = 0; e < len; ++e) {
+    const double w = mult * DpExtCount(c, u, e);
+    if (!(w <= c.target) && frame + 1 < c.frames.size() &&
+        c.prefix.size() + 1 < 16) {
+      flush(e);
+      c.prefix.emplace_back(e, e + 1);
+      const uint32_t nu = DpResolveUnion(c, frame + 1);
+      const double cn = c.counts[nu];
+      DpSplitFrame(c, frame + 1, nu, cn > 0 ? w / cn : w);
+      c.prefix.pop_back();
+      begin = e + 1;
+    } else {
+      if (acc > 0.0 && !(acc + w <= c.target)) flush(e);
+      acc += w;
+    }
+  }
+  flush(len);
+  c.chain_unions.pop_back();
+}
+
+// The oracle's plan: (bounds, estimate) per morsel and the stream total.
+// `target` <= 0 takes the default target for `threads`.
+std::vector<std::pair<std::vector<EntryBound>, double>> DpPlan(
+    const FRep& rep, bool visible_only, double target, int threads,
+    double* total_out) {
+  std::vector<char> keep;
+  if (visible_only) keep = VisibleKeepMask(rep.tree());
+  const std::vector<char>* mask = visible_only ? &keep : nullptr;
+  const std::vector<double> counts = rep.SubtreeTupleCounts(mask);
+  double total = 1.0;
+  const std::vector<int>& roots = rep.tree().roots();
+  for (size_t i = 0; i < roots.size(); ++i) {
+    if (mask == nullptr || keep[static_cast<size_t>(roots[i])]) {
+      total *= counts[rep.roots()[i]];
+    }
+  }
+  *total_out = total;
+  if (target <= 0) target = std::max(1.0, total / (threads * 8.0));
+  if (!(target >= 1.0)) target = 1.0;
+  const std::vector<PreOrderFrame> frames =
+      BuildPreOrderFrames(rep.tree(), mask);
+  std::vector<std::pair<std::vector<EntryBound>, double>> out;
+  DpCtx ctx{rep, frames, counts, mask, target, &out, {}, {}};
+  const uint32_t u0 = rep.roots()[frames[0].slot];
+  const double c0 = counts[u0];
+  DpSplitFrame(ctx, 0, u0, c0 > 0 ? total / c0 : total);
+  return out;
+}
+
+bool SameBounds(const std::vector<EntryBound>& a,
+                const std::vector<EntryBound>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].begin != b[i].begin || a[i].end != b[i].end) return false;
+  }
+  return true;
+}
+
+void ExpectSamePlan(const MorselPlan& plan,
+                    const std::vector<std::pair<std::vector<EntryBound>,
+                                                double>>& dp,
+                    double dp_total) {
+  EXPECT_EQ(static_cast<double>(plan.total_rows), dp_total);
+  ASSERT_EQ(plan.morsels.size(), dp.size());
+  for (size_t m = 0; m < dp.size(); ++m) {
+    EXPECT_TRUE(SameBounds(plan.morsels[m].bounds, dp[m].first)) << m;
+    EXPECT_EQ(static_cast<double>(plan.morsels[m].rows), dp[m].second) << m;
+  }
+}
+
+// A random rep of one of five shapes: a path tree, a two-root product
+// forest, a path with an invisible leaf or middle node, and an engine
+// join (branching tree).
+FRep RandomRep(Rng& rng, uint64_t seed) {
+  const size_t rows = static_cast<size_t>(rng.Uniform(1, 120));
+  const int64_t domain = rng.Uniform(1, 12);
+  switch (seed % 5) {
+    case 0:
+      return GroundRelation(RandomRelation({0, 1, 2}, rows, domain, seed), 0);
+    case 1:
+      return Product(
+          GroundRelation(RandomRelation({0, 1}, rows / 4 + 1, domain, seed),
+                         0),
+          GroundRelation(
+              RandomRelation({2, 3}, rows / 8 + 1, domain, seed + 1), 1));
+    case 2:
+    case 3: {
+      FRep rep =
+          GroundRelation(RandomRelation({0, 1, 2}, rows, domain, seed), 0);
+      const AttrId hidden = seed % 5 == 2 ? 2 : 1;
+      rep.tree().node(rep.tree().FindAttr(hidden)).visible = {};
+      return rep;
+    }
+    default: {
+      Database db;
+      const RelId s = db.CreateRelation("S", {"a", "b"});
+      const RelId t = db.CreateRelation("T", {"b2", "c"});
+      for (size_t i = 1; i <= rows; ++i) {
+        db.relation(s).AddTuple({static_cast<Value>(i),
+                                 rng.Uniform(1, domain)});
+        db.relation(t).AddTuple({rng.Uniform(1, domain),
+                                 static_cast<Value>(i)});
+      }
+      Engine engine(&db);
+      Query q;
+      q.rels = {s, t};
+      q.equalities = {{db.Attr("b"), db.Attr("b2")}};
+      return engine.EvaluateFlat(q).rep;
+    }
+  }
+}
+
+TEST(ParallelEnumerate, PlanMatchesDpReference) {
+  Rng rng(2024);
+  size_t planned = 0;
+  size_t pinned = 0;  // morsels below a pinned entry
+  for (uint64_t seed = 1; seed <= 600; ++seed) {
+    const FRep rep = RandomRep(rng, seed);
+    if (rep.empty()) continue;
+    for (bool visible_only : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " visible_only "
+                                      << visible_only);
+      const std::vector<char> keep = VisibleKeepMask(rep.tree());
+      if (BuildPreOrderFrames(rep.tree(), visible_only ? &keep : nullptr)
+              .empty()) {
+        continue;  // nullary stream: the whole-stream morsel, no split
+      }
+      const double target = static_cast<double>(rng.Uniform(1, 40));
+      double dp_total = 0;
+      const auto dp = DpPlan(rep, visible_only, target, 1, &dp_total);
+      ExpectSamePlan(PlanMorsels(rep, visible_only, target), dp, dp_total);
+      // The enumerator's default target, frame 0 counted on the pool.
+      const int threads = static_cast<int>(rng.Uniform(2, 8));
+      EnumerateOptions opts;
+      opts.threads = threads;
+      opts.parallel_cutoff = 0;
+      ParallelEnumerator pe(rep, opts, visible_only);
+      const auto dp_default = DpPlan(rep, visible_only, 0, threads, &dp_total);
+      ExpectSamePlan(pe.plan(), dp_default, dp_total);
+      ++planned;
+      for (const auto& [bounds, est] : dp) pinned += bounds.size() > 1;
+    }
+  }
+  EXPECT_GE(planned, 500u);
+  EXPECT_GT(pinned, 100u);  // the pin-and-recurse path is exercised
+}
+
+// Materialises `rep` at threads 1/2/4/8 (default options, and with the
+// cutoff off) and checks every result is byte-identical to threads = 1.
+void ExpectSameAtEveryThreadCount(const FRep& rep) {
+  EnumerateOptions one;
+  one.threads = 1;
+  const Relation seq = MaterializeVisible(rep, one);
+  ASSERT_GT(seq.size(), 0u);
+  for (int threads : {1, 2, 4, 8}) {
+    for (double cutoff : {32768.0, 0.0}) {
+      EnumerateOptions opts;
+      opts.threads = threads;
+      opts.parallel_cutoff = cutoff;
+      EXPECT_TRUE(MaterializeVisible(rep, opts) == seq)  // schema + bytes
+          << "threads=" << threads << " cutoff=" << cutoff;
+    }
+  }
+}
+
+TEST(ParallelEnumerate, SkewedRootIsPinnedAndByteIdentical) {
+  // One root value holds > 90% of the rows: the planner pins it and splits
+  // the frame below, under the pin's exact counts.
+  Rng rng(31);
+  Relation r({0, 1, 2});
+  for (int64_t i = 0; i < 38000; ++i) {
+    const Value a = i % 20 == 0 ? rng.Uniform(2, 400) : Value{1};
+    r.AddTuple({a, rng.Uniform(1, 4000), rng.Uniform(1, 50)});
+  }
+  const FRep rep = GroundRelation(r, 0);
+  const EnumKernel k = EnumKernel::Compile(rep.tree(), /*visible_only=*/true);
+  const EntryBound first(0, 1);
+  ASSERT_GT(k.CountRows(rep, {&first, 1}) * 10, 9 * k.CountRows(rep, {}));
+  EnumerateOptions opts;
+  opts.threads = 4;
+  ParallelEnumerator pe(rep, opts, /*visible_only=*/true);
+  ASSERT_GT(pe.num_chunks(), 1u);
+  EXPECT_EQ(pe.plan().morsels.front().bounds.size(), 2u)
+      << "the dominating root entry must be pinned";
+  ExpectSameAtEveryThreadCount(rep);
+}
+
+TEST(ParallelEnumerate, LargeTopFrameCountedInRanges) {
+  // More than 2 x 1024 root entries: with threads > 1, frame 0 is counted
+  // in entry ranges on the pool. The plan equals the sequential count's.
+  const FRep rep =
+      GroundRelation(RandomRelation({0, 1, 2}, 40000, 6000, 47), 0);
+  ASSERT_GT(rep.u(rep.roots()[0]).size(), 4096u);
+  for (int threads : {2, 4, 8}) {
+    EnumerateOptions opts;
+    opts.threads = threads;
+    ParallelEnumerator pe(rep, opts, /*visible_only=*/true);
+    double dp_total = 0;
+    const auto dp = DpPlan(rep, true, 0, threads, &dp_total);
+    ExpectSamePlan(pe.plan(), dp, dp_total);
+  }
+  ExpectSameAtEveryThreadCount(rep);
+}
+
+TEST(ParallelEnumerate, CancellationDuringPlanningSurfaces) {
+  // The planner's count walk probes the caller's context — on the caller
+  // and inside the pool's frame-0 ranges — so a cancelled query stops in
+  // planning with FdbCancelled, at every thread count.
+  const FRep rep =
+      GroundRelation(RandomRelation({0, 1, 2}, 40000, 6000, 47), 0);
+  for (int threads : {1, 4}) {
+    ExecContext ctx;
+    ctx.Cancel();
+    ExecContext::Scope scope(&ctx);
+    EnumerateOptions opts;
+    opts.threads = threads;
+    EXPECT_THROW(ParallelEnumerator(rep, opts, /*visible_only=*/true),
+                 FdbCancelled)
+        << threads;
+    QueryTrace trace;
+    EXPECT_THROW(MaterializeVisible(rep, opts, nullptr, &trace),
+                 FdbCancelled)
+        << threads;
+    EXPECT_FALSE(testing_util::HasSpan(trace, "emit")) << threads;
+  }
+  if (fault::kEnabled) {
+    // Armed mid-walk: the first kernel run is the planner's.
+    fault::Arm("kernel_run", {fault::Kind::kCancel, 0, 1, 0.0});
+    ExecContext ctx;
+    ExecContext::Scope scope(&ctx);
+    EnumerateOptions opts;
+    opts.threads = 4;
+    EXPECT_THROW(ParallelEnumerator(rep, opts, /*visible_only=*/true),
+                 FdbCancelled);
+    fault::DisarmAll();
+  }
 }
 
 }  // namespace

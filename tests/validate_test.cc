@@ -197,41 +197,41 @@ TEST(ValidateFTreeTest, RejectsCoverRelsMissingFromDepRels) {
 
 // ---- corrupted morsel plans ----------------------------------------------
 
-MorselPlan PlanOf(std::vector<Morsel> morsels, double total) {
+MorselPlan PlanOf(std::vector<Morsel> morsels, uint64_t total) {
   MorselPlan p;
   p.morsels = std::move(morsels);
-  p.est_total = total;
+  p.total_rows = total;
   return p;
 }
 
 TEST(ValidateMorselPlanTest, RejectsOverlappingBounds) {
   FRep rep = LeafRep({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
-  MorselPlan plan = PlanOf({Morsel{{EntryBound{0, 6}}, 6.0},
-                            Morsel{{EntryBound{4, 10}}, 6.0}},
-                           10.0);
+  MorselPlan plan = PlanOf({Morsel{{EntryBound{0, 6}}, 6},
+                            Morsel{{EntryBound{4, 10}}, 6}},
+                           10);
   ExpectRejected(ErrorOf([&] { ValidateMorselPlan(rep, false, plan); }),
                  "not adjacent");
 }
 
 TEST(ValidateMorselPlanTest, RejectsGapBetweenMorsels) {
   FRep rep = LeafRep({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
-  MorselPlan plan = PlanOf({Morsel{{EntryBound{0, 4}}, 4.0},
-                            Morsel{{EntryBound{6, 10}}, 4.0}},
-                           10.0);
+  MorselPlan plan = PlanOf({Morsel{{EntryBound{0, 4}}, 4},
+                            Morsel{{EntryBound{6, 10}}, 4}},
+                           10);
   ExpectRejected(ErrorOf([&] { ValidateMorselPlan(rep, false, plan); }),
                  "not adjacent");
 }
 
 TEST(ValidateMorselPlanTest, RejectsStreamNotCoveredFromStart) {
   FRep rep = LeafRep({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
-  MorselPlan plan = PlanOf({Morsel{{EntryBound{1, 10}}, 9.0}}, 10.0);
+  MorselPlan plan = PlanOf({Morsel{{EntryBound{1, 10}}, 9}}, 10);
   ExpectRejected(ErrorOf([&] { ValidateMorselPlan(rep, false, plan); }),
                  "stream start");
 }
 
 TEST(ValidateMorselPlanTest, RejectsBoundPastUnionLength) {
   FRep rep = LeafRep({1, 2, 3});
-  MorselPlan plan = PlanOf({Morsel{{EntryBound{0, 4}}, 4.0}}, 3.0);
+  MorselPlan plan = PlanOf({Morsel{{EntryBound{0, 4}}, 4}}, 3);
   ExpectRejected(ErrorOf([&] { ValidateMorselPlan(rep, false, plan); }),
                  "exceeds the union length");
 }
@@ -257,9 +257,34 @@ TEST(ValidateMorselPlanTest, RejectsUnpinnedInnerBound) {
   // An inner bound spanning two entries: the restricted frames below it
   // would not form a fixed chain.
   MorselPlan plan = PlanOf(
-      {Morsel{{EntryBound{0, 2}, EntryBound{0, 1}}, 2.0}}, 2.0);
+      {Morsel{{EntryBound{0, 2}, EntryBound{0, 1}}, 2}}, 2);
   ExpectRejected(ErrorOf([&] { ValidateMorselPlan(rep, false, plan); }),
                  "pin");
+}
+
+TEST(ValidateMorselPlanTest, RejectsMorselRowCountOffByOne) {
+  // Row counts are exact: one row too many is rejected, not tolerated.
+  FRep rep = LeafRep({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+  MorselPlan plan = PlanOf({Morsel{{EntryBound{0, 4}}, 5},
+                            Morsel{{EntryBound{4, 10}}, 6}},
+                           10);
+  ExpectRejected(ErrorOf([&] { ValidateMorselPlan(rep, false, plan); }),
+                 "morsel 0 counts 5 rows");
+}
+
+TEST(ValidateMorselPlanTest, RejectsWholeStreamRowCount) {
+  // The whole-stream morsel (the sequential fallback) carries the stream
+  // length too, and the plan total must match it.
+  FRep rep = LeafRep({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+  ExpectRejected(ErrorOf([&] {
+                   ValidateMorselPlan(rep, false, PlanOf({Morsel{{}, 0}}, 10));
+                 }),
+                 "whole-stream morsel counts 0 rows");
+  ExpectRejected(ErrorOf([&] {
+                   ValidateMorselPlan(rep, false, PlanOf({Morsel{{}, 10}}, 9));
+                 }),
+                 "the plan counts 9 rows");
+  EXPECT_NO_THROW(ValidateMorselPlan(rep, false, PlanOf({Morsel{{}, 10}}, 10)));
 }
 
 // ---- corrupted grouped aggregates ----------------------------------------

@@ -75,6 +75,15 @@ Rules (each reported as path:line: [rule] message):
                      dropped-entry cascade, the root list and the final
                      validation.
 
+  no-dag-sizing      No SubtreeTupleCounts( or CountTuples( /
+                     CountTuplesExact( call in core/parallel_enumerate.* or
+                     core/kernel.*. Materialisation sizes its stream with
+                     the kernel's own count walk (EnumKernel::CountEntries),
+                     in proportion to the output; a DP over the whole union
+                     DAG on that path costs in proportion to the
+                     representation and is what the planner used to run.
+                     The validators keep the DP as their oracle.
+
 Exit status: 0 when clean, 1 when any rule fires, 2 on usage errors.
 --self-test seeds one violation per rule through the checkers and fails if
 any rule does NOT fire (the armed-probe pattern: prove the lint is live).
@@ -357,6 +366,21 @@ def check_one_path_rewrite(relpath, text):
                   'PathRewrite::Run (core/ops_common.h)')
 
 
+DAG_SIZING_RE = re.compile(
+    r'\b(SubtreeTupleCounts|CountTuples(Exact)?)\s*\(')
+
+
+def check_no_dag_sizing(relpath, text):
+    if not re.fullmatch(r'src/core/(parallel_enumerate|kernel)\.(h|cc)',
+                        relpath):
+        return []
+    return findings_for(
+        DAG_SIZING_RE, strip_comments(text),
+        lambda m: '[no-dag-sizing] %s( sizes the stream by a pass over the '
+                  'whole union DAG — count it with EnumKernel::CountEntries '
+                  '(core/kernel.h)' % m.group(1))
+
+
 CHECKERS = [
     check_raw_threading,
     check_guarded_mutex,
@@ -368,6 +392,7 @@ CHECKERS = [
     check_bad_alloc_catch,
     check_one_dag_walk,
     check_one_path_rewrite,
+    check_no_dag_sizing,
 ]
 
 # --------------------------------------------------------------------------
@@ -440,6 +465,11 @@ SELF_TEST_CASES = [
      'auto rec = [&](auto&& self, uint32_t id) -> uint32_t {\n',
      'rw.Run(p, [&](const uint32_t* kids, size_t k, '
      'std::vector<uint32_t>* nk) { return true; });\n'),
+    (check_no_dag_sizing, 'src/core/parallel_enumerate.cc',
+     'const std::vector<double> counts = rep.SubtreeTupleCounts(keep);\n'
+     'const double total = rep.CountTuples();\n',
+     '// sized without rep.SubtreeTupleCounts()\n'
+     'const std::vector<uint64_t> top = k.CountEntries(rep, {&all, 1});\n'),
 ]
 
 
