@@ -50,23 +50,6 @@ int EnvInt(const char* name, int fallback) {
   return v != nullptr && std::atoi(v) > 0 ? std::atoi(v) : fallback;
 }
 
-BenchInstance MakeStar(size_t n, int64_t b_domain, uint64_t seed) {
-  BenchInstance inst;
-  inst.db = std::make_unique<Database>();
-  Rng rng(seed);
-  RelId s = inst.db->CreateRelation("S", {"sa", "sb"});
-  RelId t = inst.db->CreateRelation("T", {"tb", "tc"});
-  for (size_t i = 1; i <= n; ++i) {
-    inst.db->relation(s).AddTuple(
-        {static_cast<Value>(i), rng.Uniform(1, b_domain)});
-    inst.db->relation(t).AddTuple(
-        {rng.Uniform(1, b_domain), static_cast<Value>(i)});
-  }
-  inst.query.rels = {s, t};
-  inst.query.equalities = {{inst.db->Attr("sb"), inst.db->Attr("tb")}};
-  return inst;
-}
-
 BenchInstance MakeChain(size_t lineitems, uint64_t seed) {
   BenchInstance inst;
   inst.db = std::make_unique<Database>();
@@ -166,7 +149,7 @@ void Run(Report& report) {
   }
 
   {
-    BenchInstance star = MakeStar(star_n, 32, 4242);
+    BenchInstance star = MakeManyToManyStar(star_n, 32, 4242);
     Engine engine(star.db.get());
     FdbResult res = engine.EvaluateFlat(star.query);
     EnumTable(report,

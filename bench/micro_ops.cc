@@ -229,6 +229,30 @@ void BM_MorselPlanChain(benchmark::State& state) {
 }
 BENCHMARK(BM_MorselPlanChain)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
+void BM_MaterializeStar(benchmark::State& state) {
+  // MaterializeVisible on the seed-11 many-to-many star (`SELECT *`, 6,000
+  // rows per side, 32 join values: ~1.1M rows from 12k singletons), with
+  // the caller's visible-mode kernel. The 4-column result buffer is ~36 MB,
+  // fresh memory on every call, so the loop times its set-up (the
+  // "emit-buffer" span) as well as the kernel's emit. Arg = thread cap.
+  BenchInstance inst = MakeManyToManyStar(6000, 32, 11);
+  Engine engine(inst.db.get());
+  const FdbResult res = engine.EvaluateFlat(inst.query);
+  const EnumKernel kernel =
+      EnumKernel::Compile(res.rep.tree(), /*visible_only=*/true);
+  EnumerateOptions opts;
+  opts.threads = static_cast<int>(state.range(0));
+  size_t rows = 0;
+  for (auto _ : state) {
+    Relation out = MaterializeVisible(res.rep, opts, &kernel);
+    rows = out.size();
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+}
+BENCHMARK(BM_MaterializeStar)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
 void BM_TraceOverhead(benchmark::State& state) {
   // The warm serve path with tracing plumbed through but OFF (Arg 0,
   // trace == nullptr — what every non-EXPLAIN request pays) vs ON (Arg 1 —

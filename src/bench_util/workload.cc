@@ -132,6 +132,23 @@ BenchInstance MakeKeyForeignKeyChain(size_t customers, size_t orders,
   return inst;
 }
 
+BenchInstance MakeManyToManyStar(size_t n, int64_t b_domain, uint64_t seed) {
+  BenchInstance inst;
+  inst.db = std::make_unique<Database>();
+  Rng rng(seed);
+  RelId s = inst.db->CreateRelation("S", {"sa", "sb"});
+  RelId t = inst.db->CreateRelation("T", {"tb", "tc"});
+  for (size_t i = 1; i <= n; ++i) {
+    inst.db->relation(s).AddTuple(
+        {static_cast<Value>(i), rng.Uniform(1, b_domain)});
+    inst.db->relation(t).AddTuple(
+        {rng.Uniform(1, b_domain), static_cast<Value>(i)});
+  }
+  inst.query.rels = {s, t};
+  inst.query.equalities = {{inst.db->Attr("sb"), inst.db->Attr("tb")}};
+  return inst;
+}
+
 double BenchScale() {
   const char* s = std::getenv("FDB_BENCH_SCALE");
   if (s == nullptr) return 1.0;

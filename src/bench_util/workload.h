@@ -40,6 +40,13 @@ BenchInstance MakeHeterogeneousInstance(
 BenchInstance MakeKeyForeignKeyChain(size_t customers, size_t orders,
                                      size_t lineitems, uint64_t seed);
 
+/// The many-to-many star S(sa, sb) |x| T(tb, tc): n tuples per side with
+/// sa and tc the row number and sb, tb uniform over [1..b_domain], drawn
+/// from one generator, S's value before T's in every row. A small b_domain
+/// makes a heavily shared result: about n^2 / b_domain tuples from 2n
+/// singletons per join value. The query joins on sb = tb.
+BenchInstance MakeManyToManyStar(size_t n, int64_t b_domain, uint64_t seed);
+
 /// Reads scaling knobs from the environment: FDB_BENCH_SCALE (float,
 /// default 1) multiplies data sizes; FDB_BENCH_TIMEOUT (seconds, default
 /// 10) bounds each baseline run (the paper used 100 s).

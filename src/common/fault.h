@@ -19,7 +19,10 @@
 //   ground_prepare_relation  per relation and query in GroundQuery's
 //                       prepare step, on prepared-cache hits and misses
 //   kernel_run          entry of EnumKernel::Run
-//   enumerate_morsel    per morsel task in ParallelEnumerator
+//   enumerate_morsel    per morsel task in ParallelEnumerator; an SPJ
+//                       materialisation fires it once per morsel in the
+//                       result buffer's pre-fault pass and again in the
+//                       emit pass
 //   serve_execute_group entry of QueryServer::ExecuteGroup's evaluation
 //   serve_render        before RenderResult in QueryServer
 #ifndef FDB_COMMON_FAULT_H_

@@ -25,6 +25,9 @@
 //                          count walk and the split (rows = morsels)
 //     enumerate            materialisation of the flat result (rows)
 //       emit               the sink's enumeration (rows = tuples emitted)
+//         emit-buffer      the result buffer's set-up: reserve, huge-page
+//                          advice, parallel pre-fault, value-initialisation
+//                          (bytes = buffer size)
 //       sort-dedup         only for a projected middle node (rows = kept)
 //
 // Tracing is opt-in per query: every traced function takes a

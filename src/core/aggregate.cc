@@ -5,6 +5,7 @@
 #include <span>
 #include <unordered_set>
 
+#include "common/exec_context.h"
 #include "core/enumerate.h"
 #include "core/ops.h"
 #include "core/validate.h"
@@ -263,6 +264,16 @@ uint64_t GroupedRep::NumGroups() const {
 
 namespace {
 
+// Grows `tbl`'s row storage by `rows` rows, charging the bytes to the
+// query's memory budget before they are allocated.
+void ReserveRows(GroupedTable& tbl, uint64_t rows) {
+  const size_t keys = rows * tbl.group_schema.size();
+  const size_t aggs = rows * tbl.specs.size();
+  ChargeAmbientMemory(keys * sizeof(Value) + aggs * sizeof(double));
+  tbl.keys.reserve(tbl.keys.size() + keys);
+  tbl.aggs.reserve(tbl.aggs.size() + aggs);
+}
+
 // The frame-odometer walk of GroupedRep::Materialize, restricted to
 // `bounds` on the top pre-order frames (empty = whole group stream; the
 // EntryBound chain contract of core/enumerate.h). Appends the
@@ -274,8 +285,7 @@ void MaterializeRange(const GroupedRep& g, std::span<const EntryBound> bounds,
   const FTree& t = rep.tree();
   const size_t ns = g.specs.size();
   GroupedTable& out = *tbl;
-  out.keys.reserve(out.keys.size() + rows * out.group_schema.size());
-  out.aggs.reserve(out.aggs.size() + rows * ns);
+  ReserveRows(out, rows);
 
   // Pre-order frames over the group forest (shared with TupleEnumerator)
   // plus the per-frame odometer state of this walk.
@@ -422,8 +432,7 @@ GroupedTable GroupedRep::Materialize(const EnumerateOptions& opts) const {
   });
   size_t rows = 0;
   for (const GroupedTable& part : parts) rows += part.num_rows;
-  tbl.keys.reserve(rows * tbl.group_schema.size());
-  tbl.aggs.reserve(rows * tbl.specs.size());
+  ReserveRows(tbl, rows);
   for (const GroupedTable& part : parts) {
     tbl.keys.insert(tbl.keys.end(), part.keys.begin(), part.keys.end());
     tbl.aggs.insert(tbl.aggs.end(), part.aggs.begin(), part.aggs.end());

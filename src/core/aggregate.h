@@ -128,7 +128,9 @@ struct GroupedRep {
   /// planner (core/parallel_enumerate.h) and materialises the chunks
   /// through ParallelEnumerator::ForEachChunk (governed like the SPJ
   /// sink), concatenated in chunk order — the row order is identical to
-  /// the sequential walk for every thread count.
+  /// the sequential walk for every thread count. Every reservation of row
+  /// storage (each chunk's, and the concatenated table's) is charged to the
+  /// ambient ExecContext's memory budget before it is allocated.
   GroupedTable Materialize() const;
   GroupedTable Materialize(const EnumerateOptions& opts) const;
 };

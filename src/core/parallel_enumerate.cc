@@ -8,6 +8,7 @@
 
 #include "common/exec_context.h"
 #include "common/fault.h"
+#include "common/pages.h"
 #include "common/thread_pool.h"
 #include "core/kernel.h"
 #include "core/validate.h"
@@ -233,6 +234,33 @@ void SealVisible(Relation& out, const EnumKernel& kernel, QueryTrace* trace) {
   span.SetRows(out.size());
 }
 
+// The result buffer of `first.back()` rows, value-initialised on memory that
+// is already resident. A fresh buffer of tens of megabytes arrives as
+// untouched pages; zero-filling it on the caller would take one page fault
+// per 4 KiB, serially, before any worker starts. So: charge the query's
+// budget, reserve (maps, touches nothing), advise huge pages over the
+// interior, fault each morsel's slice in on the pool — the governed
+// ForEachChunk fan-out of the emit itself — and only then resize. Where the
+// advice is unavailable or rejected, resize faults the pages in as before.
+std::vector<Value> ResidentRows(const ParallelEnumerator& pe,
+                                const std::vector<size_t>& first,
+                                size_t arity, QueryTrace* trace) {
+  const size_t values = first.back() * arity;
+  const size_t bytes = values * sizeof(Value);
+  QueryTrace::Scope span(trace, "emit-buffer");
+  span.SetBytes(bytes);
+  ChargeAmbientMemory(bytes);
+  std::vector<Value> rows;
+  rows.reserve(values);
+  AdviseHugePages(rows.data(), bytes);
+  pe.ForEachChunk([&](size_t c) {
+    PrefaultForWrite(rows.data() + first[c] * arity,
+                     (first[c + 1] - first[c]) * arity * sizeof(Value));
+  });
+  rows.resize(values);
+  return rows;
+}
+
 // One kernel run per morsel. The plan's exact row counts and their prefix
 // sum give every morsel its own slice of one presized buffer, so each one
 // writes straight into the result in stream order — no count pass, no
@@ -252,7 +280,7 @@ Relation EmitWithKernel(const FRep& rep, const EnumKernel& kernel,
       for (size_t c = 0; c < n; ++c) {
         first[c + 1] = first[c] + pe.plan().morsels[c].rows;
       }
-      std::vector<Value> rows(first[n] * arity);
+      std::vector<Value> rows = ResidentRows(pe, first, arity, trace);
       pe.ForEachChunk([&](size_t c) {
         const size_t len = first[c + 1] - first[c];
         const std::span<Value> slice(rows.data() + first[c] * arity,

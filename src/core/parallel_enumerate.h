@@ -147,9 +147,12 @@ class ParallelEnumerator {
 /// kernel sizes the plan. A non-null `trace` records "kernel-compile"
 /// (only when this call compiles), "morsel-plan" (rows = chunk count; it
 /// holds the count walk) and "enumerate" (rows = output rows) with the
-/// sink's steps below it: "emit" (rows = tuples emitted)
-/// and "sort-dedup" (rows = rows kept; only when the tree projects a
-/// middle node). All are opened on the calling thread around the whole
+/// sink's steps below it: "emit" (rows = tuples emitted), which holds
+/// "emit-buffer" (bytes = the result buffer's size: its reserve, page
+/// advice, per-morsel pre-fault on the pool and value-initialisation), and
+/// "sort-dedup" (rows = rows kept; only when the tree projects a
+/// middle node). The buffer's bytes are charged to the ambient
+/// ExecContext's memory budget before it is allocated. All are opened on the calling thread around the whole
 /// fan-out — per-morsel work is aggregated, never one span per morsel
 /// (common/trace.h).
 Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts = {},

@@ -94,9 +94,11 @@ struct ServeOptions {
   /// RESOURCE (serve/protocol.h) — the query is the problem, not the
   /// load, so clients should not retry unchanged.
   ///
-  /// Per-query memory budget: cumulative bytes of FRep arena growth one
-  /// evaluation may charge (common/exec_context.h) before it is stopped
-  /// cooperatively mid-execution.
+  /// Per-query memory budget: cumulative bytes one evaluation may charge
+  /// (common/exec_context.h) before it is stopped cooperatively
+  /// mid-execution. Charged: FRep arena growth and the result storage of a
+  /// materialisation (the SPJ result buffer under EXPLAIN ANALYZE, the
+  /// grouped table of an aggregate), each before it is allocated.
   size_t max_memory_bytes = 0;
   /// Maximum rendered response body size; larger results are dropped and
   /// answered RESOURCE after evaluation.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "common/attrset.h"
 #include "common/dictionary.h"
 #include "common/exec_context.h"
+#include "common/pages.h"
 #include "common/rng.h"
 #include "common/str.h"
 #include "common/thread_pool.h"
@@ -352,6 +355,88 @@ TEST(ExecContext, TranslateBadAllocMapsToResourceExhausted) {
       TranslateBadAlloc([] { throw std::bad_alloc(); }, "unit test"),
       FdbResourceExhausted);
   EXPECT_EQ(TranslateBadAlloc([] { return 41 + 1; }, "unit test"), 42);
+}
+
+// Page advice. Whether the kernel accepts it depends on the host (THP mode,
+// Linux >= 5.14 for MADV_POPULATE_WRITE), so these tests pin the rounding
+// and that advice never changes memory; a range with no whole page in it is
+// never advised at all.
+
+struct FreeDeleter {
+  void operator()(void* p) const { std::free(p); }
+};
+
+// Two huge pages of huge-page-aligned memory, filled with a byte pattern.
+std::unique_ptr<std::byte, FreeDeleter> PatternedHugePages() {
+  std::unique_ptr<std::byte, FreeDeleter> p(static_cast<std::byte*>(
+      std::aligned_alloc(kHugePageBytes, 2 * kHugePageBytes)));
+  for (size_t i = 0; i < 2 * kHugePageBytes; ++i) {
+    p.get()[i] = static_cast<std::byte>(i * 7 + 3);
+  }
+  return p;
+}
+
+bool PatternIntact(const std::byte* p) {
+  for (size_t i = 0; i < 2 * kHugePageBytes; ++i) {
+    if (p[i] != static_cast<std::byte>(i * 7 + 3)) return false;
+  }
+  return true;
+}
+
+TEST(Pages, EmptyRangeIsNeverAdvised) {
+  EXPECT_TRUE(AlignedInterior(nullptr, 0, 4096).empty());
+  EXPECT_FALSE(AdviseHugePages(nullptr, 0));
+  EXPECT_FALSE(PrefaultForWrite(nullptr, 0));
+  auto buf = PatternedHugePages();
+  EXPECT_TRUE(AlignedInterior(buf.get(), 0, BasePageBytes()).empty());
+  EXPECT_FALSE(AdviseHugePages(buf.get(), 0));
+  EXPECT_FALSE(PrefaultForWrite(buf.get(), 0));
+  EXPECT_TRUE(PatternIntact(buf.get()));
+}
+
+TEST(Pages, RangeShorterThanOnePageIsNeverAdvised) {
+  const size_t page = BasePageBytes();
+  auto buf = PatternedHugePages();
+  std::byte* const p = buf.get() + 100;
+  EXPECT_TRUE(AlignedInterior(p, page - 200, page).empty());
+  EXPECT_FALSE(PrefaultForWrite(p, page - 200));
+  // Longer than a page but straddling a boundary: still no whole page.
+  EXPECT_TRUE(AlignedInterior(p, page, page).empty());
+  EXPECT_FALSE(PrefaultForWrite(p, page));
+  EXPECT_FALSE(AdviseHugePages(p, kHugePageBytes));
+  EXPECT_TRUE(PatternIntact(buf.get()));
+}
+
+TEST(Pages, UnalignedRangeRoundsInwardAtBothEnds) {
+  const size_t page = BasePageBytes();
+  auto buf = PatternedHugePages();
+  std::byte* const base = buf.get();
+  const std::span<std::byte> in =
+      AlignedInterior(base + 100, 3 * page - 50, page);
+  EXPECT_EQ(in.data(), base + page);
+  EXPECT_EQ(in.size(), 2 * page);  // [page, 3 page): the end 3 page + 50
+                                   // rounds down, the start 100 rounds up
+  const std::span<std::byte> huge =
+      AlignedInterior(base + 1, 2 * kHugePageBytes - 1, kHugePageBytes);
+  EXPECT_EQ(huge.data(), base + kHugePageBytes);
+  EXPECT_EQ(huge.size(), kHugePageBytes);
+  PrefaultForWrite(base + 100, 3 * page - 50);
+  AdviseHugePages(base + 1, 2 * kHugePageBytes - 1);
+  EXPECT_TRUE(PatternIntact(base));
+}
+
+TEST(Pages, ExactHugePageMultipleIsAdvisedWhole) {
+  auto buf = PatternedHugePages();
+  std::byte* const base = buf.get();
+  const std::span<std::byte> in =
+      AlignedInterior(base, 2 * kHugePageBytes, kHugePageBytes);
+  EXPECT_EQ(in.data(), base);
+  EXPECT_EQ(in.size(), 2 * kHugePageBytes);
+  EXPECT_EQ(AlignedInterior(base, 2 * kHugePageBytes, BasePageBytes()).size(),
+            2 * kHugePageBytes);
+  AdviseHugePages(base, 2 * kHugePageBytes);
+  PrefaultForWrite(base, 2 * kHugePageBytes);
+  EXPECT_TRUE(PatternIntact(base));
 }
 
 }  // namespace

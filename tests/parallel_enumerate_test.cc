@@ -14,8 +14,10 @@
 
 #include "api/database.h"
 #include "api/engine.h"
+#include "bench_util/workload.h"
 #include "common/exec_context.h"
 #include "common/fault.h"
+#include "common/pages.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/aggregate.h"
@@ -600,6 +602,83 @@ TEST(ParallelEnumerate, LargeTopFrameCountedInRanges) {
     ExpectSamePlan(pe.plan(), dp, dp_total);
   }
   ExpectSameAtEveryThreadCount(rep);
+}
+
+TEST(ParallelEnumerate, MultiHugePageResultIsByteIdentical) {
+  // A star result spanning several huge pages: its buffer is advised,
+  // pre-faulted morsel by morsel on the pool and value-initialised before
+  // the emit. The bytes equal the kernel's own append-mode stream and are
+  // the same at every thread count.
+  BenchInstance inst = MakeManyToManyStar(2000, 12, 5);
+  Engine engine(inst.db.get());
+  const FdbResult res = engine.EvaluateFlat(inst.query);
+  const EnumKernel k =
+      EnumKernel::Compile(res.rep.tree(), /*visible_only=*/true);
+  std::vector<Value> stream;
+  k.Emit(res.rep, {}, &stream);
+  EnumerateOptions one;
+  one.threads = 1;
+  const Relation seq = MaterializeVisible(res.rep, one);
+  ASSERT_EQ(seq.arity(), 4u);
+  ASSERT_GE(seq.size(), 300000u);
+  ASSERT_GE(seq.data().size() * sizeof(Value), 4 * kHugePageBytes);
+  EXPECT_TRUE(seq.data() == stream);
+  ExpectSameAtEveryThreadCount(res.rep);
+}
+
+TEST(ParallelEnumerate, ResultStorageIsChargedBeforeItIsWritten) {
+  // The SPJ result buffer is the materialisation's only charge: a budget
+  // of exactly its size passes, one byte less stops the query before any
+  // morsel runs, and a retry without the limit equals the clean result.
+  const FRep rep =
+      GroundRelation(RandomRelation({0, 1, 2}, 40000, 6000, 47), 0);
+  EnumerateOptions opts;
+  opts.threads = 4;
+  const Relation clean = MaterializeVisible(rep, opts);
+  const uint64_t bytes = clean.data().size() * sizeof(Value);
+  {
+    ExecContext exact;
+    exact.budget().set_limit(bytes);
+    ExecContext::Scope scope(&exact);
+    EXPECT_TRUE(MaterializeVisible(rep, opts) == clean);
+    EXPECT_EQ(exact.budget().charged(), bytes);
+  }
+  ExecContext over;
+  over.budget().set_limit(bytes - 1);
+  const uint64_t morsels = fault::HitCount("enumerate_morsel");
+  {
+    ExecContext::Scope scope(&over);
+    QueryTrace trace;
+    EXPECT_THROW(MaterializeVisible(rep, opts, nullptr, &trace),
+                 FdbResourceExhausted);
+    EXPECT_TRUE(testing_util::HasSpan(trace, "emit-buffer"));
+  }
+  EXPECT_EQ(over.stop_reason(), ExecContext::StopReason::kResource);
+  EXPECT_EQ(fault::HitCount("enumerate_morsel"), morsels);  // none ran
+  EXPECT_TRUE(MaterializeVisible(rep, opts) == clean);
+
+  // The grouped table, materialised on the caller, charges its key and
+  // aggregate storage the same way.
+  const GroupedRep grouped = GroupByAggregate(
+      rep, AttrSet::Of({0}), {{AggFn::kCount, 0}, {AggFn::kSum, 2}});
+  const GroupedTable table = grouped.Materialize();
+  const uint64_t table_bytes = table.keys.size() * sizeof(Value) +
+                               table.aggs.size() * sizeof(double);
+  ASSERT_GT(table_bytes, 0u);
+  {
+    ExecContext exact;
+    exact.budget().set_limit(table_bytes);
+    ExecContext::Scope scope(&exact);
+    EXPECT_TRUE(grouped.Materialize() == table);
+    EXPECT_EQ(exact.budget().charged(), table_bytes);
+  }
+  {
+    ExecContext short_by_one;
+    short_by_one.budget().set_limit(table_bytes - 1);
+    ExecContext::Scope scope(&short_by_one);
+    EXPECT_THROW(grouped.Materialize(), FdbResourceExhausted);
+  }
+  EXPECT_TRUE(grouped.Materialize() == table);
 }
 
 TEST(ParallelEnumerate, CancellationDuringPlanningSurfaces) {

@@ -245,6 +245,15 @@ TEST(EngineTrace, ExecuteTracedSpjSpanStructure) {
   ASSERT_TRUE(spans.count("emit"));
   EXPECT_EQ(all[spans["emit"]].parent, spans["enumerate"]);
   EXPECT_EQ(all[spans["emit"]].rows, 4u);
+  // The buffer's set-up (reserve, page advice, pre-fault, value-init) is
+  // its own step inside emit, carrying the buffer's size: 4 rows of the
+  // join's 4 visible columns.
+  ASSERT_TRUE(spans.count("emit-buffer"));
+  const auto& buffer = all[spans["emit-buffer"]];
+  EXPECT_EQ(buffer.parent, spans["emit"]);
+  EXPECT_TRUE(buffer.has_bytes);
+  EXPECT_EQ(buffer.bytes, 4u * 4u * sizeof(Value));
+  EXPECT_LT(buffer.seconds, all[spans["emit"]].seconds);
   EXPECT_FALSE(spans.count("sort-dedup"));
   EXPECT_FALSE(spans.count("concat"));
 
@@ -289,6 +298,12 @@ TEST(EngineTrace, SinkSpansOfEveryMaterializePath) {
         ASSERT_TRUE(spans.count("emit"));
         EXPECT_EQ(all[spans["emit"]].parent, spans["enumerate"]);
         EXPECT_EQ(all[spans["emit"]].rows, 3u);  // tuples emitted
+        ASSERT_TRUE(spans.count("emit-buffer"));
+        EXPECT_EQ(all[spans["emit-buffer"]].parent, spans["emit"]);
+        EXPECT_EQ(all[spans["emit-buffer"]].bytes,  // 3 rows emitted
+                  3u * out.arity() * sizeof(Value));
+        EXPECT_LT(all[spans["emit-buffer"]].seconds,
+                  all[spans["emit"]].seconds);
         EXPECT_EQ(all[spans["enumerate"]].rows, out.size());
         ASSERT_EQ(spans.count("sort-dedup") > 0, sorts)
             << "threads=" << threads << " kernel=" << (k != nullptr);

@@ -84,6 +84,13 @@ Rules (each reported as path:line: [rule] message):
                      representation and is what the planner used to run.
                      The validators keep the DP as their oracle.
 
+  page-advice        No madvise( or mmap( call in src/ outside
+                     src/common/pages.cc. Page advice goes through
+                     AdviseHugePages / PrefaultForWrite (common/pages.h),
+                     which own the alignment rounding, the no-op where a
+                     MADV_* constant is missing and the fallback when the
+                     kernel rejects a call.
+
 Exit status: 0 when clean, 1 when any rule fires, 2 on usage errors.
 --self-test seeds one violation per rule through the checkers and fails if
 any rule does NOT fire (the armed-probe pattern: prove the lint is live).
@@ -381,6 +388,20 @@ def check_no_dag_sizing(relpath, text):
                   '(core/kernel.h)' % m.group(1))
 
 
+PAGE_ADVICE_RE = re.compile(r'\b(madvise|mmap)\s*\(')
+PAGE_ADVICE_OWNER = 'src/common/pages.cc'
+
+
+def check_page_advice(relpath, text):
+    if not relpath.startswith('src/') or relpath == PAGE_ADVICE_OWNER:
+        return []
+    return findings_for(
+        PAGE_ADVICE_RE, strip_comments(text),
+        lambda m: '[page-advice] raw %s( outside src/common/pages.cc — use '
+                  'AdviseHugePages / PrefaultForWrite (common/pages.h)'
+                  % m.group(1))
+
+
 CHECKERS = [
     check_raw_threading,
     check_guarded_mutex,
@@ -393,6 +414,7 @@ CHECKERS = [
     check_one_dag_walk,
     check_one_path_rewrite,
     check_no_dag_sizing,
+    check_page_advice,
 ]
 
 # --------------------------------------------------------------------------
@@ -470,6 +492,11 @@ SELF_TEST_CASES = [
      'const double total = rep.CountTuples();\n',
      '// sized without rep.SubtreeTupleCounts()\n'
      'const std::vector<uint64_t> top = k.CountEntries(rep, {&all, 1});\n'),
+    (check_page_advice, 'src/core/parallel_enumerate.cc',
+     'madvise(rows.data(), bytes, MADV_HUGEPAGE);\n'
+     'void* p = mmap(nullptr, n, PROT_READ, MAP_PRIVATE, fd, 0);\n',
+     '// madvise(MADV_HUGEPAGE) via the helper\n'
+     'AdviseHugePages(rows.data(), bytes);\n'),
 ]
 
 
