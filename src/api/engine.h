@@ -112,8 +112,9 @@ class Engine {
   /// sorted relations from the engine's prepared-relation cache, so a
   /// relation is sorted once per f-tree path order, not once per query. A
   /// non-null `trace` records "f-tree-search" (only when the search
-  /// actually runs), "ground" (with "ground-prepare" and "ground-build")
-  /// and "project" spans.
+  /// actually runs), "ground" (with "ground-prepare" and "ground-build",
+  /// and "ground-splice" under "ground-build" when the build split) and
+  /// "project" spans.
   FdbResult EvaluateFlat(const Query& q,
                          const FTreeSearchResult* pretree = nullptr,
                          QueryTrace* trace = nullptr);

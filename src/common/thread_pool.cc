@@ -130,7 +130,11 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
 
 int ResolveThreads(int threads) {
   if (threads > 0) return threads;
-  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  // Asking the hardware costs microseconds a call; the answer is read once
+  // per process.
+  static const int hardware =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  return hardware;
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -32,8 +32,8 @@ namespace fdb {
 
 /// The thread count a `threads` knob asks for: itself when positive, else
 /// (0 = one per hardware thread) std::thread::hardware_concurrency(), at
-/// least 1. The hardware is asked only in that case: the query costs
-/// microseconds, which shows on tiny queries.
+/// least 1. The hardware is asked once per process: the query costs
+/// microseconds, which would show on tiny queries.
 int ResolveThreads(int threads);
 
 class ThreadPool {

@@ -17,6 +17,9 @@
 //                          prepared by this query, absent on a full hit)
 //       ground-build       the morsel-parallel leapfrog walk (rows =
 //                          morsels; bytes = FRep::MemoryBytes)
+//         ground-splice    a split build's segments appended after the
+//                          caller's morsels (rows = segments; bytes =
+//                          arena bytes copied); absent in one morsel
 //     project              deferred projection, when the query projects
 //     restructure-aggregate  GroupByAggregate (aggregate queries)
 //     materialize-groups   GroupedRep::Materialize (rows = groups)

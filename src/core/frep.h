@@ -23,8 +23,11 @@
 // arena tail in one append on Finish(). Builders nest like the operator
 // recursion that drives them: a child subtree is fully committed before its
 // parent finishes, so each committed union occupies one contiguous window.
-// Abandon() discards a union that turned out empty; its header stays as an
-// unreachable zero-length stub. Those stubs are all that the f-plan
+// A union of a childless f-tree node nests nothing, so it can skip the
+// staging: FRep::AddLeafUnion appends its header and values in one step
+// (grounding commits most of its unions this way). Abandon() discards a
+// union that turned out empty; its header stays as an unreachable
+// zero-length stub. Those stubs are all that the f-plan
 // operators leave unreachable (they rebuild through PathRewrite,
 // core/ops_common.h, which commits nothing for a dropped entry), but a
 // representation read or built elsewhere may hold committed unions that
@@ -252,6 +255,16 @@ class FRep {
   /// assigned immediately; the data window is committed on Finish().
   UnionBuilder StartUnion(int node);
 
+  /// Commits a union of the childless f-tree node `node` holding the `n`
+  /// values at `vals` (strictly increasing, n > 0) in one step: its header
+  /// and values go to the arena tails together, with no builder and no
+  /// scratch. It charges the bytes StartUnion + Finish would, in one
+  /// charge, after the same cancellation probe and frep_arena_commit fault
+  /// site. Builders may be open: a childless union nests nothing, so its
+  /// window is contiguous like any other. `node` is not looked up (a build
+  /// segment's tree is empty, see AppendUnions). Returns the union id.
+  uint32_t AddLeafUnion(int node, const Value* vals, size_t n);
+
   /// View of union `id`.
   UnionRef u(uint32_t id) const { return UnionRef(this, id); }
 
@@ -359,6 +372,12 @@ class FRep {
 
   Scratch* AcquireScratch();
   void ReleaseScratch(Scratch* s);
+  /// The governance of one commit, before it touches the arenas: a
+  /// cancellation probe, the charge of `bytes` and the frep_arena_commit
+  /// fault site.
+  static void ChargeCommit(size_t bytes);
+  /// Appends `h` to the header arena; returns its id.
+  uint32_t PushHeader(const UnionHeader& h);
   void CommitUnion(uint32_t id, const Scratch& s);
 
   FTree tree_;
@@ -455,15 +474,33 @@ inline void UnionBuilder::Abandon() {
 
 // ---- FRep inline builder plumbing ----
 
+inline uint32_t FRep::PushHeader(const UnionHeader& h) {
+  asan::UnpoisonTail(headers_);
+  headers_.push_back(h);
+  asan::PoisonTail(headers_);
+  return static_cast<uint32_t>(headers_.size()) - 1;
+}
+
 inline UnionBuilder FRep::StartUnion(int node) {
   ChargeAmbientMemory(sizeof(UnionHeader));
   UnionHeader h{};
   h.node = node;
-  asan::UnpoisonTail(headers_);
-  headers_.push_back(h);
-  asan::PoisonTail(headers_);
-  return UnionBuilder(this, static_cast<uint32_t>(headers_.size()) - 1,
-                      AcquireScratch());
+  const uint32_t id = PushHeader(h);
+  return UnionBuilder(this, id, AcquireScratch());
+}
+
+inline uint32_t FRep::AddLeafUnion(int node, const Value* vals, size_t n) {
+  FDB_CHECK(n > 0);
+  // One charge for the header and the values: a commit that unwinds
+  // leaves no stub behind.
+  ChargeCommit(sizeof(UnionHeader) + n * sizeof(Value));
+  const uint32_t id = PushHeader(UnionHeader{node, static_cast<uint32_t>(n),
+                                             values_.size(), children_.size(),
+                                             0});
+  asan::UnpoisonTail(values_);
+  values_.insert(values_.end(), vals, vals + n);
+  asan::PoisonTail(values_);
+  return id;
 }
 
 inline FRep::Scratch* FRep::AcquireScratch() {
@@ -499,17 +536,21 @@ inline void FRep::ReleaseScratch(Scratch* s) {
   }
 }
 
-inline void FRep::CommitUnion(uint32_t id, const Scratch& s) {
+inline void FRep::ChargeCommit(size_t bytes) {
   // Governance probe at arena-growth granularity: check for cancellation
   // and charge the appended bytes *before* mutating the arenas, so an
   // unwinding commit leaves the rep discardable rather than half-written
   // (the caller's UnionBuilder still owns the scratch and Abandons it).
   if (ExecContext* ctx = ExecContext::Current()) {
     ctx->CheckCancelled();
-    ctx->ChargeMemory(s.vals.size() * sizeof(Value) +
-                      s.kids.size() * sizeof(uint32_t));
+    ctx->ChargeMemory(bytes);
   }
   FDB_FAULT_POINT("frep_arena_commit");
+}
+
+inline void FRep::CommitUnion(uint32_t id, const Scratch& s) {
+  ChargeCommit(s.vals.size() * sizeof(Value) +
+               s.kids.size() * sizeof(uint32_t));
   UnionHeader& h = headers_[id];
   h.val_off = values_.size();
   h.child_off = children_.size();

@@ -163,8 +163,7 @@ RootMorsels PlanRootMorsels(const WalkPlan& plan, int root, int threads) {
   RootMorsels m;
   std::vector<Value> cuts;
   if (threads != 1 && candidates / kMorselRows > 1) {
-    // Resolved only here: asking the hardware costs microseconds, a small
-    // build not much more.
+    // Only a build large enough to split asks how many threads it may use.
     m.threads = ResolveThreads(threads);
   }
   if (m.threads > 1) {
@@ -191,18 +190,50 @@ RootMorsels PlanRootMorsels(const WalkPlan& plan, int root, int threads) {
   return m;
 }
 
-// Opens the union of node n in `out`: the ground_build_union fault site
-// fires once per union the build starts, whichever thread starts it.
-UnionBuilder StartGroundUnion(FRep& out, int n) {
-  FDB_FAULT_POINT("ground_build_union");
-  return out.StartUnion(n);
+// Marks the start of one union of the build: the ground_build_union fault
+// site fires once per union the build starts, whichever thread starts it
+// and whether it is staged in a builder or committed as a leaf.
+void StartGroundUnion() { FDB_FAULT_POINT("ground_build_union"); }
+
+// Rows of a run the walk compares one by one before it gallops.
+constexpr size_t kRunScanRows = 8;
+
+// The end of the run of v that starts at row lo of [lo, hi) in `cover`: the
+// first row past it, or hi. Runs are short on a key/fk chain, so the first
+// kRunScanRows rows are compared in turn and only a longer run gallops
+// (LowerBound for v + 1). The largest Value has no successor; its run
+// reaches hi.
+size_t RunEnd(const WalkPlan::Cover& cover, size_t lo, size_t hi, Value v) {
+  if (v == std::numeric_limits<Value>::max()) return hi;
+  const size_t scan_end = std::min(hi, lo + kRunScanRows);
+  for (size_t row = lo + 1; row < scan_end; ++row) {
+    if (cover.At(row) != v) return row;
+  }
+  return scan_end == hi ? hi
+                        : cover.rel->LowerBound(scan_end, hi, cover.col, v + 1);
 }
 
+// The values of a childless union, gathered by the walk and committed with
+// its header in one append (FRep::AddLeafUnion).
+struct LeafValues {
+  std::vector<Value> vals;
+
+  void AddValue(Value v) { vals.push_back(v); }
+  void AddChild(uint32_t /*child*/) {}
+};
+
 // One thread's leapfrog walk over the prepared relations, writing unions
-// into `out`. Every node owns its cursor, saved-range and child slots; a
+// into `out`. A node with one covering relation has nothing to intersect:
+// the walk steps through its range's runs of equal values, each ended by
+// RunEnd. A node with several covering relations runs leapfrog rounds
+// (propose the largest head, seek the others to it, agree), and RunEnd
+// ends the agreed value's block in each. A childless node's union is
+// gathered in the walker's own buffer and committed with its header in one
+// step (FRep::AddLeafUnion), with no builder; the other unions stage in a
+// UnionBuilder. Every node owns its cursor, saved-range and child slots; a
 // node is active at most once at a time (the walk only descends), so its
 // slots are reused for every value and the walk allocates nothing beyond
-// the result's arenas.
+// the result's arenas and the growth of its leaf buffer.
 class Walker {
  public:
   Walker(const WalkPlan& plan, ExecContext* ctx, FRep* out)
@@ -221,7 +252,14 @@ class Walker {
   // Builds the union for tree node n under the current ranges; kNoUnion if
   // no value survives.
   uint32_t Build(int n) {
-    UnionBuilder nu = StartGroundUnion(*out_, n);
+    StartGroundUnion();
+    if (plan_.tree.node(n).children.empty()) {
+      leaf_.vals.clear();
+      Walk(n, leaf_);
+      if (leaf_.vals.empty()) return kNoUnion;
+      return out_->AddLeafUnion(n, leaf_.vals.data(), leaf_.vals.size());
+    }
+    UnionBuilder nu = out_->StartUnion(n);
     Walk(n, nu);
     if (nu.empty()) {
       nu.Abandon();
@@ -257,11 +295,26 @@ class Walker {
     FDB_CHECK(slot.cover_begin < slot.cover_end);
     const std::vector<int>& children = plan_.tree.node(n).children;
     const WalkPlan::Cover* cover = plan_.covers.data() + slot.cover_begin;
-    size_t* cur = cursor_.data() + slot.cover_begin;
-    Range* saved = saved_.data() + slot.cover_begin;
     uint32_t* kids = kids_.data() + slot.kid_begin;
     const size_t m = slot.cover_end - slot.cover_begin;
 
+    if (m == 1) {
+      // One covering relation: every run of equal values is a value.
+      Range& r = range_[cover->index];
+      const Range whole = r;
+      for (size_t row = whole.first; row < whole.second;) {
+        if (ctx_ != nullptr) ctx_->CheckCancelled();
+        const Value v = cover->At(row);
+        r = {row, RunEnd(*cover, row, whole.second, v)};
+        row = r.second;
+        Emit(v, children, kids, sink);
+      }
+      r = whole;
+      return;
+    }
+
+    size_t* cur = cursor_.data() + slot.cover_begin;
+    Range* saved = saved_.data() + slot.cover_begin;
     for (size_t i = 0; i < m; ++i) cur[i] = range_[cover[i].index].first;
     for (;;) {
       if (ctx_ != nullptr) ctx_->CheckCancelled();
@@ -291,35 +344,33 @@ class Walker {
       if (done) break;
       if (!agree) continue;
 
-      // All covering relations contain v: narrow to v's block and recurse.
-      // The largest Value has no successor; its block runs to the end.
-      const bool last = v == std::numeric_limits<Value>::max();
+      // All covering relations contain v: narrow to v's block and recurse,
+      // then continue after the block.
       for (size_t i = 0; i < m; ++i) {
         Range& r = range_[cover[i].index];
         saved[i] = r;
-        r = {cur[i], last ? r.second
-                          : cover[i].rel->LowerBound(cur[i], r.second,
-                                                     cover[i].col, v + 1)};
+        r = {cur[i], RunEnd(cover[i], cur[i], r.second, v)};
       }
-      bool dead = false;
-      for (size_t c = 0; c < children.size(); ++c) {
-        kids[c] = Build(children[c]);
-        if (kids[c] == kNoUnion) {
-          dead = true;
-          break;
-        }
-      }
-      // Restore: continue after v's block.
+      Emit(v, children, kids, sink);
       for (size_t i = 0; i < m; ++i) {
         Range& r = range_[cover[i].index];
         cur[i] = r.second;
         r = saved[i];
       }
-      if (!dead) {
-        sink.AddValue(v);
-        for (size_t c = 0; c < children.size(); ++c) sink.AddChild(kids[c]);
-      }
     }
+  }
+
+  // Builds v's child unions under the narrowed ranges and passes v with
+  // them to `sink`, unless one of them comes back empty.
+  template <typename Sink>
+  void Emit(Value v, const std::vector<int>& children, uint32_t* kids,
+            Sink& sink) {
+    for (size_t c = 0; c < children.size(); ++c) {
+      kids[c] = Build(children[c]);
+      if (kids[c] == kNoUnion) return;
+    }
+    sink.AddValue(v);
+    for (size_t c = 0; c < children.size(); ++c) sink.AddChild(kids[c]);
   }
 
   const WalkPlan& plan_;
@@ -329,6 +380,7 @@ class Walker {
   std::vector<Range> saved_;    // per cover
   std::vector<uint32_t> kids_;  // child slots, per node
   std::vector<Range> range_;    // current row range per relation
+  LeafValues leaf_;             // the childless union being gathered
 };
 
 // A morsel built by a pool helper: the unions below its root entries in a
@@ -392,10 +444,13 @@ class Claims {
 // segments, which are appended after them in morsel order with their root
 // entries rebased. That reproduces the arenas and union ids of a build in
 // one piece. When the pool is busy the caller builds every morsel in
-// place, copying nothing.
+// place, copying nothing. A split build records the splice as the span
+// "ground-splice" (rows = segments, bytes = arena bytes copied).
 uint32_t BuildFirstRoot(const WalkPlan& plan, Walker& walker, FRep& out,
-                        int root, const RootMorsels& m, ExecContext* ctx) {
-  UnionBuilder nu = StartGroundUnion(out, root);
+                        int root, const RootMorsels& m, ExecContext* ctx,
+                        QueryTrace* trace) {
+  StartGroundUnion();
+  UnionBuilder nu = out.StartUnion(root);
   if (m.count == 1) {
     walker.BuildMorsel(root, m, 0, nu);
   } else {
@@ -432,16 +487,23 @@ uint32_t BuildFirstRoot(const WalkPlan& plan, Walker& walker, FRep& out,
     ThreadPool::Shared().ParallelFor(
         std::min(m.count, static_cast<size_t>(m.threads)), run, m.threads);
 
+    QueryTrace::Scope splice(trace, "ground-splice");
     std::vector<const FRep*> tail;
     uint32_t shift = static_cast<uint32_t>(out.NumUnions());
+    uint64_t bytes = 0;
     for (size_t j = claims.split(); j < m.count; ++j) {
       const Segment& seg = segs[j];
       nu.AddValues(seg.vals.data(), seg.vals.size());
       for (uint32_t c : seg.kids) nu.AddChild(c + shift);
       shift += static_cast<uint32_t>(seg.rep.NumUnions());
+      bytes += seg.rep.NumUnions() * sizeof(UnionHeader) +
+               seg.rep.ValueArenaSize() * sizeof(Value) +
+               seg.rep.ChildArenaSize() * sizeof(uint32_t);
       tail.push_back(&seg.rep);
     }
     out.AppendUnions(tail, m.threads);
+    splice.SetRows(tail.size());
+    splice.SetBytes(bytes);
   }
   if (nu.empty()) {
     nu.Abandon();
@@ -454,7 +516,7 @@ uint32_t BuildFirstRoot(const WalkPlan& plan, Walker& walker, FRep& out,
 // other roots of a forest after it on the caller, each in one piece.
 FRep BuildRep(const FTree& tree, const std::vector<const Relation*>& rels,
               const Layout& layout, ExecContext* ctx, int threads,
-              size_t* morsels) {
+              QueryTrace* trace, size_t* morsels) {
   const WalkPlan plan(tree, rels, layout);
   FRep out{FTree(tree)};
   out.MarkNonEmpty();
@@ -466,7 +528,7 @@ FRep BuildRep(const FTree& tree, const std::vector<const Relation*>& rels,
     if (r == 0) {
       const RootMorsels m = PlanRootMorsels(plan, roots[0], threads);
       *morsels = m.count;
-      rid = BuildFirstRoot(plan, walker, out, roots[0], m, ctx);
+      rid = BuildFirstRoot(plan, walker, out, roots[0], m, ctx, trace);
     } else {
       rid = walker.Build(roots[r]);
     }
@@ -557,7 +619,7 @@ FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
 
   QueryTrace::Scope step(trace, "ground-build");
   size_t morsels = 1;
-  FRep out = BuildRep(tree, ptrs, layout, ctx, threads, &morsels);
+  FRep out = BuildRep(tree, ptrs, layout, ctx, threads, trace, &morsels);
   const uint64_t bytes = trace != nullptr ? out.MemoryBytes() : 0;
   step.SetRows(morsels);
   step.SetBytes(bytes);

@@ -17,9 +17,11 @@
 //  * build — walk the f-tree: at each node intersect (leapfrog-style) the
 //    distinct values of the covering relations' current ranges, narrow the
 //    ranges for each value, and recurse into the children; values whose
-//    children turn out empty are dropped. The walk allocates nothing per
-//    node or value beyond the result's arenas, and it never materialises
-//    flat intermediate results.
+//    children turn out empty are dropped. A node with one covering
+//    relation has nothing to intersect and steps through the runs of its
+//    range; a childless node's union is committed in one append. The walk
+//    allocates nothing per node or value beyond the result's arenas, and
+//    it never materialises flat intermediate results.
 //
 // The build is morsel-parallel. The first root's values are cut into
 // morsels, disjoint increasing ranges of root values found in every
@@ -106,7 +108,9 @@ using PrepareFn = std::function<PreparedInput(
 /// with the children "ground-prepare" (rows = input rows after preparing
 /// and filtering; bytes = the size of the relations prepared by this call,
 /// absent when all were reused) and "ground-build" (rows = morsels; bytes =
-/// FRep::MemoryBytes).
+/// FRep::MemoryBytes). A build that split has the child "ground-splice"
+/// under "ground-build": the helpers' segments appended to the result
+/// (rows = segments; bytes = arena bytes copied).
 FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
                  const std::vector<ConstPred>& preds = {},
                  QueryTrace* trace = nullptr, const PrepareFn& prepare = {},

@@ -207,6 +207,84 @@ void Relation::MarkSorted(std::vector<size_t> order) {
   sort_order_ = std::move(order);
 }
 
+namespace {
+
+// Rows LowerBound gallops through before it interpolates, and the most
+// guesses it interpolates.
+constexpr size_t kGallopRows = 32;
+constexpr int kInterpolationRounds = 3;
+
+}  // namespace
+
+size_t Relation::LowerBound(size_t lo, size_t hi, size_t col,
+                            Value v) const {
+  const size_t k = arity();
+  const auto at = [&](size_t row) { return data_[row * k + col]; };
+  if (lo >= hi || at(lo) >= v) return lo;
+  // From here at(lo) < v, and the answer lies in (lo, top]: at(top) >= v,
+  // or top == hi.
+  size_t top = hi;
+  for (size_t step = 1; step <= kGallopRows && step < top - lo; step *= 2) {
+    if (at(lo + step) >= v) {
+      top = lo + step;
+      break;
+    }
+    lo += step;
+  }
+  if (top == hi && top - lo > kGallopRows) {
+    // A long move: guess the row from the values at the window's ends.
+    top = hi - 1;
+    if (at(top) < v) return hi;
+    for (int round = 0; round < kInterpolationRounds && top - lo > kGallopRows;
+         ++round) {
+      // at(lo) < v <= at(top), so both differences are exact and positive
+      // in uint64_t, and the guess lies in [lo, top].
+      const uint64_t rise =
+          static_cast<uint64_t>(v) - static_cast<uint64_t>(at(lo));
+      const uint64_t span =
+          static_cast<uint64_t>(at(top)) - static_cast<uint64_t>(at(lo));
+      const double frac =
+          static_cast<double>(rise) / static_cast<double>(span);
+      const size_t guess = std::clamp(
+          lo + static_cast<size_t>(frac * static_cast<double>(top - lo)),
+          lo + 1, top - 1);
+      // Bracket the answer by galloping from the guess toward it.
+      if (at(guess) < v) {
+        lo = guess;
+        for (size_t step = 1; step < top - lo; step *= 2) {
+          if (at(lo + step) >= v) {
+            top = lo + step;
+            break;
+          }
+          lo += step;
+        }
+      } else {
+        top = guess;
+        for (size_t step = 1; step < top - lo; step *= 2) {
+          if (at(top - step) < v) {
+            lo = top - step;
+            break;
+          }
+          top -= step;
+        }
+      }
+    }
+  }
+  // Binary search of (lo, top); none of its rows >= v means top.
+  size_t first = lo + 1;
+  size_t count = top - first;
+  while (count > 0) {
+    const size_t half = count / 2;
+    if (at(first + half) < v) {
+      first += half + 1;
+      count -= half + 1;
+    } else {
+      count = half;
+    }
+  }
+  return first;
+}
+
 std::pair<size_t, size_t> Relation::EqualRange(size_t lo, size_t hi,
                                                size_t col, Value v) const {
   size_t b = LowerBound(lo, hi, col, v);

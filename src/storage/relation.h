@@ -89,32 +89,16 @@ class Relation {
 
   /// First row index in [lo, hi) whose value in column `col` is >= v.
   /// Requires rows [lo, hi) to be sorted on `col` (true within an equal-
-  /// prefix range of the sort order). Gallops from lo, so a seek costs the
-  /// log of the distance it moves: grounding's leapfrog seeks and block
-  /// ends mostly land close by.
-  size_t LowerBound(size_t lo, size_t hi, size_t col, Value v) const {
-    const size_t k = arity();
-    auto before = [&](size_t row) { return data_[row * k + col] < v; };
-    if (lo >= hi || !before(lo)) return lo;
-    size_t step = 1;
-    while (lo + step < hi && before(lo + step)) {
-      lo += step;
-      step *= 2;
-    }
-    // The answer lies in (lo, min(lo + step, hi)].
-    size_t count = (lo + step < hi ? lo + step : hi) - lo - 1;
-    ++lo;
-    while (count > 0) {
-      const size_t half = count / 2;
-      if (before(lo + half)) {
-        lo += half + 1;
-        count -= half + 1;
-      } else {
-        count = half;
-      }
-    }
-    return lo;
-  }
+  /// prefix range of the sort order). The search gallops from lo, so a
+  /// short move costs the log of its distance: most of grounding's leapfrog
+  /// seeks and run ends land close by. A move past the gallop's first 32
+  /// rows interpolates instead: it guesses the row from the values at the
+  /// ends of the remaining window and brackets the guess with a gallop, at
+  /// most three times, and a binary search ends it. On evenly spread keys
+  /// (a foreign key sought far along its relation) the guesses land a few
+  /// rows off; on a skewed column each guess costs at most a gallop, so the
+  /// search stays within a few binary searches.
+  size_t LowerBound(size_t lo, size_t hi, size_t col, Value v) const;
 
   /// Sub-range of [lo, hi) whose `col` value equals v (same requirement).
   std::pair<size_t, size_t> EqualRange(size_t lo, size_t hi, size_t col,

@@ -263,6 +263,14 @@ TEST(ThreadPool, SharedPoolIsUsable) {
   EXPECT_EQ(calls.load(), 64);
 }
 
+TEST(ThreadPool, ResolveThreadsReadsTheHardwareOnce) {
+  const int hardware = ResolveThreads(0);
+  EXPECT_GE(hardware, 1);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(ResolveThreads(0), hardware);
+  EXPECT_EQ(ResolveThreads(3), 3);
+  EXPECT_EQ(ResolveThreads(1), 1);
+}
+
 TEST(ThreadPool, ConcurrentParallelForsFromManyThreads) {
   // Several caller threads sharing one pool: every loop must still cover
   // its own range exactly (the claim state is per-call).

@@ -582,5 +582,155 @@ TEST(Ground, ParallelBuildIsByteIdentical) {
   }
 }
 
+// ---- The run scan and the leaf commit --------------------------------------
+
+// T(a, b, c) and U(ub, d): runs of a, and of b within each a, cycle through
+// 1, 8, 9 and 100 rows, on both sides of the walk's eight-row linear scan
+// (a run of 9 or 100 gallops). Values reach INT64_MIN and INT64_MAX in
+// every column, so the run that ends at the largest Value is exercised at
+// an inner node, a leapfrog node and a leaf. T has enough rows for its
+// root to split at every cap above 1.
+class GroundRunScanTest : public ::testing::Test {
+ protected:
+  static constexpr Value kMin = std::numeric_limits<Value>::min();
+  static constexpr Value kMax = std::numeric_limits<Value>::max();
+
+  void SetUp() override {
+    t_ = db_.CreateRelation("T", {"a", "b", "c"});
+    u_ = db_.CreateRelation("U", {"ub", "d"});
+    constexpr size_t kRuns[] = {1, 8, 9, 100};
+    std::vector<Value> as = {kMin, kMin + 1};
+    for (Value a = 1; a <= 76; ++a) as.push_back(a * 1000);
+    as.push_back(kMax - 1);
+    as.push_back(kMax);
+    for (size_t i = 0; i < as.size(); ++i) {
+      const size_t rows = kRuns[i % 4];
+      const size_t b_run = kRuns[(i / 4) % 4];
+      const Value nb = static_cast<Value>((rows - 1) / b_run);
+      for (size_t k = 0; k < rows; ++k) {
+        const Value j = static_cast<Value>(k / b_run);
+        // Some a's start their b's at INT64_MIN, others end them at
+        // INT64_MAX; the c's of a run of a reach both extremes.
+        const Value b = i % 3 == 0 ? kMin + j : i % 3 == 1 ? kMax - nb + j : j;
+        const Value c = k == 0 ? kMin
+                        : k + 1 == rows ? kMax
+                                        : static_cast<Value>(k);
+        db_.Insert(t_, {as[i], b, c});
+      }
+    }
+    // U: every b value of T but 3, with 1, 2 or 9 d's each, and two b's
+    // T lacks.
+    std::vector<Value> ubs = {kMin, kMin + 1, 0, 1, 2, 4, 5, 6, 7, 11, 12, 50,
+                              kMax - 2, kMax - 1, kMax};
+    for (size_t i = 0; i < ubs.size(); ++i) {
+      const size_t n = i % 3 == 0 ? 1 : i % 3 == 1 ? 2 : 9;
+      for (size_t k = 0; k < n; ++k) {
+        db_.Insert(u_, {ubs[i], k == 0 ? kMin : k + 1 == n ? kMax
+                                                          : static_cast<Value>(k)});
+      }
+    }
+  }
+
+  AttrId A(const char* name) const { return db_.Attr(name); }
+  const Relation& T() const { return db_.relation(t_); }
+  const Relation& U() const { return db_.relation(u_); }
+
+  // One f-tree node for the class `attrs`, covered by `cover`.
+  static int Node(FTree& tree, std::initializer_list<AttrId> attrs,
+                  std::initializer_list<AttrId> cover) {
+    return tree.NewNode(AttrSet::Of(attrs), AttrSet::Of(attrs),
+                        RelSet::Of(cover), RelSet::Of(cover));
+  }
+
+  // The rdb result of T |x| U on b = ub under `preds`.
+  Relation JoinByRdb(const std::vector<ConstPred>& preds) {
+    Query q;
+    q.rels = {t_, u_};
+    q.equalities = {{A("b"), A("ub")}};
+    q.const_preds = preds;
+    return Engine(&db_).ExecuteRdb(q).relation;
+  }
+
+  Database db_;
+  RelId t_ = 0, u_ = 0;
+};
+
+TEST_F(GroundRunScanTest, SingleCoverPathMatchesEveryThreadCap) {
+  // a -> b -> c over T alone: two single-cover inner nodes and a leaf.
+  const FTree path = PathFTree(T().schema(), 0);
+  const std::vector<uint64_t> morsels = ExpectSameAtEveryThreadCap(
+      [&](int threads, QueryTrace* trace) {
+        return GroundQuery(path, {&T()}, {}, trace, {}, threads);
+      },
+      T());
+  EXPECT_GT(morsels.back(), 1u);
+}
+
+TEST_F(GroundRunScanTest, LeapfrogNodeWithSingleCoverLeavesMatchesRdb) {
+  // a{T} -> b{T,U} -> (c{T}, d{U}): U is not narrowed by a, so every a
+  // seeks the whole of U. Under the predicates some (a, b) ranges of c and
+  // some b ranges of d come back empty: the b is dropped, and an a whose
+  // every b is dropped goes with it.
+  FTree tree;
+  const int na = Node(tree, {A("a")}, {0});
+  const int nb = Node(tree, {A("b"), A("ub")}, {0, 1});
+  const int nc = Node(tree, {A("c")}, {0});
+  const int nd = Node(tree, {A("d")}, {1});
+  tree.AttachRoot(na);
+  tree.AttachChild(na, nb);
+  tree.AttachChild(nb, nc);
+  tree.AttachChild(nb, nd);
+  const std::vector<std::vector<ConstPred>> cases = {
+      {},
+      {ConstPred{A("c"), CmpOp::kGe, 5}},
+      {ConstPred{A("d"), CmpOp::kGt, 1}, ConstPred{A("c"), CmpOp::kLt, 50}},
+      {ConstPred{A("d"), CmpOp::kEq, 3}},
+  };
+  const size_t full = JoinByRdb({}).size();
+  for (const std::vector<ConstPred>& preds : cases) {
+    SCOPED_TRACE("predicates: " + std::to_string(preds.size()));
+    const Relation expected = JoinByRdb(preds);
+    EXPECT_GT(expected.size(), 0u);
+    if (!preds.empty()) {
+      EXPECT_LT(expected.size(), full);
+    }
+    ExpectSameAtEveryThreadCap(
+        [&](int threads, QueryTrace* trace) {
+          return GroundQuery(tree, {&T(), &U()}, preds, trace, {}, threads);
+        },
+        expected);
+  }
+}
+
+TEST_F(GroundRunScanTest, TwoRootForestMatchesEveryThreadCap) {
+  // a -> b -> c over T beside ub -> d over U: the first root splits, the
+  // second is built after it on the caller, its leaves committed one by
+  // one.
+  FTree forest;
+  const int na = Node(forest, {A("a")}, {0});
+  const int nb = Node(forest, {A("b")}, {0});
+  const int nc = Node(forest, {A("c")}, {0});
+  const int nu = Node(forest, {A("ub")}, {1});
+  const int nd = Node(forest, {A("d")}, {1});
+  forest.AttachRoot(na);
+  forest.AttachChild(na, nb);
+  forest.AttachChild(nb, nc);
+  forest.AttachRoot(nu);
+  forest.AttachChild(nu, nd);
+  Relation product({A("a"), A("b"), A("c"), A("ub"), A("d")});
+  for (size_t i = 0; i < T().size(); ++i) {
+    for (size_t j = 0; j < U().size(); ++j) {
+      product.AddTuple({T().At(i, 0), T().At(i, 1), T().At(i, 2), U().At(j, 0),
+                        U().At(j, 1)});
+    }
+  }
+  const std::vector<uint64_t> morsels = ExpectSameAtEveryThreadCap(
+      [&](int threads, QueryTrace* trace) {
+        return GroundQuery(forest, {&T(), &U()}, {}, trace, {}, threads);
+      },
+      product);
+  EXPECT_GT(morsels.back(), 1u);
+}
+
 }  // namespace
 }  // namespace fdb

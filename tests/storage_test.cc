@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
+#include "common/rng.h"
 #include "storage/catalog.h"
 #include "storage/csv.h"
 #include "storage/query.h"
@@ -148,6 +150,58 @@ TEST(Relation, LowerBoundMatchesStdOnEveryWindow) {
                              col.begin() + static_cast<ptrdiff_t>(hi), v) -
             col.begin());
         EXPECT_EQ(r.LowerBound(lo, hi, 1, v), expect)
+            << lo << " " << hi << " " << v;
+      }
+    }
+  }
+}
+
+TEST(Relation, LowerBoundMatchesStdOnLongWindows) {
+  // Windows far longer than the gallop, so the search interpolates: evenly
+  // spread keys, a skewed column, one that grows geometrically, and one
+  // that spans the whole Value range. Every key that occurs, its
+  // neighbours and the extremes are sought in random windows.
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  Rng rng(7);
+  std::vector<std::vector<Value>> columns(4);
+  for (int i = 0; i < 3000; ++i) columns[0].push_back(rng.Uniform(1, 5000));
+  columns[1].assign(2000, 0);
+  for (Value v = 1; v < kMax / 16; v *= 16) columns[1].push_back(v);
+  columns[1].insert(columns[1].end(), 100, kMax);
+  for (int i = 0; i < 62 * 8; ++i) {
+    columns[2].push_back(Value{1} << (i / 8));
+  }
+  columns[3].assign(50, kMin);
+  for (int i = 0; i < 2000; ++i) {
+    columns[3].push_back(static_cast<Value>(rng.Next()));
+  }
+  columns[3].insert(columns[3].end(), 50, kMax);
+  for (std::vector<Value>& col : columns) {
+    std::sort(col.begin(), col.end());
+    Relation r({0, 1});
+    for (size_t i = 0; i < col.size(); ++i) {
+      r.AddTuple({static_cast<Value>(i), col[i]});
+    }
+    std::vector<Value> keys = {kMin, kMax, 0};
+    for (size_t i = 0; i < col.size(); i += 7) {
+      keys.push_back(col[i]);
+      if (col[i] > kMin) keys.push_back(col[i] - 1);
+      if (col[i] < kMax) keys.push_back(col[i] + 1);
+    }
+    for (int w = 0; w < 20; ++w) {
+      size_t lo = w == 0 ? 0 : static_cast<size_t>(rng.Uniform(
+                                   0, static_cast<int64_t>(col.size())));
+      size_t hi = w == 0 ? col.size()
+                         : static_cast<size_t>(rng.Uniform(
+                               0, static_cast<int64_t>(col.size())));
+      if (lo > hi) std::swap(lo, hi);
+      for (Value v : keys) {
+        const size_t expect = static_cast<size_t>(
+            std::lower_bound(col.begin() + static_cast<ptrdiff_t>(lo),
+                             col.begin() + static_cast<ptrdiff_t>(hi), v) -
+            col.begin());
+        ASSERT_EQ(r.LowerBound(lo, hi, 1, v), expect)
             << lo << " " << hi << " " << v;
       }
     }

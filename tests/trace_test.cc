@@ -395,6 +395,18 @@ TEST(EngineTrace, GroundBuildRecordsMorsels) {
       parallel.Parse(std::string("SELECT *") + testing_util::kChainJoin),
       nullptr, &big);
   EXPECT_GT(testing_util::GroundMorsels(big), 1u);
+
+  // The split build times its splice inside ground-build; the one-morsel
+  // build has no splice.
+  EXPECT_FALSE(testing_util::HasSpan(small, "ground-splice"));
+  std::map<std::string, int> spans = IndexByName(big);
+  ASSERT_TRUE(spans.count("ground-splice"));
+  const QueryTrace::Span& s = big.spans()[spans["ground-splice"]];
+  EXPECT_EQ(s.parent, spans["ground-build"]);
+  EXPECT_TRUE(s.has_rows);
+  EXPECT_LT(s.rows, testing_util::GroundMorsels(big));
+  EXPECT_TRUE(s.has_bytes);
+  EXPECT_EQ(s.bytes == 0, s.rows == 0);
 }
 
 TEST(EngineTrace, ExplainAnalyzeExecute) {
