@@ -618,15 +618,17 @@ class GroundRunScanTest : public ::testing::Test {
         db_.Insert(t_, {as[i], b, c});
       }
     }
-    // U: every b value of T but 3, with 1, 2 or 9 d's each, and two b's
-    // T lacks.
+    // U: 15 of T's b values, both extremes among them, with 1, 2 or 9 d's
+    // each; T's other b values find no partner at the leapfrog node.
     std::vector<Value> ubs = {kMin, kMin + 1, 0, 1, 2, 4, 5, 6, 7, 11, 12, 50,
                               kMax - 2, kMax - 1, kMax};
     for (size_t i = 0; i < ubs.size(); ++i) {
       const size_t n = i % 3 == 0 ? 1 : i % 3 == 1 ? 2 : 9;
       for (size_t k = 0; k < n; ++k) {
-        db_.Insert(u_, {ubs[i], k == 0 ? kMin : k + 1 == n ? kMax
-                                                          : static_cast<Value>(k)});
+        const Value d = k == 0       ? kMin
+                        : k + 1 == n ? kMax
+                                     : static_cast<Value>(k);
+        db_.Insert(u_, {ubs[i], d});
       }
     }
   }
