@@ -228,10 +228,8 @@ struct LeafValues {
 // RunEnd. A node with several covering relations runs leapfrog rounds
 // (propose the largest head, seek the others to it, agree), and RunEnd
 // ends the agreed value's block in each. A childless node's union is
-// committed with its header in one step (FRep::AddLeafUnion), with no
-// builder: a single-cover range that holds one value (most leaves of a
-// key/fk chain) straight from the relation, any other after the walk
-// gathers it in the walker's own buffer. The other unions stage in a
+// gathered in the walker's own buffer and committed with its header in one
+// step (FRep::AddLeafUnion), with no builder. The other unions stage in a
 // UnionBuilder. Every node owns its cursor, saved-range and child slots; a
 // node is active at most once at a time (the walk only descends), so its
 // slots are reused for every value and the walk allocates nothing beyond
@@ -256,17 +254,6 @@ class Walker {
   uint32_t Build(int n) {
     StartGroundUnion();
     if (plan_.tree.node(n).children.empty()) {
-      const WalkPlan::Node& slot = plan_.nodes[static_cast<size_t>(n)];
-      if (slot.cover_end - slot.cover_begin == 1) {
-        // One covering relation whose range holds one value: a singleton,
-        // committed without a walk.
-        const WalkPlan::Cover& cover = plan_.covers[slot.cover_begin];
-        const Range r = range_[cover.index];
-        if (r.first < r.second && cover.At(r.first) == cover.At(r.second - 1)) {
-          const Value v = cover.At(r.first);
-          return out_->AddLeafUnion(n, &v, 1);
-        }
-      }
       leaf_.vals.clear();
       Walk(n, leaf_);
       if (leaf_.vals.empty()) return kNoUnion;

@@ -90,14 +90,16 @@ class Relation {
   /// First row index in [lo, hi) whose value in column `col` is >= v.
   /// Requires rows [lo, hi) to be sorted on `col` (true within an equal-
   /// prefix range of the sort order). The search gallops from lo, so a
-  /// short move costs the log of its distance: most of grounding's leapfrog
-  /// seeks and run ends land close by. A move past the gallop's first 32
-  /// rows interpolates instead: it guesses the row from the values at the
-  /// ends of the remaining window and brackets the guess with a gallop, at
-  /// most three times, and a binary search ends it. On evenly spread keys
-  /// (a foreign key sought far along its relation) the guesses land a few
-  /// rows off; on a skewed column each guess costs at most a gallop, so the
-  /// search stays within a few binary searches.
+  /// short move costs the log of its distance. A move past the gallop's
+  /// first 32 rows interpolates instead: it guesses the row from the values
+  /// at the ends of the remaining window and brackets the guess with a
+  /// gallop, at most three times, and a binary search ends it. Long moves
+  /// are grounding's common case on a key/fk chain: a leapfrog seek for an
+  /// order's key in the whole of Lineitem. On evenly spread keys like
+  /// these the guesses land a few rows off. A guess that lands far off
+  /// costs a gallop from it, so on a skewed column a seek costs up to
+  /// three gallops and a binary search, against one gallop and a binary
+  /// search without the guesses.
   size_t LowerBound(size_t lo, size_t hi, size_t col, Value v) const;
 
   /// Sub-range of [lo, hi) whose `col` value equals v (same requirement).
