@@ -19,8 +19,14 @@
 // Poisoning granularity is ASan's 8-byte shadow: a region edge that is not
 // 8-aligned is poisoned conservatively (the misaligned fringe stays
 // accessible). The arenas store 8-byte Values, 4-byte child ids and
-// 40-byte headers off malloc-aligned bases, so in practice at most the
+// 32-byte headers off malloc-aligned bases, so in practice at most the
 // first 4 bytes of a child-arena slack window stay unpoisoned.
+//
+// Arena blocks of 1 MiB or more are recycled rather than freed
+// (common/arena_pool.h): the pool poisons a parked block whole and
+// unpoisons the requested bytes when it hands the block out again, so a
+// recycled block starts as clean as a fresh one and a stale read into a
+// parked block still faults.
 #ifndef FDB_COMMON_ASAN_H_
 #define FDB_COMMON_ASAN_H_
 
@@ -82,9 +88,9 @@ inline void PoisonTail(const std::vector<T, A>& v) {
 /// Unpoisons a vector's slack. Call immediately before any operation that
 /// appends into the buffer (insert/push_back/resize): libstdc++ constructs
 /// the new elements in place, and those writes must not fault. If the
-/// operation reallocates instead, the old buffer is unpoisoned on free by
-/// ASan itself and the new one starts clean — re-poison via PoisonTail
-/// afterwards either way.
+/// operation reallocates instead, the old buffer is freed (ASan tracks the
+/// heap's, the arena pool poisons a block it parks) and the new one starts
+/// clean — re-poison via PoisonTail afterwards either way.
 template <typename T, typename A>
 inline void UnpoisonTail(std::vector<T, A>& v) {
   if constexpr (kEnabled) {

@@ -31,7 +31,12 @@ uint64_t Rng::Next() {
 
 int64_t Rng::Uniform(int64_t lo, int64_t hi) {
   FDB_CHECK(lo <= hi);
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
+  // Both the span and the offset are computed in uint64_t: in int64_t,
+  // hi - lo overflows for ranges wider than INT64_MAX, and so does lo plus
+  // an offset past it. Wrapping arithmetic gives the same draws for every
+  // range that does not overflow.
+  const uint64_t base = static_cast<uint64_t>(lo);
+  const uint64_t span = static_cast<uint64_t>(hi) - base + 1;
   if (span == 0) return static_cast<int64_t>(Next());  // full 64-bit range
   // Rejection sampling to avoid modulo bias.
   uint64_t limit = ~uint64_t{0} - (~uint64_t{0} % span);
@@ -39,7 +44,7 @@ int64_t Rng::Uniform(int64_t lo, int64_t hi) {
   do {
     r = Next();
   } while (r >= limit);
-  return lo + static_cast<int64_t>(r % span);
+  return static_cast<int64_t>(base + r % span);
 }
 
 double Rng::NextDouble() {

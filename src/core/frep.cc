@@ -9,8 +9,10 @@ namespace fdb {
 void FRep::MarkEmpty() {
   FDB_CHECK_MSG(scratch_top_ == 0, "MarkEmpty with open builders");
   empty_ = true;
-  // Swap-with-empty releases capacity: an intermediate that became empty
-  // mid-f-plan must not keep its peak arena allocation alive.
+  // Swap-with-empty gives up capacity: an intermediate that became empty
+  // mid-f-plan must not keep its peak arena allocation alive. Its blocks
+  // of 1 MiB or more are parked in the bounded arena pool
+  // (common/arena_pool.h), the rest return to the heap.
   std::vector<uint32_t>().swap(roots_);
   Arena<Value>().swap(values_);
   Arena<uint32_t>().swap(children_);

@@ -55,10 +55,13 @@
 #define FDB_CORE_FREP_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
+#include "common/arena_pool.h"
 #include "common/asan.h"
 #include "common/exec_context.h"
 #include "common/fault.h"
@@ -80,11 +83,17 @@ struct UnionHeader {
   size_t num_children;  ///< committed child ids (len * #tree children)
 };
 
-/// Allocator of the FRep arenas: `resize` default-initialises, which
-/// leaves the trivial arena elements unwritten, so FRep::AppendUnions can
-/// size an arena once and fill its windows from several threads.
+/// Allocator of the FRep arenas. Its blocks come from the recycler in
+/// common/arena_pool.h, which parks a freed block of 1 MiB or more for the
+/// next arena growth of its size instead of unmapping it. `resize`
+/// default-initialises, which leaves the trivial arena elements unwritten,
+/// so FRep::AppendUnions can size an arena once and fill its windows from
+/// several threads; a recycled block therefore holds stale bytes until the
+/// arena writes them.
 template <typename T>
 struct ArenaAllocator : std::allocator<T> {
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "arena blocks carry the default new alignment");
   ArenaAllocator() = default;
   template <typename U>
   ArenaAllocator(const ArenaAllocator<U>& /*other*/) noexcept {}
@@ -92,6 +101,15 @@ struct ArenaAllocator : std::allocator<T> {
   struct rebind {
     using other = ArenaAllocator<U>;
   };
+  T* allocate(size_t n) {
+    if (n > std::numeric_limits<size_t>::max() / sizeof(T)) {
+      throw std::bad_array_new_length();
+    }
+    return static_cast<T*>(AllocateArenaBlock(n * sizeof(T)));
+  }
+  void deallocate(T* p, size_t n) noexcept {
+    ReleaseArenaBlock(p, n * sizeof(T));
+  }
   template <typename U>
   void construct(U* p) noexcept {
     ::new (static_cast<void*>(p)) U;
@@ -246,9 +264,11 @@ class FRep {
   /// True for the empty relation (no tuples).
   bool empty() const { return empty_; }
   void MarkNonEmpty() { empty_ = false; }
-  /// Empties the representation and *releases* arena capacity
+  /// Empties the representation and gives up its arena capacity
   /// (shrink_to_fit semantics), so emptied intermediates inside f-plan
-  /// execution do not pin peak memory.
+  /// execution do not pin peak memory. Blocks of 1 MiB or more are parked
+  /// in the bounded arena pool (common/arena_pool.h) for the next arena
+  /// growth rather than returned to the heap.
   void MarkEmpty();
 
   /// Opens a builder for a new union of f-tree node `node`. The id is
@@ -558,8 +578,8 @@ inline void FRep::CommitUnion(uint32_t id, const Scratch& s) {
   h.num_children = s.kids.size();
   // The appends construct elements inside the (poisoned) slack when
   // capacity suffices; open the slack for the writes, then re-arm it. A
-  // reallocating append frees the old buffer (ASan unpoisons on free) and
-  // the fresh one starts clean, so PoisonTail is correct either way.
+  // reallocating append frees or parks the old buffer and the fresh one
+  // starts clean (common/asan.h), so PoisonTail is correct either way.
   asan::UnpoisonTail(values_);
   values_.insert(values_.end(), s.vals.begin(), s.vals.end());
   asan::PoisonTail(values_);

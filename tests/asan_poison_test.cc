@@ -11,12 +11,14 @@
 //     are inside a valid heap chunk, so only the manual slack poisoning
 //     turns it into a fault. The death test proves the poisoning is armed,
 //     not silently compiled out.
+#include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/arena_pool.h"
 #include "common/asan.h"
 #include "core/frep.h"
 #include "core/serialize.h"
@@ -201,6 +203,63 @@ TEST(AsanPoisonDeathTest, SlackReadIsCaught) {
       {
         const Value* beyond = last.values() + last.size();
         volatile Value leaked = *beyond;  // first byte of poisoned slack
+        (void)leaked;
+      },
+      "use-after-poison");
+}
+
+// An FRep whose one root union holds `n` values, so its value arena is one
+// block of n * sizeof(Value) bytes.
+std::unique_ptr<FRep> OneUnionRep(size_t n) {
+  auto rep = std::make_unique<FRep>(OneNodeTree());
+  std::vector<Value> vals(n);
+  for (size_t i = 0; i < n; ++i) vals[i] = static_cast<Value>(i);
+  rep->roots().push_back(rep->AddLeafUnion(0, vals.data(), n));
+  rep->MarkNonEmpty();
+  return rep;
+}
+
+// A value arena past the floor (common/arena_pool.h) is parked when its FRep
+// dies, and the next arena of its size class takes it back: both sides must
+// stay clean, however the block's poison was left.
+TEST(AsanPoison, RecycledArenaBlocksAreReadmitted) {
+  const size_t n = kArenaBlockFloor / sizeof(Value) + 1000;
+  for (int round = 0; round < 3; ++round) {
+    std::unique_ptr<FRep> rep = OneUnionRep(n);
+    rep->Validate();
+    UnionRef root = rep->u(rep->roots()[0]);
+    ASSERT_EQ(root.size(), n);
+    EXPECT_EQ(root.values()[n - 1], static_cast<Value>(n - 1));
+    // The copy's arena takes a parked block of the same class (from the
+    // round before) and parks it again.
+    FRep copy = *rep;
+    EXPECT_EQ(copy.u(copy.roots()[0]).values()[n - 1],
+              static_cast<Value>(n - 1));
+    copy.MarkEmpty();
+    rep.reset();
+  }
+  EXPECT_GE(GetArenaPoolStats().parked_bytes, n * sizeof(Value));
+}
+
+// The armed probe for parked blocks: a read through the value window of a
+// destroyed FRep whose arena block went to the pool instead of the heap. ASan
+// cannot see it as a use-after-free (the block was never freed), so the pool
+// must have poisoned the block whole.
+TEST(AsanPoisonDeathTest, ParkedBlockReadIsCaught) {
+  if (!asan::kEnabled) {
+    GTEST_SKIP() << "probe needs AddressSanitizer (FDB_SANITIZE=ON)";
+  }
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const size_t n = kArenaBlockFloor / sizeof(Value) + 1000;
+  std::unique_ptr<FRep> rep = OneUnionRep(n);
+  const Value* stale = rep->u(rep->roots()[0]).values();
+  const size_t parked = GetArenaPoolStats().parked_bytes;
+  rep.reset();
+  ASSERT_GT(GetArenaPoolStats().parked_bytes, parked)
+      << "the value arena was not parked";
+  EXPECT_DEATH(
+      {
+        volatile Value leaked = stale[n / 2];  // inside the parked block
         (void)leaked;
       },
       "use-after-poison");

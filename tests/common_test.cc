@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <set>
 #include <thread>
@@ -139,6 +140,47 @@ TEST(Rng, UniformCoversRange) {
   std::set<int64_t> seen;
   for (int i = 0; i < 2000; ++i) seen.insert(rng.Uniform(1, 10));
   EXPECT_EQ(seen.size(), 10u);
+}
+
+TEST(Rng, UniformKeepsItsSeededSequence) {
+  // Seeded workloads depend on these draws; pinned from before the range
+  // arithmetic moved to uint64_t.
+  Rng rng(5);
+  const std::vector<int64_t> want = {819, 395, 806, 996, 880, 846, 984, 195};
+  for (int64_t w : want) EXPECT_EQ(rng.Uniform(-3, 1000), w);
+  Rng wide(9);
+  const std::vector<int64_t> want_wide = {
+      -3417903805300418490, 570911236262277208, 1645595735889759751,
+      2725694719252393016};
+  for (int64_t w : want_wide) {
+    EXPECT_EQ(wide.Uniform(-4611686018427387904LL, 4611686018427387903LL), w);
+  }
+}
+
+TEST(Rng, UniformSpansWiderThanInt64Max) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng full(11);
+  Rng raw(11);
+  // The full range takes every draw as it comes.
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(full.Uniform(kMin, kMax), static_cast<int64_t>(raw.Next()));
+  }
+  // Half ranges: the span is 2^63 (+1), past INT64_MAX.
+  Rng rng(12);
+  bool low_half = false, high_half = false;
+  for (int i = 0; i < 1000; ++i) {
+    const int64_t neg = rng.Uniform(kMin, 0);
+    EXPECT_LE(neg, 0);
+    low_half = low_half || neg < kMin / 2;
+    const int64_t pos = rng.Uniform(-1, kMax);
+    EXPECT_GE(pos, -1);
+    high_half = high_half || pos > kMax / 2;
+  }
+  EXPECT_TRUE(low_half);
+  EXPECT_TRUE(high_half);
+  EXPECT_EQ(rng.Uniform(kMin, kMin), kMin);
+  EXPECT_EQ(rng.Uniform(kMax, kMax), kMax);
 }
 
 TEST(Rng, ShufflePreservesElements) {

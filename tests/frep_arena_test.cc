@@ -1,10 +1,19 @@
 // Tests for the columnar arena storage behind FRep: UnionBuilder staging,
 // UnionRef view stability across arena growth, empty-union handling, memory
-// accounting, and serialisation round-trips through the arena.
+// accounting, serialisation round-trips through the arena, and the recycler
+// of large arena blocks (common/arena_pool.h).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "api/engine.h"
+#include "bench_util/workload.h"
+#include "common/arena_pool.h"
 #include "core/enumerate.h"
 #include "core/frep.h"
 #include "core/ground.h"
@@ -214,6 +223,131 @@ TEST(FRepArena, OperatorsKeepArenaValid) {
   FRep proj = Project(joined, AttrSet::Of({0, 3}));
   proj.Validate();
   EXPECT_EQ(joined.CountTuples(), 3.0);
+}
+
+// ---- The arena block recycler (common/arena_pool.h) ------------------------
+
+const std::string kChainStar =
+    std::string("SELECT *") + testing_util::kChainJoin;
+
+// `sql` grounded by a fresh engine at `threads` threads: its WriteFRep
+// bytes, once it validates.
+std::string GroundedBytes(Database& db, const std::string& sql, int threads) {
+  EngineOptions opts;
+  opts.enumerate.threads = threads;
+  Engine engine(&db, opts);
+  const FRep rep = engine.EvaluateFlat(engine.Parse(sql)).rep;
+  rep.Validate();
+  std::ostringstream os;
+  WriteFRep(os, rep);
+  return os.str();
+}
+
+// The chain of Ground.ParallelBuildIsByteIdentical, and one of the same
+// sizes drawn from another seed: other values, union counts within a few
+// percent, so both take header blocks of the same size classes (past the
+// floor) at every thread count.
+std::unique_ptr<Database> ChainA() {
+  return MakeKeyForeignKeyChain(8000, 16000, 24000, 1).db;
+}
+std::unique_ptr<Database> ChainB() {
+  return MakeKeyForeignKeyChain(8000, 16000, 24000, 2).db;
+}
+
+TEST(ArenaPool, RecycledBlocksGroundTheSameBytes) {
+  // The arenas are not zeroed, so a recycled block holds the stale unions
+  // of the representation that parked it. Grounding on such blocks must
+  // write exactly what grounding on fresh ones does.
+  auto a = ChainA();
+  auto b = ChainB();
+  for (const int threads : {1, 4}) {
+    for (const auto& [first, second] :
+         {std::pair{a.get(), b.get()}, std::pair{b.get(), a.get()}}) {
+      SCOPED_TRACE("threads = " + std::to_string(threads) +
+                   (first == a.get() ? ", A then B" : ", B then A"));
+      // With nothing parked, the ground takes its blocks from the heap, as
+      // the first ground of a process does.
+      DrainArenaPool();
+      const std::string fresh = GroundedBytes(*second, kChainStar, threads);
+      DrainArenaPool();
+      GroundedBytes(*first, kChainStar, threads);  // parks its blocks
+      const uint64_t hits = GetArenaPoolStats().hits;
+      EXPECT_EQ(GroundedBytes(*second, kChainStar, threads), fresh);
+      EXPECT_GT(GetArenaPoolStats().hits, hits)
+          << "the second ground took no recycled block";
+    }
+  }
+}
+
+TEST(ArenaPool, SecondGroundTakesEveryBlockFromThePool) {
+  auto db = ChainA();
+  EngineOptions opts;
+  opts.enumerate.threads = 1;
+  Engine engine(db.get(), opts);
+  const Query q = engine.Parse(kChainStar);
+  const ArenaPoolStats before = GetArenaPoolStats();
+  engine.EvaluateFlat(q);
+  const ArenaPoolStats first = GetArenaPoolStats();
+  const uint64_t requests =
+      first.hits + first.misses - before.hits - before.misses;
+  ASSERT_GT(requests, 0u) << "no arena block reached the floor";
+  engine.EvaluateFlat(q);
+  const ArenaPoolStats second = GetArenaPoolStats();
+  EXPECT_EQ(second.misses, first.misses);
+  EXPECT_EQ(second.hits - first.hits, requests);
+}
+
+TEST(ArenaPool, ParkedBytesStayUnderTheCap) {
+  // Representations of many sizes, alive together and then freed together:
+  // their blocks at or above the floor add up to more than the cap. Each
+  // ground is kept with four copies, whose arenas are sized exactly.
+  std::vector<FRep> reps;
+  size_t held = 0;
+  for (size_t rows = size_t{1} << 13; rows <= size_t{1} << 17; rows <<= 1) {
+    Relation r({0, 1, 2});
+    for (size_t i = 0; i < rows; ++i) {
+      const Value v = static_cast<Value>(i);
+      r.AddTuple({v, v % 7, v % 13});
+    }
+    reps.push_back(GroundRelation(r, 0));
+    for (int copy = 0; copy < 4; ++copy) reps.push_back(FRep(reps.back()));
+    for (size_t i = reps.size() - 5; i < reps.size(); ++i) {
+      held += reps[i].MemoryBytes();
+    }
+    EXPECT_LE(GetArenaPoolStats().parked_bytes, kArenaPoolCapBytes);
+  }
+  ASSERT_GT(held, kArenaPoolCapBytes + kArenaPoolCapBytes / 2);
+  reps.clear();
+  const ArenaPoolStats s = GetArenaPoolStats();
+  EXPECT_LE(s.parked_bytes, kArenaPoolCapBytes);
+  EXPECT_LE(s.parked_high_water, kArenaPoolCapBytes);
+  // The freed blocks filled the pool to within one block of the cap.
+  EXPECT_GT(s.parked_bytes, kArenaPoolCapBytes / 2);
+}
+
+TEST(ArenaPool, ConcurrentGroundsShareThePool) {
+  // Four callers, each grounding on two pool threads, park and take blocks
+  // of the same classes at once; every result must match a lone ground.
+  // The FDB_TSAN build runs this to check the pool's locking.
+  auto a = ChainA();
+  auto b = ChainB();
+  const std::string want_a = GroundedBytes(*a, kChainStar, 2);
+  const std::string want_b = GroundedBytes(*b, kChainStar, 2);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = 0; i < 4; ++i) {
+        const bool use_a = (i + t) % 2 == 0;
+        const std::string got =
+            GroundedBytes(use_a ? *a : *b, kChainStar, 2);
+        if (got != (use_a ? want_a : want_b)) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_LE(GetArenaPoolStats().parked_high_water, kArenaPoolCapBytes);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/arena_pool.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 
@@ -276,6 +277,48 @@ TEST(MetricsRegistry, ConcurrentRecordingLosesNothing) {
   uint64_t total = 0;
   for (uint64_t b : s.buckets) total += b;
   EXPECT_EQ(total, s.count);
+}
+
+TEST(MetricsRegistry, ArenaPoolPublishesItsCounters) {
+  MetricsRegistry& global = MetricsRegistry::Global();
+  Counter& hits = global.GetCounter("fdb_arena_pool_hits_total");
+  Counter& misses = global.GetCounter("fdb_arena_pool_misses_total");
+  Counter& peak = global.GetCounter("fdb_arena_pool_parked_peak_bytes_total");
+  DrainArenaPool();
+  const uint64_t hits0 = hits.Value(), misses0 = misses.Value();
+
+  // Below the floor the heap serves the block and the pool counts nothing.
+  void* small = AllocateArenaBlock(kArenaBlockFloor - 64);
+  ReleaseArenaBlock(small, kArenaBlockFloor - 64);
+  EXPECT_EQ(hits.Value(), hits0);
+  EXPECT_EQ(misses.Value(), misses0);
+
+  // At the floor: a miss on an empty pool, then the parked block again.
+  void* p = AllocateArenaBlock(kArenaBlockFloor);
+  EXPECT_EQ(misses.Value(), misses0 + 1);
+  ReleaseArenaBlock(p, kArenaBlockFloor);
+  void* q = AllocateArenaBlock(kArenaBlockFloor);
+  EXPECT_EQ(q, p);
+  EXPECT_EQ(hits.Value(), hits0 + 1);
+  ReleaseArenaBlock(q, kArenaBlockFloor);
+
+  // The high-water counter reads the mark itself, and the exposition
+  // carries all three.
+  const ArenaPoolStats s = GetArenaPoolStats();
+  EXPECT_EQ(s.hits, hits.Value());
+  EXPECT_EQ(s.misses, misses.Value());
+  EXPECT_EQ(peak.Value(), s.parked_high_water);
+  EXPECT_GE(s.parked_high_water, kArenaBlockFloor);
+  const std::string text = global.RenderPrometheus();
+  for (const char* name :
+       {"fdb_arena_pool_hits_total", "fdb_arena_pool_misses_total",
+        "fdb_arena_pool_parked_peak_bytes_total"}) {
+    EXPECT_NE(text.find(std::string("# TYPE ") + name + " counter"),
+              std::string::npos)
+        << name;
+  }
+  DrainArenaPool();
+  EXPECT_EQ(GetArenaPoolStats().parked_bytes, 0u);
 }
 
 }  // namespace

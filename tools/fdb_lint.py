@@ -91,6 +91,14 @@ Rules (each reported as path:line: [rule] message):
                      MADV_* constant is missing and the fallback when the
                      kernel rejects a call.
 
+  arena-blocks       No ::operator new( or ::operator delete( call in src/
+                     outside src/common/arena_pool.cc. Arena blocks come
+                     from AllocateArenaBlock / ReleaseArenaBlock
+                     (common/arena_pool.h), which own the size classes, the
+                     parking cap and the ASan poisoning of parked blocks; a
+                     raw call beside them would bypass the recycler or free
+                     a block it handed out with the wrong size.
+
 Exit status: 0 when clean, 1 when any rule fires, 2 on usage errors.
 --self-test seeds one violation per rule through the checkers and fails if
 any rule does NOT fire (the armed-probe pattern: prove the lint is live).
@@ -402,6 +410,21 @@ def check_page_advice(relpath, text):
                   % m.group(1))
 
 
+ARENA_BLOCKS_RE = re.compile(r'::\s*operator\s+(new|delete)\b(\s*\[\s*\])?\s*\(')
+ARENA_BLOCKS_OWNER = 'src/common/arena_pool.cc'
+
+
+def check_arena_blocks(relpath, text):
+    if not relpath.startswith('src/') or relpath == ARENA_BLOCKS_OWNER:
+        return []
+    return findings_for(
+        ARENA_BLOCKS_RE, strip_comments(text),
+        lambda m: '[arena-blocks] raw ::operator %s( outside '
+                  'src/common/arena_pool.cc — allocate arena blocks through '
+                  'AllocateArenaBlock / ReleaseArenaBlock '
+                  '(common/arena_pool.h)' % m.group(1))
+
+
 CHECKERS = [
     check_raw_threading,
     check_guarded_mutex,
@@ -415,6 +438,7 @@ CHECKERS = [
     check_one_path_rewrite,
     check_no_dag_sizing,
     check_page_advice,
+    check_arena_blocks,
 ]
 
 # --------------------------------------------------------------------------
@@ -497,6 +521,12 @@ SELF_TEST_CASES = [
      'void* p = mmap(nullptr, n, PROT_READ, MAP_PRIVATE, fd, 0);\n',
      '// madvise(MADV_HUGEPAGE) via the helper\n'
      'AdviseHugePages(rows.data(), bytes);\n'),
+    (check_arena_blocks, 'src/core/frep.h',
+     'void* p = ::operator new(n * sizeof(T));\n'
+     '::operator delete(p, n * sizeof(T));\n',
+     '// ::operator new( only inside the recycler\n'
+     'T* p = static_cast<T*>(AllocateArenaBlock(n * sizeof(T)));\n'
+     '::new (static_cast<void*>(p)) U;\n'),
 ]
 
 
