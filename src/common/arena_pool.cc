@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <new>
-#include <utility>
 
 #include "common/asan.h"
 #include "common/metrics.h"
