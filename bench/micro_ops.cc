@@ -85,6 +85,30 @@ void BM_GroundQueryChain(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundQueryChain)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
+void BM_ProjectChainSpj(benchmark::State& state) {
+  // Project alone on one serve-warm-chain SPJ statement (benchmark/): the
+  // seed-1 100k Customer <- Orders <- Lineitem chain grounded once over
+  // its optimal f-tree with `cnation = 7`, then projected on ck, cnation,
+  // lk, qty, which removes the order key and priority.
+  BenchInstance inst = MakeKeyForeignKeyChain(10001, 25001, 100000, 1);
+  Engine engine(inst.db.get());
+  const Query q = engine.Parse(
+      "SELECT ck, cnation, lk, qty FROM Customer, Orders, Lineitem "
+      "WHERE ck = o_ck AND ok = l_ok AND cnation = 7");
+  const FRep rep = GroundQuery(engine.OptimizeFlat(q).tree,
+                               inst.db->RelationPtrs(q.rels), q.const_preds);
+  const AttrSet keep = AnalyzeQuery(inst.db->catalog(), q).projection;
+  size_t unions = 0;
+  for (auto _ : state) {
+    FRep out = Project(rep, keep);
+    unions = out.NumUnions();
+    benchmark::DoNotOptimize(unions);
+  }
+  state.counters["in_unions"] = static_cast<double>(rep.NumUnions());
+  state.counters["out_unions"] = static_cast<double>(unions);
+}
+BENCHMARK(BM_ProjectChainSpj)->Unit(benchmark::kMicrosecond);
+
 void BM_Swap(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Relation r = RandomRelation({0, 1}, n, 1000, 2);

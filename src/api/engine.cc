@@ -109,8 +109,8 @@ AggregateResult Engine::ExecuteAggregate(const Query& q,
   Timer agg_timer;
   {
     QueryTrace::Scope span(trace, "restructure-aggregate");
-    res.grouped = GroupByAggregate(base.rep, q.group_by, q.aggregates,
-                                   &solver_, &res.plan);
+    res.grouped = GroupByAggregate(std::move(base.rep), q.group_by,
+                                   q.aggregates, &solver_, &res.plan, trace);
     span.SetBytes(res.grouped.rep.MemoryBytes());
   }
   {

@@ -22,6 +22,9 @@
 //                          arena bytes copied); absent in one morsel
 //     project              deferred projection, when the query projects
 //     restructure-aggregate  GroupByAggregate (aggregate queries)
+//       swap               one restructuring swap (bytes = the swapped rep)
+//       collapse           the group forest and its payloads, after the
+//                          swaps
 //     materialize-groups   GroupedRep::Materialize (rows = groups)
 //     kernel-compile       EnumKernel::Compile, at SPJ materialisation
 //     morsel-plan          ParallelEnumerator planning: the kernel's

@@ -165,9 +165,9 @@ constexpr uint32_t kNoNewUnion = 0xFFFFFFFFu;
 // group nodes, so the loop terminates. Among the applicable swaps the one
 // whose resulting tree has the smallest s(T) is taken (greedy; mirrors the
 // f-plan optimiser's cost measure without its equality-driven goal test).
-FRep RestructureForGrouping(const FRep& in, AttrSet group_attrs,
-                            EdgeCoverSolver& solver, FPlan* plan_out) {
-  FRep cur = in;
+FRep RestructureForGrouping(FRep cur, AttrSet group_attrs,
+                            EdgeCoverSolver& solver, FPlan* plan_out,
+                            QueryTrace* trace) {
   for (;;) {
     const FTree& t = cur.tree();
     int best_a = -1, best_b = -1;
@@ -188,7 +188,11 @@ FRep RestructureForGrouping(const FRep& in, AttrSet group_attrs,
     if (best_b == -1) return cur;
     AttrId aa = t.node(best_a).attrs.Min();
     AttrId ba = t.node(best_b).attrs.Min();
-    cur = Swap(cur, aa, ba);
+    {
+      QueryTrace::Scope span(trace, "swap");
+      cur = Swap(cur, aa, ba);
+      span.SetBytes(cur.MemoryBytes());
+    }
     if (plan_out != nullptr) {
       plan_out->steps.push_back(PlanStep::MakeSwap(aa, ba));
     }
@@ -441,9 +445,10 @@ GroupedTable GroupedRep::Materialize(const EnumerateOptions& opts) const {
   return tbl;
 }
 
-GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
+GroupedRep GroupByAggregate(FRep in, AttrSet group_attrs,
                             std::vector<AggSpec> specs,
-                            EdgeCoverSolver* solver, FPlan* plan_out) {
+                            EdgeCoverSolver* solver, FPlan* plan_out,
+                            QueryTrace* trace) {
   for (AttrId a : group_attrs) {
     FDB_CHECK_MSG(in.tree().FindAttr(a) >= 0,
                   "GROUP BY attribute not in the f-tree");
@@ -456,8 +461,10 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
   }
 
   EdgeCoverSolver local_solver;
-  FRep cur = RestructureForGrouping(
-      in, group_attrs, solver != nullptr ? *solver : local_solver, plan_out);
+  const FRep cur = RestructureForGrouping(
+      std::move(in), group_attrs,
+      solver != nullptr ? *solver : local_solver, plan_out, trace);
+  QueryTrace::Scope collapse(trace, "collapse");
   const FTree& t = cur.tree();
   const size_t ns = specs.size();
 

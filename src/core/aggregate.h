@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/trace.h"
 #include "core/fplan.h"
 #include "core/frep.h"
 #include "core/parallel_enumerate.h"
@@ -143,11 +144,16 @@ struct GroupedRep {
 ///
 /// `solver` (optional) ranks candidate restructuring swaps by the s(T) of
 /// the resulting tree; without it a scratch solver is used. The swaps
-/// applied are appended to `plan_out` when given.
-GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
+/// applied are appended to `plan_out` when given. `in` is taken by value:
+/// a caller done with its rep moves it in, and the restructuring starts
+/// from it without a copy. `trace` (optional) records one `swap` span per
+/// restructuring swap (bytes = the swapped rep) and one `collapse` span
+/// for everything after the swaps, under the caller's open span.
+GroupedRep GroupByAggregate(FRep in, AttrSet group_attrs,
                             std::vector<AggSpec> specs,
                             EdgeCoverSolver* solver = nullptr,
-                            FPlan* plan_out = nullptr);
+                            FPlan* plan_out = nullptr,
+                            QueryTrace* trace = nullptr);
 
 }  // namespace fdb
 

@@ -11,21 +11,6 @@ std::string AttrName(AttrId a, const Catalog* cat) {
   return "a" + std::to_string(a);
 }
 
-// Tree-level projection: the steps of Project (ops_project.cc), on the
-// tree alone.
-void SimulateProjectOnTree(FTree* t, AttrSet keep) {
-  t->RestrictVisible(keep);
-  for (FTree::ProjectStep s = t->NextProjectStep(); s.node != -1;
-       s = t->NextProjectStep()) {
-    if (s.child == -1) {
-      t->RemoveLeaf(s.node);
-    } else {
-      t->SwapTree(s.node, s.child);
-    }
-  }
-  t->NormalizeTree();
-}
-
 }  // namespace
 
 std::string PlanStep::ToString(const Catalog* cat) const {
@@ -134,7 +119,7 @@ FTree SimulateStepOnTree(const FTree& t, const PlanStep& step) {
       return out;
     }
     case PlanStep::Kind::kProject:
-      SimulateProjectOnTree(&out, step.keep);
+      out.ProjectTree(step.keep);
       return out;
   }
   throw FdbError("unknown plan step");

@@ -277,6 +277,18 @@ FTree::ProjectStep FTree::NextProjectStep() const {
   return step;
 }
 
+void FTree::ProjectTree(AttrSet keep) {
+  RestrictVisible(keep);
+  for (ProjectStep s = NextProjectStep(); s.node != -1; s = NextProjectStep()) {
+    if (s.child == -1) {
+      RemoveLeaf(s.node);
+    } else {
+      SwapTree(s.node, s.child);
+    }
+  }
+  NormalizeTree();
+}
+
 void FTree::ShiftRelIndices(int offset) {
   FDB_CHECK(offset >= 0);
   for (FTreeNode& n : nodes_) {

@@ -144,13 +144,19 @@ class FTree {
   /// One step of projection once RestrictVisible has run: the deepest fully
   /// invisible node (lowest id among equals) sinks by a swap with its first
   /// child, or is removed when it is a leaf (`child == -1`). `node == -1`
-  /// when no node is fully invisible. Project (core/ops.h) and
-  /// SimulateStepOnTree (core/fplan.h) both take this step.
+  /// when no node is fully invisible. ProjectTree takes these steps.
   struct ProjectStep {
     int node = -1;
     int child = -1;
   };
   ProjectStep NextProjectStep() const;
+
+  /// pi_keep on the tree alone (§3.4): RestrictVisible(keep), then every
+  /// NextProjectStep (SwapTree with the first child, or RemoveLeaf), then
+  /// NormalizeTree. Node ids survive, so each remaining node is the input
+  /// node of the same id. Project (core/ops.h) builds its output over this
+  /// tree, and SimulateStepOnTree (core/fplan.h) takes it for kProject.
+  void ProjectTree(AttrSet keep);
 
   // ---- Constraints and cost. ----
 

@@ -36,8 +36,10 @@ FRep Product(const FRep& e1, const FRep& e2);
 /// node's subtree.
 FRep PushUp(const FRep& in, AttrId b_attr);
 
-/// eta: repeated push-ups until the f-tree is normalised (Def. 3).
-FRep Normalize(const FRep& in);
+/// eta: repeated push-ups until the f-tree is normalised (Def. 3). Takes
+/// its input by value: an already-normal rep passed as an rvalue comes back
+/// without a copy of its arenas.
+FRep Normalize(FRep in);
 
 /// chi_{A,B}: swaps the node of `b_attr` with its parent, the node of
 /// `a_attr` (§3.1, Fig. 3(b) and Fig. 4). Regroups the representation by B
@@ -57,9 +59,12 @@ FRep Absorb(const FRep& in, AttrId a_attr, AttrId b_attr);
 /// node becomes constant and floats up during the final normalisation.
 FRep SelectConst(const FRep& in, AttrId attr, CmpOp op, Value c);
 
-/// pi: keeps only the attributes in `keep` (§3.4). Fully projected nodes
-/// are swapped down to leaves and removed; their dependency sets are
-/// inherited by the parent (transitive dependence).
+/// pi: keeps only the attributes in `keep` (§3.4). The output f-tree is
+/// FTree::ProjectTree's: fully projected nodes sink to leaves and are
+/// removed there, their dependency sets inherited by the parent
+/// (transitive dependence). The data is built in one rewrite: each output
+/// union is the merge of the input unions of its node reached through the
+/// projected-away entries (see ops_project.cc).
 FRep Project(const FRep& in, AttrSet keep);
 
 }  // namespace fdb

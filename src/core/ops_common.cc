@@ -5,6 +5,9 @@ namespace ops_internal {
 
 uint32_t CopyTree(const FRep& src, uint32_t id, FRep* dst) {
   UnionRef un = src.u(id);
+  if (un.num_children() == 0) {
+    return dst->AddLeafUnion(un.node(), un.values(), un.size());
+  }
   UnionBuilder b = dst->StartUnion(un.node());
   b.CopyValues(un);
   for (size_t i = 0; i < un.num_children(); ++i) {

@@ -15,11 +15,13 @@
 //             the entry when absent), then splice B's single entry out.
 //   select    p = parent(X): X's slot keeps the entries that pass; an
 //             emptied X-union drops the entry.
-//   project   p = parent(leaf): the removed leaf's slot disappears.
+//   project   p = the lowest node above every projected-away node whose
+//             outside the projection leaves alone: its slots become the
+//             merged unions of the nodes that now hang below it.
 //
 // Copy policy. Operators produce tree-shaped representations, so plain
 // duplication (CopyTree) is exact and is what push-up, swap, merge, absorb
-// and leaf removal use; swap deliberately duplicates the E_A subtrees per
+// and projection use; swap deliberately duplicates the E_A subtrees per
 // paired B-value, which is the size growth the paper's bounds account for.
 // Selection and product copy memoised (CopySubtree), so a subtree shared in
 // the input stays shared in the output.

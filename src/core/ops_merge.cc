@@ -135,7 +135,7 @@ FRep Absorb(const FRep& in, AttrId a_attr, AttrId b_attr) {
   });
 
   // ---- Phase 3: normalise (push up what the fuse made independent). ----
-  return Normalize(out);
+  return Normalize(std::move(out));
 }
 
 }  // namespace fdb

@@ -69,8 +69,7 @@ FRep PushUp(const FRep& in, AttrId b_attr) {
   return out;
 }
 
-FRep Normalize(const FRep& in) {
-  FRep cur = in;
+FRep Normalize(FRep cur) {
   for (int n = cur.tree().FirstLiftable(); n != -1;
        n = cur.tree().FirstLiftable()) {
     cur = PushUp(cur, cur.tree().node(n).attrs.Min());

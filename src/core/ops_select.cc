@@ -1,4 +1,5 @@
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/ops.h"
@@ -56,7 +57,7 @@ FRep SelectConst(const FRep& in, AttrId attr, CmpOp op, Value c) {
            }
            return true;
          });
-  if (op == CmpOp::kEq) return Normalize(out);
+  if (op == CmpOp::kEq) return Normalize(std::move(out));
   return out;
 }
 

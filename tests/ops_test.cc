@@ -474,8 +474,8 @@ TEST(Plan, ExecuteMatchesSimulation) {
   EXPECT_TRUE(SameRelation(out, RefJoin(r, s, 1, 2)));
 
   // Random projections after the join: the executed projection and its
-  // simulation take the same steps (FTree::NextProjectStep), so they end in
-  // the same f-tree, node for node.
+  // simulation both take FTree::ProjectTree's tree, so they end in the same
+  // f-tree, node for node.
   Rng rng(7);
   const std::vector<AttrId> attrs = {0, 1, 2, 3};
   for (int round = 0; round < 40; ++round) {
