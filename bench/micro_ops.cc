@@ -1,6 +1,6 @@
 // Micro-benchmarks (ablations) for the operator kernels and substrates:
-// grounding throughput, the swap operator's priority-queue regrouping,
-// merge, normalisation, constant-delay enumeration, the edge-cover LP with
+// grounding throughput, the swap operator's regrouping (the restructuring
+// rewrite), merge, normalisation, projection, grouped aggregation, constant-delay enumeration, the edge-cover LP with
 // and without the memo cache, and the two optimisers. These isolate the
 // design choices DESIGN.md calls out (arena-backed unions, LP memoisation,
 // bottleneck Dijkstra vs greedy).
@@ -10,6 +10,7 @@
 #include "common/exec_context.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "core/aggregate.h"
 #include "core/enumerate.h"
 #include "core/ground.h"
 #include "core/kernel.h"
@@ -108,6 +109,36 @@ void BM_ProjectChainSpj(benchmark::State& state) {
   state.counters["out_unions"] = static_cast<double>(unions);
 }
 BENCHMARK(BM_ProjectChainSpj)->Unit(benchmark::kMicrosecond);
+
+void BM_GroupByChain(benchmark::State& state) {
+  // GroupByAggregate alone on one serve-warm-chain GROUP BY statement
+  // (benchmark/): the seed-1 100k Customer <- Orders <- Lineitem chain
+  // grounded once over its optimal f-tree with `opri = 3`, then
+  // restructured to cnation above ck (one planned swap, one rewrite) and
+  // collapsed. The copy of the grounded rep is made outside the timing.
+  BenchInstance inst = MakeKeyForeignKeyChain(10001, 25001, 100000, 1);
+  Engine engine(inst.db.get());
+  const Query q = engine.Parse(
+      "SELECT cnation, COUNT(*), SUM(qty) FROM Customer, Orders, Lineitem "
+      "WHERE ck = o_ck AND ok = l_ok AND opri = 3 GROUP BY cnation");
+  const Query core = q.SpjCore();
+  const FRep rep = GroundQuery(engine.OptimizeFlat(core).tree,
+                               inst.db->RelationPtrs(core.rels),
+                               core.const_preds);
+  uint64_t groups = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    FRep in = rep;
+    state.ResumeTiming();
+    const GroupedRep g =
+        GroupByAggregate(std::move(in), q.group_by, q.aggregates);
+    groups = g.NumGroups();
+    benchmark::DoNotOptimize(groups);
+  }
+  state.counters["in_unions"] = static_cast<double>(rep.NumUnions());
+  state.counters["groups"] = static_cast<double>(groups);
+}
+BENCHMARK(BM_GroupByChain)->Unit(benchmark::kMicrosecond);
 
 void BM_Swap(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

@@ -158,8 +158,8 @@ class Engine {
   /// so OptimizeFlat(q) yields a tree valid for both the plain and the
   /// aggregate path of the same query.
   /// A non-null `trace` records the EvaluateFlat spans of the SPJ core
-  /// plus "restructure-aggregate" (with GroupByAggregate's "swap" and
-  /// "collapse" children) and "materialize-groups" spans.
+  /// plus "restructure-aggregate" (with GroupByAggregate's "restructure"
+  /// and "collapse" children) and "materialize-groups" spans.
   AggregateResult ExecuteAggregate(const Query& q,
                                    const FTreeSearchResult* pretree = nullptr,
                                    QueryTrace* trace = nullptr);

@@ -22,9 +22,11 @@
 //                          arena bytes copied); absent in one morsel
 //     project              deferred projection, when the query projects
 //     restructure-aggregate  GroupByAggregate (aggregate queries)
-//       swap               one restructuring swap (bytes = the swapped rep)
+//       restructure        the one rewrite to the grouping f-tree (rows =
+//                          swaps planned; bytes = the restructured rep);
+//                          absent when no swap is needed
 //       collapse           the group forest and its payloads, after the
-//                          swaps
+//                          restructure
 //     materialize-groups   GroupedRep::Materialize (rows = groups)
 //     kernel-compile       EnumKernel::Compile, at SPJ materialisation
 //     morsel-plan          ParallelEnumerator planning: the kernel's

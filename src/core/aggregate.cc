@@ -158,18 +158,18 @@ namespace {
 
 constexpr uint32_t kNoNewUnion = 0xFFFFFFFFu;
 
-// Repeated chi swaps until every node whose class meets `group_attrs` has
-// only such nodes as ancestors (the grouping classes become the f-tree's
-// upper fragment). Swaps are always applicable to a (parent, child) pair;
-// each one strictly shrinks the total number of non-group ancestors of
-// group nodes, so the loop terminates. Among the applicable swaps the one
-// whose resulting tree has the smallest s(T) is taken (greedy; mirrors the
-// f-plan optimiser's cost measure without its equality-driven goal test).
-FRep RestructureForGrouping(FRep cur, AttrSet group_attrs,
-                            EdgeCoverSolver& solver, FPlan* plan_out,
-                            QueryTrace* trace) {
+// The grouping target: repeated chi swaps on the f-tree alone until every
+// node whose class meets `group_attrs` has only such nodes as ancestors
+// (the grouping classes become the f-tree's upper fragment). Swaps are
+// always applicable to a (parent, child) pair; each one strictly shrinks
+// the total number of non-group ancestors of group nodes, so the loop
+// terminates. Among the applicable swaps the one whose resulting tree has
+// the smallest s(T) is taken (greedy; mirrors the f-plan optimiser's cost
+// measure without its equality-driven goal test). Each swap is appended
+// to `plan`.
+FTree GroupingTarget(FTree t, AttrSet group_attrs, EdgeCoverSolver& solver,
+                     FPlan* plan) {
   for (;;) {
-    const FTree& t = cur.tree();
     int best_a = -1, best_b = -1;
     double best_cost = std::numeric_limits<double>::infinity();
     for (int b : t.AliveNodes()) {
@@ -185,17 +185,10 @@ FRep RestructureForGrouping(FRep cur, AttrSet group_attrs,
         best_b = b;
       }
     }
-    if (best_b == -1) return cur;
-    AttrId aa = t.node(best_a).attrs.Min();
-    AttrId ba = t.node(best_b).attrs.Min();
-    {
-      QueryTrace::Scope span(trace, "swap");
-      cur = Swap(cur, aa, ba);
-      span.SetBytes(cur.MemoryBytes());
-    }
-    if (plan_out != nullptr) {
-      plan_out->steps.push_back(PlanStep::MakeSwap(aa, ba));
-    }
+    if (best_b == -1) return t;
+    plan->steps.push_back(PlanStep::MakeSwap(t.node(best_a).attrs.Min(),
+                                             t.node(best_b).attrs.Min()));
+    t.SwapTree(best_a, best_b);
   }
 }
 
@@ -461,9 +454,19 @@ GroupedRep GroupByAggregate(FRep in, AttrSet group_attrs,
   }
 
   EdgeCoverSolver local_solver;
-  const FRep cur = RestructureForGrouping(
-      std::move(in), group_attrs,
-      solver != nullptr ? *solver : local_solver, plan_out, trace);
+  FPlan local_plan;
+  FPlan* plan = plan_out != nullptr ? plan_out : &local_plan;
+  const size_t planned = plan->steps.size();
+  FTree target = GroupingTarget(in.tree(), group_attrs,
+                                solver != nullptr ? *solver : local_solver,
+                                plan);
+  if (plan->steps.size() > planned) {
+    QueryTrace::Scope span(trace, "restructure");
+    in = Restructure(in, std::move(target));
+    span.SetRows(plan->steps.size() - planned);
+    span.SetBytes(in.MemoryBytes());
+  }
+  const FRep cur = std::move(in);
   QueryTrace::Scope collapse(trace, "collapse");
   const FTree& t = cur.tree();
   const size_t ns = specs.size();

@@ -11,11 +11,13 @@
 // processing", §1).
 //
 // Grouped aggregation is restructure-then-collapse:
-//   1. restructure — repeated chi swaps (core/ops_restructure.cc) lift
-//      every node whose class meets the GROUP BY set above all non-group
-//      nodes, so the grouping classes become an upper fragment of the
-//      f-tree ("aggregations compatible with the f-tree order"). Among the
-//      applicable swaps the cheapest next tree by s(T) is chosen greedily.
+//   1. restructure — greedy chi swaps on the f-tree alone lift every node
+//      whose class meets the GROUP BY set above all non-group nodes, so
+//      the grouping classes become an upper fragment of the f-tree
+//      ("aggregations compatible with the f-tree order"); among the
+//      applicable swaps the cheapest next tree by s(T) is chosen. The data
+//      then moves to that target f-tree in one rewrite (Restructure,
+//      core/ops.h), however many swaps were planned.
 //   2. collapse — one FRep::SweepBottomUp over the union DAG replaces every
 //      subtree hanging below the grouping frontier by its aggregate
 //      statistics (tuple count, per-attribute sum/min/max), attached to
@@ -144,11 +146,12 @@ struct GroupedRep {
 ///
 /// `solver` (optional) ranks candidate restructuring swaps by the s(T) of
 /// the resulting tree; without it a scratch solver is used. The swaps
-/// applied are appended to `plan_out` when given. `in` is taken by value:
-/// a caller done with its rep moves it in, and the restructuring starts
-/// from it without a copy. `trace` (optional) records one `swap` span per
-/// restructuring swap (bytes = the swapped rep) and one `collapse` span
-/// for everything after the swaps, under the caller's open span.
+/// planned are appended to `plan_out` when given. `in` is taken by value:
+/// a caller done with its rep moves it in, and a rep that needs no swap is
+/// collapsed without a copy. `trace` (optional) records one `restructure`
+/// span for the one rewrite to the planned tree (rows = swaps planned,
+/// bytes = the restructured rep; absent when no swap is needed) and one
+/// `collapse` span for everything after it, under the caller's open span.
 GroupedRep GroupByAggregate(FRep in, AttrSet group_attrs,
                             std::vector<AggSpec> specs,
                             EdgeCoverSolver* solver = nullptr,

@@ -23,9 +23,11 @@
 // arena tail in one append on Finish(). Builders nest like the operator
 // recursion that drives them: a child subtree is fully committed before its
 // parent finishes, so each committed union occupies one contiguous window.
-// A union of a childless f-tree node nests nothing, so it can skip the
-// staging: FRep::AddLeafUnion appends its header and values in one step
-// (grounding commits most of its unions this way). Abandon() discards a
+// A union whose values are known before its children can skip the
+// staging: FRep::AddUnion appends its header, values and child slots in
+// one step, and the children, committed after it, fill the slots
+// (grounding commits most of its childless unions this way, and CopyTree
+// every union it copies). Abandon() discards a
 // union that turned out empty; its header stays as an unreachable
 // zero-length stub. Those stubs are all that the f-plan
 // operators leave unreachable (they rebuild through PathRewrite,
@@ -275,15 +277,25 @@ class FRep {
   /// assigned immediately; the data window is committed on Finish().
   UnionBuilder StartUnion(int node);
 
-  /// Commits a union of the childless f-tree node `node` holding the `n`
-  /// values at `vals` (strictly increasing, n > 0) in one step: its header
-  /// and values go to the arena tails together, with no builder and no
-  /// scratch. It charges the bytes StartUnion + Finish would, in one
+  /// Commits a union of f-tree node `node` holding the `n` values at
+  /// `vals` (strictly increasing, n > 0) in one step: its header, values
+  /// and `num_children` child slots (entry-major; none for a childless
+  /// node) go to the arena tails together, with no builder and no scratch.
+  /// The slots are then filled with SetChild, once the children are
+  /// committed after it (a copy knows a union's values before its
+  /// children). It charges the bytes StartUnion + Finish would, in one
   /// charge, after the same cancellation probe and frep_arena_commit fault
-  /// site. Builders may be open: a childless union nests nothing, so its
-  /// window is contiguous like any other. `node` is not looked up (a build
-  /// segment's tree is empty, see AppendUnions). Returns the union id.
-  uint32_t AddLeafUnion(int node, const Value* vals, size_t n);
+  /// site. Builders may be open: the union's windows are reserved whole,
+  /// so they are contiguous like any other. `node` is not looked up (a
+  /// build segment's tree is empty, see AppendUnions). Returns the union
+  /// id.
+  uint32_t AddUnion(int node, const Value* vals, size_t n,
+                    size_t num_children = 0);
+
+  /// Sets child slot `i` of a union committed by AddUnion.
+  void SetChild(uint32_t id, size_t i, uint32_t child) {
+    children_[headers_[id].child_off + i] = child;
+  }
 
   /// View of union `id`.
   UnionRef u(uint32_t id) const { return UnionRef(this, id); }
@@ -509,17 +521,24 @@ inline UnionBuilder FRep::StartUnion(int node) {
   return UnionBuilder(this, id, AcquireScratch());
 }
 
-inline uint32_t FRep::AddLeafUnion(int node, const Value* vals, size_t n) {
+inline uint32_t FRep::AddUnion(int node, const Value* vals, size_t n,
+                               size_t num_children) {
   FDB_CHECK(n > 0);
-  // One charge for the header and the values: a commit that unwinds
-  // leaves no stub behind.
-  ChargeCommit(sizeof(UnionHeader) + n * sizeof(Value));
+  // One charge for the header, the values and the child slots: a commit
+  // that unwinds leaves no stub behind.
+  ChargeCommit(sizeof(UnionHeader) + n * sizeof(Value) +
+               num_children * sizeof(uint32_t));
   const uint32_t id = PushHeader(UnionHeader{node, static_cast<uint32_t>(n),
                                              values_.size(), children_.size(),
-                                             0});
+                                             num_children});
   asan::UnpoisonTail(values_);
   values_.insert(values_.end(), vals, vals + n);
   asan::PoisonTail(values_);
+  if (num_children > 0) {
+    asan::UnpoisonTail(children_);
+    children_.resize(children_.size() + num_children);
+    asan::PoisonTail(children_);
+  }
   return id;
 }
 

@@ -98,17 +98,17 @@ class FTree {
   /// Push-up legality: `b` has a parent that is not dependent on b's subtree.
   bool CanPushUp(int b) const;
 
-  // ---- Tree-level transformations (f-representation counterparts live in
-  // core/ops_*.cc and call these to keep trees byte-identical). ----
+  // ---- Tree-level transformations (the restructuring operators of
+  // core/ops.h edit a copy of the input's tree with these, then move the
+  // data once with Restructure, so trees stay byte-identical). ----
 
   /// psi_B: moves `b` one level up, making it a sibling of its parent.
   /// Caller must ensure CanPushUp(b).
   void PushUpTree(int b);
 
   /// The next push-up of normalisation: the alive node of lowest id that
-  /// CanPushUp, or -1 when the tree is normalised. Normalize (core/ops.h)
-  /// and NormalizeTree both lift this node, so the representation and the
-  /// simulated tree take the same steps.
+  /// CanPushUp, or -1 when the tree is normalised. NormalizeTree lifts
+  /// this node, for Normalize (core/ops.h) and the simulated f-plan alike.
   int FirstLiftable() const;
 
   /// Repeated push-ups until no node can be lifted (eta): lifts

@@ -214,7 +214,7 @@ size_t RunEnd(const WalkPlan::Cover& cover, size_t lo, size_t hi, Value v) {
 }
 
 // The values of a childless union, gathered by the walk and committed with
-// its header in one append (FRep::AddLeafUnion).
+// its header in one append (FRep::AddUnion).
 struct LeafValues {
   std::vector<Value> vals;
 
@@ -229,7 +229,7 @@ struct LeafValues {
 // (propose the largest head, seek the others to it, agree), and RunEnd
 // ends the agreed value's block in each. A childless node's union is
 // gathered in the walker's own buffer and committed with its header in one
-// step (FRep::AddLeafUnion), with no builder. The other unions stage in a
+// step (FRep::AddUnion), with no builder. The other unions stage in a
 // UnionBuilder. Every node owns its cursor, saved-range and child slots; a
 // node is active at most once at a time (the walk only descends), so its
 // slots are reused for every value and the walk allocates nothing beyond
@@ -257,7 +257,7 @@ class Walker {
       leaf_.vals.clear();
       Walk(n, leaf_);
       if (leaf_.vals.empty()) return kNoUnion;
-      return out_->AddLeafUnion(n, leaf_.vals.data(), leaf_.vals.size());
+      return out_->AddUnion(n, leaf_.vals.data(), leaf_.vals.size());
     }
     UnionBuilder nu = out_->StartUnion(n);
     Walk(n, nu);

@@ -5,27 +5,26 @@ namespace ops_internal {
 
 uint32_t CopyTree(const FRep& src, uint32_t id, FRep* dst) {
   UnionRef un = src.u(id);
-  if (un.num_children() == 0) {
-    return dst->AddLeafUnion(un.node(), un.values(), un.size());
+  const size_t k = un.num_children();
+  const uint32_t out = dst->AddUnion(un.node(), un.values(), un.size(), k);
+  for (size_t i = 0; i < k; ++i) {
+    dst->SetChild(out, i, CopyTree(src, un.child(i), dst));
   }
-  UnionBuilder b = dst->StartUnion(un.node());
-  b.CopyValues(un);
-  for (size_t i = 0; i < un.num_children(); ++i) {
-    b.AddChild(CopyTree(src, un.child(i), dst));
-  }
-  return b.Finish();
+  return out;
 }
 
 uint32_t CopySubtree(const FRep& src, uint32_t id, FRep* dst,
                      std::vector<uint32_t>* memo, int node_offset) {
   if ((*memo)[id] != kNoUnion) return (*memo)[id];
   UnionRef un = src.u(id);
-  UnionBuilder b = dst->StartUnion(un.node() + node_offset);
-  b.CopyValues(un);
-  for (size_t i = 0; i < un.num_children(); ++i) {
-    b.AddChild(CopySubtree(src, un.child(i), dst, memo, node_offset));
+  const size_t k = un.num_children();
+  const uint32_t out =
+      dst->AddUnion(un.node() + node_offset, un.values(), un.size(), k);
+  for (size_t i = 0; i < k; ++i) {
+    dst->SetChild(out, i,
+                  CopySubtree(src, un.child(i), dst, memo, node_offset));
   }
-  return (*memo)[id] = b.Finish();
+  return (*memo)[id] = out;
 }
 
 size_t ChildSlot(const FTree& tree, int n) {

@@ -6,25 +6,27 @@
 // names the node `p` whose entries it rewrites (-1 for the root list) and
 // supplies a hook for one entry:
 //
-//   push-up   p = G (A's parent; -1 when A is a root): A's union loses its
-//             B slot, and the hoisted B-union joins the entry.
-//   swap      p = parent(A): A's slot becomes the regrouped B-union.
-//   merge     p = the common parent: A's and B's slots become their join;
-//             an empty join drops the entry.
-//   absorb    p = parent(B): restrict B's slot to the open A-value (drops
-//             the entry when absent), then splice B's single entry out.
-//   select    p = parent(X): X's slot keeps the entries that pass; an
-//             emptied X-union drops the entry.
-//   project   p = the lowest node above every projected-away node whose
-//             outside the projection leaves alone: its slots become the
-//             merged unions of the nodes that now hang below it.
+//   restructure  p = the lowest node whose outside the target f-tree
+//                leaves alone (push-up: A's parent G; swap: A's parent;
+//                projection: above every projected-away node; -1 when the
+//                roots change): its slots become the merged unions of the
+//                nodes that now hang below it (Restructure,
+//                core/ops_restructure.cc).
+//   merge        p = the common parent: A's and B's slots become their
+//                join; an empty join drops the entry.
+//   absorb       p = parent(B): restrict B's slot to the open A-value
+//                (drops the entry when absent), then splice B's single
+//                entry out.
+//   select       p = parent(X): X's slot keeps the entries that pass; an
+//                emptied X-union drops the entry.
 //
 // Copy policy. Operators produce tree-shaped representations, so plain
-// duplication (CopyTree) is exact and is what push-up, swap, merge, absorb
-// and projection use; swap deliberately duplicates the E_A subtrees per
-// paired B-value, which is the size growth the paper's bounds account for.
+// duplication (CopyTree) is exact and is what restructuring, merge and
+// absorb use; a swap deliberately duplicates the E_A subtrees per paired
+// B-value, which is the size growth the paper's bounds account for.
 // Selection and product copy memoised (CopySubtree), so a subtree shared in
-// the input stays shared in the output.
+// the input stays shared in the output. Both copies commit each union in
+// one FRep::AddUnion and fill its child slots after the children.
 #ifndef FDB_CORE_OPS_COMMON_H_
 #define FDB_CORE_OPS_COMMON_H_
 

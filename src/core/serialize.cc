@@ -71,9 +71,10 @@ void WriteFRep(std::ostream& out, const FRep& rep) {
   out << kMagic << ' ' << kVersion << '\n';
   const FTree& t = rep.tree();
   out << std::hex;
-  for (size_t i = 0; i < t.pool_size(); ++i) {
-    const FTreeNode& n = t.node(static_cast<int>(i));
-    if (!n.alive) continue;
+  // Pre-order: the reader appends each node to its parent's children in
+  // record order, so every child list reads back in its real order.
+  for (int i : t.PreOrder()) {
+    const FTreeNode& n = t.node(i);
     out << "node " << std::dec << i << std::hex
         << " attrs=" << n.attrs.bits() << " visible=" << n.visible.bits()
         << " cover=" << n.cover_rels.bits() << " dep=" << n.dep_rels.bits()

@@ -10,7 +10,9 @@
 // Format (one record per line, '#' starts a comment):
 //   fdb-frep 1
 //   node <id> attrs=<hex> visible=<hex> cover=<hex> dep=<hex> const=<0|1>
-//        parent=<id|-1>
+//        parent=<id|-1>                 (written in pre-order; the reader
+//                                        appends each node to its parent's
+//                                        children in record order)
 //   troot <node id>                     (tree roots, in order)
 //   empty | nonempty
 //   union <id> node=<node id> values=<v,...> children=<u,...>

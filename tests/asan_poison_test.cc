@@ -214,7 +214,7 @@ std::unique_ptr<FRep> OneUnionRep(size_t n) {
   auto rep = std::make_unique<FRep>(OneNodeTree());
   std::vector<Value> vals(n);
   for (size_t i = 0; i < n; ++i) vals[i] = static_cast<Value>(i);
-  rep->roots().push_back(rep->AddLeafUnion(0, vals.data(), n));
+  rep->roots().push_back(rep->AddUnion(0, vals.data(), n));
   rep->MarkNonEmpty();
   return rep;
 }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/enumerate.h"
 #include "core/ground.h"
 #include "core/ops.h"
@@ -92,6 +96,103 @@ TEST(Serialize, RoundTripRandomWorkloads) {
     FRep rep = GroundQuery(FindOptimalFTree(info, solver).tree, rels);
     ExpectSame(rep, RoundTrip(rep));
   }
+}
+
+std::string Bytes(const FRep& rep) {
+  std::ostringstream out;
+  WriteFRep(out, rep);
+  return out.str();
+}
+
+// The reader appends each node to its parent's children in node-record
+// order, so the writer must emit the records in pre-order: a child list
+// that is not in ascending id order would otherwise read back reordered,
+// with its unions bound to the wrong slots.
+void ExpectExactRoundTrip(const FRep& rep) {
+  const FRep back = RoundTrip(rep);
+  for (int n : rep.tree().AliveNodes()) {
+    EXPECT_EQ(back.tree().node(n).children, rep.tree().node(n).children)
+        << "node " << n;
+  }
+  EXPECT_EQ(back.tree().roots(), rep.tree().roots());
+  EXPECT_EQ(Bytes(back), Bytes(rep));
+  ExpectSame(rep, back);
+}
+
+TEST(Serialize, RoundTripKeepsChildOrder) {
+  // A -> B -> C over R(a, b), S(b, c). Swapping A and B gives
+  // B -> {C, A}: A, of a lower id than C, now follows it.
+  Relation r = MakeRel({0, 1}, {{1, 1}, {1, 2}, {2, 2}, {3, 1}});
+  Relation s = MakeRel({1, 2}, {{1, 5}, {2, 6}, {2, 7}});
+  FTree t;
+  const int a = t.NewNode(AttrSet::Of({0}), AttrSet::Of({0}), RelSet::Of({0}),
+                          RelSet::Of({0}));
+  const int b = t.NewNode(AttrSet::Of({1}), AttrSet::Of({1}),
+                          RelSet::Of({0, 1}), RelSet::Of({0, 1}));
+  const int c = t.NewNode(AttrSet::Of({2}), AttrSet::Of({2}), RelSet::Of({1}),
+                          RelSet::Of({1}));
+  t.AttachRoot(a);
+  t.AttachChild(a, b);
+  t.AttachChild(b, c);
+  const FRep swapped = Swap(GroundQuery(t, {&r, &s}), 0, 1);
+  ASSERT_EQ(swapped.tree().node(b).children, (std::vector<int>{c, a}));
+  ExpectExactRoundTrip(swapped);
+}
+
+TEST(Serialize, RoundTripProjectedRandomQuery) {
+  // Seed 11 of the projection oracle (tests/project_oracle_test.cc,
+  // RandomQueriesAndKeepSets): one of its projections has a node whose
+  // children, [3, 0], are not in ascending id order.
+  const uint64_t seed = 11;
+  Rng rng(seed * 31 + 7);
+  WorkloadSpec spec;
+  spec.num_rels = static_cast<int>(rng.Uniform(2, 5));
+  spec.num_attrs = static_cast<int>(rng.Uniform(spec.num_rels + 1, 10));
+  spec.tuples_per_rel = static_cast<size_t>(rng.Uniform(10, 40));
+  spec.domain = rng.Uniform(3, 8);
+  spec.dist =
+      rng.Uniform(0, 2) == 0 ? Distribution::kZipf : Distribution::kUniform;
+  spec.num_equalities = static_cast<int>(rng.Uniform(1, spec.num_rels));
+  spec.seed = seed;
+  GeneratedWorkload w = GenerateWorkload(spec);
+  std::vector<const Relation*> rels;
+  for (const Relation& rel : w.relations) rels.push_back(&rel);
+  QueryInfo info = AnalyzeQuery(w.catalog, w.query);
+  EdgeCoverSolver solver;
+  FRep rep = GroundQuery(FindOptimalFTree(info, solver).tree, rels);
+  bool unordered = false;
+  for (int round = 0; round < 3; ++round) {
+    if (round == 2 && rng.Uniform(0, 1) == 0) {
+      std::vector<AttrId> attrs;
+      for (AttrId at : rep.tree().AllAttrs()) attrs.push_back(at);
+      const AttrId at = attrs[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(attrs.size()) - 1))];
+      rep = SelectConst(rep, at,
+                        rng.Uniform(0, 1) == 0 ? CmpOp::kEq : CmpOp::kLe,
+                        rng.Uniform(1, spec.domain));
+    } else if (round > 0) {
+      const std::vector<int> alive = rep.tree().AliveNodes();
+      const int b = alive[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(alive.size()) - 1))];
+      const int a = rep.tree().node(b).parent;
+      if (a != -1) {
+        rep = Swap(rep, rep.tree().node(a).attrs.Min(),
+                   rep.tree().node(b).attrs.Min());
+      }
+    }
+    AttrSet keep;
+    for (AttrId at : rep.tree().AllAttrs()) {
+      if (rng.Uniform(0, 2) != 0) keep.Add(at);
+    }
+    const FRep projected = Project(rep, keep);
+    for (int n : projected.tree().AliveNodes()) {
+      const std::vector<int>& kids = projected.tree().node(n).children;
+      unordered = unordered || !std::is_sorted(kids.begin(), kids.end());
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    ExpectExactRoundTrip(projected);
+  }
+  EXPECT_TRUE(unordered);
 }
 
 TEST(Serialize, FileRoundTrip) {

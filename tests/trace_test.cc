@@ -335,18 +335,25 @@ TEST(EngineTrace, ExecuteTracedAggregateSpanStructure) {
   std::map<std::string, int> spans = IndexByName(trace);
   ASSERT_TRUE(spans.count("restructure-aggregate"));
   ASSERT_TRUE(spans.count("materialize-groups"));
-  // The restructuring swaps (warehouse sits below item on the join's
-  // tree) and the collapse are child spans, each shorter than the whole.
+  // The one restructuring rewrite (warehouse sits below item on the
+  // join's tree, so at least one swap is planned) and the collapse are
+  // child spans, each shorter than the whole.
   const int agg = spans["restructure-aggregate"];
-  int swaps = 0, collapses = 0;
+  int restructures = 0, collapses = 0;
   for (const QueryTrace::Span& s : trace.spans()) {
-    if (s.name != "swap" && s.name != "collapse") continue;
-    (s.name == "swap" ? swaps : collapses) += 1;
+    EXPECT_NE(s.name, "swap");
+    if (s.name != "restructure" && s.name != "collapse") continue;
+    const bool restructure = s.name == "restructure";
+    (restructure ? restructures : collapses) += 1;
     EXPECT_EQ(s.parent, agg) << s.name;
     EXPECT_LT(s.seconds, trace.spans()[agg].seconds) << s.name;
-    EXPECT_EQ(s.has_bytes, s.name == "swap") << s.name;
+    EXPECT_EQ(s.has_bytes, restructure) << s.name;
+    EXPECT_EQ(s.has_rows, restructure) << s.name;
+    if (restructure) {
+      EXPECT_GE(s.rows, 1u);
+    }
   }
-  EXPECT_GE(swaps, 1);
+  EXPECT_EQ(restructures, 1);
   EXPECT_EQ(collapses, 1);
   EXPECT_TRUE(trace.spans()[spans["materialize-groups"]].has_rows);
   EXPECT_EQ(trace.spans()[spans["materialize-groups"]].rows, 2u);

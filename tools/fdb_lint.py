@@ -99,6 +99,16 @@ Rules (each reported as path:line: [rule] message):
                      raw call beside them would bypass the recycler or free
                      a block it handed out with the wrong size.
 
+  one-restructure    One restructuring rewrite. No call to the Swap( or
+                     PushUp( data operators in src/ outside core/fplan.cc
+                     (ExecuteStep runs an f-plan's steps) and
+                     core/ops_restructure.cc: a caller edits an f-tree
+                     (SwapTree, PushUpTree) and moves the data once with
+                     Restructure (core/ops.h). And no std::priority_queue
+                     or make_heap( in src/core/ops_* outside
+                     core/ops_restructure.cc, whose merge of sources is the
+                     only regroup of the operators.
+
 Exit status: 0 when clean, 1 when any rule fires, 2 on usage errors.
 --self-test seeds one violation per rule through the checkers and fails if
 any rule does NOT fire (the armed-probe pattern: prove the lint is live).
@@ -425,6 +435,29 @@ def check_arena_blocks(relpath, text):
                   '(common/arena_pool.h)' % m.group(1))
 
 
+RESTRUCTURE_CALL_RE = re.compile(r'(?<!FRep )\b(Swap|PushUp)\s*\(')
+RESTRUCTURE_CALLERS = ('src/core/fplan.cc', 'src/core/ops_restructure.cc')
+REGROUP_HEAP_RE = re.compile(r'\bpriority_queue\b|\bmake_heap\s*\(')
+
+
+def check_one_restructure(relpath, text):
+    if not relpath.startswith('src/') or relpath in RESTRUCTURE_CALLERS:
+        return []
+    stripped = strip_comments(text)
+    out = findings_for(
+        RESTRUCTURE_CALL_RE, stripped,
+        lambda m: '[one-restructure] %s( rewrites the data once per step — '
+                  'edit the f-tree and call Restructure (core/ops.h) once'
+                  % m.group(1))
+    if re.fullmatch(r'src/core/ops_\w+\.(h|cc)', relpath):
+        out += findings_for(
+            REGROUP_HEAP_RE, stripped,
+            lambda m: '[one-restructure] private regroup heap in an f-plan '
+                      'operator — restructure through Restructure '
+                      '(core/ops_restructure.cc)')
+    return out
+
+
 CHECKERS = [
     check_raw_threading,
     check_guarded_mutex,
@@ -439,6 +472,7 @@ CHECKERS = [
     check_no_dag_sizing,
     check_page_advice,
     check_arena_blocks,
+    check_one_restructure,
 ]
 
 # --------------------------------------------------------------------------
@@ -527,6 +561,18 @@ SELF_TEST_CASES = [
      '// ::operator new( only inside the recycler\n'
      'T* p = static_cast<T*>(AllocateArenaBlock(n * sizeof(T)));\n'
      '::new (static_cast<void*>(p)) U;\n'),
+    (check_one_restructure, 'src/core/aggregate.cc',
+     'cur = Swap(cur, aa, ba);\n'
+     'return PushUp(in, b);\n',
+     'FRep Swap(const FRep& in, AttrId a_attr, AttrId b_attr);\n'
+     'target.SwapTree(a, b);\n'
+     'plan.steps.push_back(PlanStep::MakeSwap(aa, ba));\n'
+     'in = Restructure(in, std::move(target));\n'),
+    (check_one_restructure, 'src/core/ops_merge.cc',
+     'std::priority_queue<Key, std::vector<Key>, std::greater<Key>> pq;\n'
+     'std::make_heap(heap.begin(), heap.end(), later);\n',
+     '// merged without a std::priority_queue or make_heap(\n'
+     'std::sort(heap.begin(), heap.end());\n'),
 ]
 
 
