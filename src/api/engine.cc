@@ -167,15 +167,7 @@ FdbResult Engine::Execute(const std::string& sql_text) {
     res.explain = trace.Render();
     return res;
   }
-  Query q = Parse(sql_text);
-  if (q.IsAggregate()) {
-    AggregateResult ar = ExecuteAggregate(q);
-    FdbResult res{std::move(ar.grouped.rep), std::move(ar.plan),
-                  ar.optimize_seconds, ar.evaluate_seconds, {}, {}};
-    res.aggregate = std::move(ar.table);
-    return res;
-  }
-  return EvaluateFlat(q);
+  return ExecuteTraced(Parse(sql_text), nullptr);
 }
 
 RdbResult Engine::ExecuteRdb(const Query& q, const RdbOptions& opts) const {

@@ -186,8 +186,8 @@ class Engine {
   /// (null = no tracing): the aggregate path runs ExecuteAggregate, the
   /// SPJ path runs EvaluateFlat *and* materialises the visible relation,
   /// so the trace covers kernel compilation, morsel planning and
-  /// enumeration. This is the execution core of EXPLAIN ANALYZE, both
-  /// here and in the serve path, which wraps it in its own
+  /// enumeration. This is the one execution dispatch of Execute and of
+  /// the serve path, traced or not; EXPLAIN ANALYZE wraps it in its own
   /// root/parse/cache-lookup spans (serve/query_server.h).
   FdbResult ExecuteTraced(const Query& q, QueryTrace* trace,
                           const FTreeSearchResult* pretree = nullptr);

@@ -44,7 +44,7 @@ class FdbError : public std::runtime_error {
 };
 
 /// Overflow-checked unsigned arithmetic. The tuple-count dynamic programs
-/// (FRep::CountTuples, core/aggregate.cc) accumulate in uint64_t so counts
+/// (FRep::CountTuples, AggStats in core/agg_stats.h) accumulate in uint64_t so counts
 /// stay exact; these helpers let them detect saturation instead of wrapping.
 inline bool U64MulOverflow(uint64_t a, uint64_t b, uint64_t* out) {
 #if defined(__GNUC__) || defined(__clang__)

@@ -20,19 +20,22 @@
 //      core/ops.h), however many swaps were planned.
 //   2. collapse — one FRep::SweepBottomUp over the union DAG replaces every
 //      subtree hanging below the grouping frontier by its aggregate
-//      statistics (tuple count, per-attribute sum/min/max), attached to
-//      the union entry that owned the subtree. Root trees containing no
-//      grouping class collapse into global multipliers shared by all
-//      groups.
+//      statistics (tuple count, per-spec sum/min/max), folded into the
+//      payload of the union entry that owned the subtree together with the
+//      entry's own value. Root trees containing no grouping class collapse
+//      into one global row shared by all groups.
 // The result is a factorised representation of the *distinct groups* plus
-// per-entry payloads (GroupedRep) from which every per-group aggregate is
-// a product/sum along the group's root-to-leaf entries — time linear in
-// the representation size, never in the number of represented tuples.
+// per-entry payloads (GroupedRep) whose product along a group's
+// root-to-leaf entries is the group's row — time linear in the
+// representation size, never in the number of represented tuples. Every
+// fold, Sum and Avg included (the global group of a collapse without
+// grouping attributes), goes through the one union/product algebra of
+// core/agg_stats.h.
 //
 // Exactness: all tuple counts are accumulated in uint64_t with overflow
-// checks. Aggregates whose value would silently be wrong past saturation
-// (SUM/AVG weighting, per-group counts) throw FdbError instead of
-// returning a rounded double; Count() reports approximate counts past
+// checks (AggStats). Aggregates whose value would silently be wrong past
+// saturation (SUM/AVG weighting, per-group counts) throw FdbError instead
+// of returning a rounded double; Count() reports approximate counts past
 // 2^64 via the `exact` flag of FRep::CountTuples.
 //
 // Semantics: aggregates range over the *distinct tuples* of the represented
@@ -46,6 +49,7 @@
 #include <vector>
 
 #include "common/trace.h"
+#include "core/agg_stats.h"
 #include "core/fplan.h"
 #include "core/frep.h"
 #include "core/parallel_enumerate.h"
@@ -57,10 +61,11 @@ namespace fdb {
 /// double round trip (delegates to FRep::CountTuples).
 double Count(const FRep& rep);
 
-/// SUM(attr) over all represented tuples. The attribute must label an
-/// alive f-tree node. Returns 0 for the empty relation. Throws FdbError
-/// when an intermediate tuple count overflows uint64 (the weighted sum
-/// would be silently wrong).
+/// SUM(attr) over all represented tuples: the global group of the collapse
+/// (no copy, no restructuring). The attribute must label an alive f-tree
+/// node. Returns 0 for the empty relation. Throws FdbError when an
+/// intermediate tuple count overflows uint64 (the weighted sum would be
+/// silently wrong).
 double Sum(const FRep& rep, AttrId attr);
 
 /// AVG(attr); throws FdbError on the empty relation (and on count
@@ -80,46 +85,30 @@ size_t CountDistinct(const FRep& rep, AttrId attr);
 
 /// A factorised grouped-aggregate result: the distinct groups as an
 /// f-representation over the grouping classes only, plus the collapsed
-/// statistics of everything that hung below them.
+/// statistics of everything that hung below them, as rows of the aggregate
+/// algebra (core/agg_stats.h).
 ///
 /// For a union entry with rep-wide entry index i (UnionRef::arena_offset()
-/// + entry), entry_count[i] is the number of tuples represented by the
-/// product of the subtrees removed below that entry (1 when nothing was
-/// removed), and entry_sum/min/max[j][i] hold the per-spec statistics of
-/// the removed product for the one entry whose node owns spec j's
-/// attribute. A group is one root-to-leaf assignment of `rep`; its
-/// aggregates combine the payloads of the entries on that assignment with
-/// the global multipliers — see Materialize().
+/// + entry), the payload row (entry_count[i], entry_stats[i * specs.size(),
+/// (i + 1) * specs.size())) is the product of the entry's own value and
+/// the subtrees removed below it: entry_count[i] is their number of tuples
+/// (1 when nothing was removed). A group is one root-to-leaf assignment of
+/// `rep`; its row is the product of the payloads of the entries on that
+/// assignment and the global row — see Materialize().
 struct GroupedRep {
-  /// Where a spec's attribute ended up after restructuring.
-  enum class Where {
-    kNone,    ///< COUNT(*): no attribute
-    kGroup,   ///< attribute labels a grouping class (value = group key)
-    kBelow,   ///< attribute collapsed below frontier entry of spec_node
-    kGlobal,  ///< attribute in a root tree without grouping classes
-  };
-
   FRep rep{FTree{}};   ///< factorised distinct groups (grouping classes only)
   AttrSet group_attrs; ///< the GROUP BY attributes
   std::vector<AggSpec> specs;
 
-  // Per-entry collapsed payloads, indexed by rep-wide entry index.
+  // Per-entry payload rows, indexed by rep-wide entry index.
   std::vector<uint64_t> entry_count;
-  std::vector<std::vector<double>> entry_sum;  ///< [spec][entry]
-  std::vector<std::vector<Value>> entry_min;   ///< [spec][entry]
-  std::vector<std::vector<Value>> entry_max;   ///< [spec][entry]
+  std::vector<SpecStats> entry_stats;  ///< [entry * specs.size() + spec]
 
-  std::vector<Where> spec_where;  ///< per spec
-  std::vector<int> spec_node;     ///< grouping node id (kGroup / kBelow)
-
-  // Root trees without grouping classes, collapsed into multipliers that
-  // apply to every group: global_count is the product of their tuple
-  // counts; global_sum[j] is the sum of spec j's attribute over their
-  // product (0 unless spec j is kGlobal).
+  // The root trees without grouping classes, collapsed into one row that
+  // multiplies every group: global_count is the product of their tuple
+  // counts, global_stats[j] spec j's statistics over their product.
   uint64_t global_count = 1;
-  std::vector<double> global_sum;
-  std::vector<Value> global_min;
-  std::vector<Value> global_max;
+  std::vector<SpecStats> global_stats;  ///< [spec]
 
   /// Number of distinct groups (tuples of `rep`).
   uint64_t NumGroups() const;
@@ -128,12 +117,12 @@ struct GroupedRep {
   /// plus one double per spec. Throws FdbError if a per-group count
   /// overflows uint64. The parameterless overload runs sequentially; the
   /// EnumerateOptions overload splits the group forest with the morsel
-  /// planner (core/parallel_enumerate.h) and materialises the chunks
-  /// through ParallelEnumerator::ForEachChunk (governed like the SPJ
-  /// sink), concatenated in chunk order — the row order is identical to
-  /// the sequential walk for every thread count. Every reservation of row
-  /// storage (each chunk's, and the concatenated table's) is charged to the
-  /// ambient ExecContext's memory budget before it is allocated.
+  /// planner (core/parallel_enumerate.h) and runs the chunks through
+  /// ParallelEnumerator::ForEachChunk (governed like the SPJ sink), each
+  /// writing its exactly counted rows at its offset of one presized table
+  /// — the row order is identical to the sequential walk for every thread
+  /// count. The table's bytes are charged once to the ambient
+  /// ExecContext's memory budget before they are allocated.
   GroupedTable Materialize() const;
   GroupedTable Materialize(const EnumerateOptions& opts) const;
 };

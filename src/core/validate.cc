@@ -248,21 +248,12 @@ void CheckGrouped(const GroupedRep& g) {
   const auto fail = [](const std::string& detail) {
     Fail("ValidateGroupedRep", detail);
   };
-  const auto check_spec_arity = [&](size_t got, const char* name) {
-    if (got != ns) {
-      std::ostringstream os;
-      os << name << " has " << got << " slots for " << ns << " specs";
-      fail(os.str());
-    }
-  };
-  check_spec_arity(g.spec_where.size(), "spec_where");
-  check_spec_arity(g.spec_node.size(), "spec_node");
-  check_spec_arity(g.entry_sum.size(), "entry_sum");
-  check_spec_arity(g.entry_min.size(), "entry_min");
-  check_spec_arity(g.entry_max.size(), "entry_max");
-  check_spec_arity(g.global_sum.size(), "global_sum");
-  check_spec_arity(g.global_min.size(), "global_min");
-  check_spec_arity(g.global_max.size(), "global_max");
+  if (g.global_stats.size() != ns) {
+    std::ostringstream os;
+    os << "global_stats has " << g.global_stats.size() << " slots for " << ns
+       << " specs";
+    fail(os.str());
+  }
 
   // One payload per committed entry: collapse appends payloads in arena
   // commit order, so the arrays and the value arena must have grown in
@@ -274,14 +265,11 @@ void CheckGrouped(const GroupedRep& g) {
        << " entries but the group arena holds " << entries;
     fail(os.str());
   }
-  for (size_t s = 0; s < ns; ++s) {
-    if (g.entry_sum[s].size() != entries || g.entry_min[s].size() != entries ||
-        g.entry_max[s].size() != entries) {
-      std::ostringstream os;
-      os << "per-entry payload arrays of spec " << s
-         << " do not cover the group arena";
-      fail(os.str());
-    }
+  if (g.entry_stats.size() != entries * ns) {
+    std::ostringstream os;
+    os << "entry_stats holds " << g.entry_stats.size() << " slots for "
+       << entries << " entries of " << ns << " specs";
+    fail(os.str());
   }
   for (size_t i = 0; i < entries; ++i) {
     if (g.entry_count[i] == 0) {
@@ -294,31 +282,6 @@ void CheckGrouped(const GroupedRep& g) {
   if (g.global_count == 0) {
     fail("global_count is zero (a group forest with zero-count multipliers "
          "must be the empty representation)");
-  }
-  for (size_t s = 0; s < ns; ++s) {
-    const GroupedRep::Where w = g.spec_where[s];
-    if (w == GroupedRep::Where::kGroup || w == GroupedRep::Where::kBelow) {
-      const int n = g.spec_node[s];
-      if (n < 0 || static_cast<size_t>(n) >= g.rep.tree().pool_size() ||
-          !g.rep.tree().node(n).alive) {
-        std::ostringstream os;
-        os << "spec " << s << " is placed on dead or out-of-range node " << n;
-        fail(os.str());
-      }
-      if (w == GroupedRep::Where::kGroup &&
-          !g.rep.tree().node(n).attrs.Contains(g.specs[s].attr)) {
-        std::ostringstream os;
-        os << "spec " << s << " claims group node " << n
-           << " but the node's class lacks attribute "
-           << static_cast<int>(g.specs[s].attr);
-        fail(os.str());
-      }
-    }
-    if (w != GroupedRep::Where::kNone && g.specs[s].fn == AggFn::kCount) {
-      std::ostringstream os;
-      os << "COUNT spec " << s << " has an attribute placement";
-      fail(os.str());
-    }
   }
   // Every alive node of the group forest must carry a grouping attribute:
   // the collapse removed everything else.

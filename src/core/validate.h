@@ -46,10 +46,10 @@ void ValidateDeep(const FRep& rep);
 void ValidateFTree(const FTree& t);
 
 /// Grouped-aggregate check: the group representation passes ValidateDeep,
-/// every per-spec array has one slot per spec, the per-entry payload
-/// arrays cover the value arena exactly (one payload per committed entry),
-/// entry and global counts are positive, and spec placement (spec_where /
-/// spec_node) refers to alive grouping nodes that own the spec attribute.
+/// the global row has one slot per spec, the per-entry payload rows cover
+/// the value arena exactly (one row of one slot per spec per committed
+/// entry), entry and global counts are positive, and every node of the
+/// group forest carries a grouping attribute.
 void ValidateGroupedRep(const GroupedRep& g);
 
 /// Morsel-plan check against the representation it was planned for: the

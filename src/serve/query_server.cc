@@ -275,20 +275,10 @@ void QueryServer::ExecuteGroup(Group& group) {
     }
 
     // The steady-state hot path: ground/execute/enumerate on the cached
-    // tree — no optimisation. The traced variant covers both branches
-    // (and, for SPJ, materialises the result so the trace includes kernel
-    // compilation, morsel planning and enumeration).
-    FdbResult result{FRep{FTree{}}, FPlan{}, 0.0, 0.0, {}, {}};
-    if (tp != nullptr) {
-      result = engine_.ExecuteTraced(plan->query, tp, &plan->search);
-    } else if (plan->query.IsAggregate()) {
-      AggregateResult ar = engine_.ExecuteAggregate(plan->query, &plan->search);
-      result = FdbResult{std::move(ar.grouped.rep), std::move(ar.plan),
-                         ar.optimize_seconds, ar.evaluate_seconds, {}, {}};
-      result.aggregate = std::move(ar.table);
-    } else {
-      result = engine_.EvaluateFlat(plan->query, &plan->search);
-    }
+    // tree — no optimisation. Traced, the SPJ branch also materialises the
+    // result so the trace includes kernel compilation, morsel planning and
+    // enumeration.
+    FdbResult result = engine_.ExecuteTraced(plan->query, tp, &plan->search);
     if (fresh != nullptr) {
       // Publish only after the first successful execution: failing plans
       // are never cached. Inserting before the waiters are fulfilled keeps

@@ -219,6 +219,54 @@ TEST(GroupByAggregate, GroceryJoin) {
   CrossCheck(res.rep, AttrSet::Of({sitem, disp}), AllSpecs(oid));
 }
 
+TEST(GroupByAggregate, ClassMateOfGroupAttrFoldsIntoPayload) {
+  // The aggregated attribute shares its class with a grouping attribute,
+  // so a group entry's payload folds in the entry's own value: a class
+  // {A, B} over a C child, grouped by A and aggregating B.
+  Relation r = MakeRel({0, 1, 2}, {{3, 3, 1}, {3, 3, 2}, {4, 4, 5}});
+  FTree t;
+  const AttrSet cls = AttrSet::Of({0, 1});
+  const int ab = t.NewNode(cls, cls, RelSet::Of({0}), RelSet::Of({0}));
+  const int c = t.NewNode(AttrSet::Of({2}), AttrSet::Of({2}), RelSet::Of({0}),
+                          RelSet::Of({0}));
+  t.AttachRoot(ab);
+  t.AttachChild(ab, c);
+  FRep rep = GroundQuery(t, {&r});
+  GroupedTable got = Factorised(rep, AttrSet::Of({0}), AllSpecs(1));
+  ASSERT_EQ(got.num_rows, 2u);
+  EXPECT_EQ(got.AggAt(0, 1), 6.0);  // SUM(B) of group A = 3: 3 + 3
+  EXPECT_EQ(got.AggAt(0, 2), 3.0);  // AVG
+  EXPECT_EQ(got.AggAt(1, 3), 4.0);  // MIN
+  CrossCheck(rep, AttrSet::Of({0}), AllSpecs(1));
+  CrossCheck(rep, AttrSet::Of({1, 2}), AllSpecs(0));
+
+  // The same through SQL against the rdb hash baseline: ck = o_ck makes
+  // one class, GROUP BY names one attribute of it and the aggregates the
+  // other, beside groups whose class-mates sit below the frontier.
+  Database db;
+  const RelId cust = db.CreateRelation("Customer", {"ck", "cnation"});
+  const RelId orders = db.CreateRelation("Orders", {"ok", "o_ck", "qty"});
+  for (int64_t ck = 1; ck <= 6; ++ck) db.Insert(cust, {ck, ck % 3});
+  for (int64_t ok = 1; ok <= 20; ++ok) {
+    db.Insert(orders, {ok, ok % 7 + 1, ok * 5 % 11});
+  }
+  Engine engine(&db);
+  for (const char* sql :
+       {"SELECT ck, COUNT(*), SUM(o_ck), AVG(o_ck), MIN(o_ck), MAX(o_ck) "
+        "FROM Customer, Orders WHERE ck = o_ck GROUP BY ck",
+        "SELECT o_ck, cnation, SUM(ck), MIN(ck), MAX(ck), AVG(qty) "
+        "FROM Customer, Orders WHERE ck = o_ck GROUP BY o_ck, cnation",
+        "SELECT cnation, COUNT(*), SUM(o_ck), MIN(ck), MAX(o_ck) "
+        "FROM Customer, Orders WHERE ck = o_ck GROUP BY cnation"}) {
+    const Query q = engine.Parse(sql);
+    const AggregateResult fact = engine.ExecuteAggregate(q);
+    const RdbResult flat = engine.ExecuteRdb(q.SpjCore());
+    SCOPED_TRACE(sql);
+    ExpectSameTable(fact.table,
+                    HashGroupBy(flat.relation, q.group_by, q.aggregates));
+  }
+}
+
 TEST(GroupByAggregate, PerGroupCountOverflowThrows) {
   // 9-way product of 300-value relations: 300^8 > 2^64 tuples per group.
   Relation r({0});

@@ -679,6 +679,21 @@ TEST(ParallelEnumerate, ResultStorageIsChargedBeforeItIsWritten) {
     EXPECT_THROW(grouped.Materialize(), FdbResourceExhausted);
   }
   EXPECT_TRUE(grouped.Materialize() == table);
+
+  // Split into many morsels on four threads, the grouped table is still
+  // charged once, with exactly its own bytes.
+  EnumerateOptions split;
+  split.threads = 4;
+  split.parallel_cutoff = 0;
+  split.target_morsel_tuples = 64;
+  ASSERT_GT(ParallelEnumerator(grouped.rep, split).num_chunks(), 1u);
+  {
+    ExecContext exact;
+    exact.budget().set_limit(table_bytes);
+    ExecContext::Scope scope(&exact);
+    EXPECT_TRUE(grouped.Materialize(split) == table);
+    EXPECT_EQ(exact.budget().charged(), table_bytes);
+  }
 }
 
 TEST(ParallelEnumerate, CancellationDuringPlanningSurfaces) {

@@ -109,6 +109,17 @@ Rules (each reported as path:line: [rule] message):
                      core/ops_restructure.cc, whose merge of sources is the
                      only regroup of the operators.
 
+  one-aggregate-algebra
+                     One aggregate algebra. No MulCount(, AddCount(,
+                     U64MulOverflow( or U64AddOverflow( in src/ outside
+                     common/types.h (the checked helpers), core/frep.cc
+                     (the CountTuples DP) and core/agg_stats.h (AggStats).
+                     Every COUNT/SUM/AVG/MIN/MAX over an f-representation
+                     folds through AggStats' union and product steps,
+                     which own the accumulator types and the overflow
+                     policy; a hand-written fold beside them is a second
+                     copy of the recurrence to keep in step.
+
 Exit status: 0 when clean, 1 when any rule fires, 2 on usage errors.
 --self-test seeds one violation per rule through the checkers and fails if
 any rule does NOT fire (the armed-probe pattern: prove the lint is live).
@@ -458,6 +469,22 @@ def check_one_restructure(relpath, text):
     return out
 
 
+COUNT_ARITH_RE = re.compile(
+    r'\b(MulCount|AddCount|U64MulOverflow|U64AddOverflow)\s*\(')
+COUNT_ARITH_OWNERS = ('src/common/types.h', 'src/core/frep.cc',
+                      'src/core/agg_stats.h')
+
+
+def check_one_aggregate_algebra(relpath, text):
+    if not relpath.startswith('src/') or relpath in COUNT_ARITH_OWNERS:
+        return []
+    return findings_for(
+        COUNT_ARITH_RE, strip_comments(text),
+        lambda m: '[one-aggregate-algebra] %s( outside the aggregate '
+                  'algebra — fold counts and statistics through AggStats '
+                  '(core/agg_stats.h)' % m.group(1))
+
+
 CHECKERS = [
     check_raw_threading,
     check_guarded_mutex,
@@ -473,6 +500,7 @@ CHECKERS = [
     check_page_advice,
     check_arena_blocks,
     check_one_restructure,
+    check_one_aggregate_algebra,
 ]
 
 # --------------------------------------------------------------------------
@@ -573,6 +601,11 @@ SELF_TEST_CASES = [
      'std::make_heap(heap.begin(), heap.end(), later);\n',
      '// merged without a std::priority_queue or make_heap(\n'
      'std::sort(heap.begin(), heap.end());\n'),
+    (check_one_aggregate_algebra, 'src/core/aggregate.cc',
+     'prod = MulCount(prod, c.count);\n'
+     'FDB_CHECK_MSG(!U64AddOverflow(a, b, &out), kCountOverflow);\n',
+     '// no MulCount( outside AggStats\n'
+     'alg.Mul(c, row, count[ch], stats.data() + ch * w);\n'),
 ]
 
 
