@@ -20,6 +20,7 @@
 #include "opt/fplan_search.h"
 #include "opt/ftree_search.h"
 #include "opt/greedy.h"
+#include "serve/protocol.h"
 
 namespace fdb {
 namespace {
@@ -139,6 +140,27 @@ void BM_GroupByChain(benchmark::State& state) {
   state.counters["groups"] = static_cast<double>(groups);
 }
 BENCHMARK(BM_GroupByChain)->Unit(benchmark::kMicrosecond);
+
+void BM_RenderChainSpj(benchmark::State& state) {
+  // RenderResult alone on one serve-warm-chain SPJ statement (benchmark/):
+  // the seed-1 100k Customer <- Orders <- Lineitem chain's `cnation = 7`
+  // result, executed once outside the timing, rendered as the server
+  // renders its bodies (expression plus stats line).
+  BenchInstance inst = MakeKeyForeignKeyChain(10001, 25001, 100000, 1);
+  Engine engine(inst.db.get());
+  const FdbResult res = engine.Execute(
+      "SELECT ck, cnation, lk, qty FROM Customer, Orders, Lineitem "
+      "WHERE ck = o_ck AND ok = l_ok AND cnation = 7");
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string body = RenderResult(*inst.db, res);
+    bytes = body.size();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.counters["body_bytes"] = static_cast<double>(bytes);
+  state.counters["unions"] = static_cast<double>(res.rep.NumUnions());
+}
+BENCHMARK(BM_RenderChainSpj)->Unit(benchmark::kMicrosecond);
 
 void BM_Swap(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

@@ -142,16 +142,18 @@ size_t FRep::MemoryBytes() const {
   return total;
 }
 
-namespace {
-
-// The CountTuples DP in uint64_t; false when a count overflows.
-bool TryCountU64(const FRep& rep, uint64_t* out) {
-  std::vector<uint64_t> memo(rep.NumUnions(), 0);
+// The CountTuples DP in uint64_t.
+bool FRep::TryCountTuples(uint64_t* out) const {
+  if (empty_) {
+    *out = 0;
+    return true;
+  }
+  std::vector<uint64_t> memo(NumUnions(), 0);
   bool overflow = false;
-  rep.SweepBottomUp([&](int node, uint32_t id) {
+  SweepBottomUp([&](int node, uint32_t id) {
     if (overflow) return;
-    const UnionRef un = rep.u(id);
-    const size_t k = rep.tree().node(node).children.size();
+    const UnionRef un = u(id);
+    const size_t k = tree_.node(node).children.size();
     uint64_t total = 0;
     for (size_t e = 0; e < un.size() && !overflow; ++e) {
       uint64_t prod = 1;
@@ -164,21 +166,19 @@ bool TryCountU64(const FRep& rep, uint64_t* out) {
   });
   if (overflow) return false;
   uint64_t result = 1;
-  for (uint32_t r : rep.roots()) {
+  for (uint32_t r : roots_) {
     if (U64MulOverflow(result, memo[r], &result)) return false;
   }
   *out = result;
   return true;
 }
 
-}  // namespace
-
 double FRep::CountTuples(bool* exact) const {
   if (exact != nullptr) *exact = true;
   if (empty_) return 0.0;
   if (roots_.empty()) return 1.0;  // the nullary tuple <>
   uint64_t exact_count = 0;
-  if (TryCountU64(*this, &exact_count)) {
+  if (TryCountTuples(&exact_count)) {
     double d = static_cast<double>(exact_count);
     if (exact != nullptr) {
       // Equal to the true count iff the uint64 -> double round trip is
@@ -226,7 +226,7 @@ uint64_t FRep::CountTuplesExact() const {
   if (empty_) return 0;
   if (roots_.empty()) return 1;  // the nullary tuple <>
   uint64_t count = 0;
-  FDB_CHECK_MSG(TryCountU64(*this, &count),
+  FDB_CHECK_MSG(TryCountTuples(&count),
                 "tuple count overflows uint64 — the representation encodes "
                 "more than 2^64 tuples");
   return count;

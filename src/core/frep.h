@@ -374,6 +374,10 @@ class FRep {
   /// (product-heavy representations can exceed 2^64 tuples).
   uint64_t CountTuplesExact() const;
 
+  /// Exact tuple count into *out; false (and *out untouched) when it
+  /// overflows uint64_t.
+  bool TryCountTuples(uint64_t* out) const;
+
   /// The per-union tuple counts of one SweepBottomUp: out[id] = number of
   /// tuples represented by the subtree rooted at union id, accumulated in
   /// double (exact below 2^53). When `keep` is given (indexed by f-tree

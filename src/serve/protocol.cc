@@ -1,7 +1,8 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
-#include <sstream>
+#include <cmath>
+#include <string_view>
 
 #include "common/str.h"
 #include "core/print.h"
@@ -19,6 +20,19 @@ bool IsKeywordShaped(const std::string& lower) {
       "sum",    "avg",  "min",   "max", "explain", "analyze"};
   return std::find(std::begin(kKeywords), std::end(kKeywords), lower) !=
          std::end(kKeywords);
+}
+
+// An aggregate cell: COUNT, SUM, MIN and MAX are integral and render as
+// exact integers; AVG (and an integral value beyond int64) renders as the
+// shortest decimal that reads back as the double.
+void AppendAggregate(RenderWriter* w, AggFn fn, double d) {
+  constexpr double kInt64Bound = 9223372036854775808.0;  // 2^63
+  if (fn != AggFn::kAvg && std::trunc(d) == d && d >= -kInt64Bound &&
+      d < kInt64Bound) {
+    w->AppendInt(static_cast<int64_t>(d));
+  } else {
+    w->AppendDouble(d);
+  }
 }
 
 }  // namespace
@@ -64,49 +78,61 @@ std::string NormalizeSql(const std::string& sql, const Catalog& catalog) {
 
 std::string RenderResult(const Database& db, const FdbResult& res) {
   if (res.explain.has_value()) return *res.explain;
-  std::ostringstream os;
+  const Catalog& catalog = db.catalog();
+  RenderWriter w;
   if (res.aggregate.has_value()) {
     const GroupedTable& tbl = *res.aggregate;
     for (size_t c = 0; c < tbl.group_schema.size(); ++c) {
-      if (c) os << "  ";
-      os << db.catalog().attr(tbl.group_schema[c]).name;
+      if (c) w.Append("  ");
+      w.Append(catalog.attr(tbl.group_schema[c]).name);
     }
     for (size_t c = 0; c < tbl.specs.size(); ++c) {
-      if (c || !tbl.group_schema.empty()) os << "  ";
+      if (c || !tbl.group_schema.empty()) w.Append("  ");
       const AggSpec& s = tbl.specs[c];
-      os << AggFnName(s.fn) << "("
-         << (s.fn == AggFn::kCount ? "*" : db.catalog().attr(s.attr).name)
-         << ")";
+      w.Append(AggFnName(s.fn));
+      w.Append('(');
+      w.Append(s.fn == AggFn::kCount ? std::string_view("*")
+                                     : catalog.attr(s.attr).name);
+      w.Append(')');
     }
-    os << "\n";
+    w.Append('\n');
     for (size_t r = 0; r < tbl.num_rows; ++r) {
       for (size_t c = 0; c < tbl.group_schema.size(); ++c) {
-        if (c) os << "  ";
-        Value v = tbl.KeyAt(r, c);
-        if (db.catalog().attr(tbl.group_schema[c]).is_string &&
+        if (c) w.Append("  ");
+        const Value v = tbl.KeyAt(r, c);
+        if (catalog.attr(tbl.group_schema[c]).is_string &&
             db.dict().Contains(v)) {
-          os << db.dict().Decode(v);
+          w.Append(db.dict().Decode(v));
         } else {
-          os << v;
+          w.AppendInt(v);
         }
       }
       for (size_t c = 0; c < tbl.specs.size(); ++c) {
-        if (c || !tbl.group_schema.empty()) os << "  ";
-        os << tbl.AggAt(r, c);
+        if (c || !tbl.group_schema.empty()) w.Append("  ");
+        AppendAggregate(&w, tbl.specs[c].fn, tbl.AggAt(r, c));
       }
-      os << "\n";
+      w.Append('\n');
     }
-    os << "-- " << tbl.num_rows << " groups\n";
+    w.Append("-- ");
+    w.AppendUint(tbl.num_rows);
+    w.Append(" groups\n");
   } else {
     PrintOptions popts;
     popts.unicode = false;  // ASCII wire format
-    popts.catalog = &db.catalog();
+    popts.catalog = &catalog;
     popts.dict = &db.dict();
-    os << ToExpressionString(res.rep, popts) << "\n"
-       << "-- " << res.NumSingletons() << " singletons, " << res.FlatTuples()
-       << " tuples\n";
+    const ExpressionCounts counts = w.AppendExpression(res.rep, popts);
+    w.Append("\n-- ");
+    w.AppendUint(counts.singletons);
+    w.Append(" singletons, ");
+    if (counts.tuples_fit) {
+      w.AppendUint(counts.tuples);
+    } else {
+      w.AppendDouble(res.rep.CountTuples());
+    }
+    w.Append(" tuples\n");
   }
-  return os.str();
+  return std::move(w).Take();
 }
 
 bool IsStatsRequest(const std::string& line) {

@@ -40,14 +40,25 @@ namespace fdb {
 std::string NormalizeSql(const std::string& sql, const Catalog& catalog);
 
 /// Renders an Execute() outcome as the canonical response body. SPJ
-/// queries yield the factorised expression (ASCII operators, attribute
-/// names, dictionary-decoded values) plus a `-- N singletons, M tuples`
+/// queries yield the factorised expression (ASCII operators,
+/// dictionary-decoded values) plus a `-- N singletons, M tuples`
 /// stats line; grouped-aggregate queries yield a header line, one line per
 /// group (keys sorted — GroupedTable::SortByKey order) and a `-- N groups`
 /// line. Timings are deliberately excluded: the body depends only on the
 /// query and the data. Every line ends with '\n'. Exception: an EXPLAIN
 /// ANALYZE result (FdbResult::explain) renders its span tree verbatim —
 /// those bodies carry wall times and are *not* deterministic.
+///
+/// Numbers are exact. Keys, the singleton count, the tuple count and
+/// COUNT/SUM/MIN/MAX cells print as decimal integers (std::to_chars); AVG
+/// prints as the shortest decimal that reads back as its double. Two
+/// cases have no exact integer: a tuple count past 2^64 prints as the
+/// shortest decimal of FRep::CountTuples(), and an aggregate cell past the
+/// int64 range as the shortest decimal of its double. SUM accumulates in
+/// double, so a sum past 2^53 may already have rounded before it prints.
+///
+/// One RenderWriter (core/print.h) writes the body, and its expression
+/// pass folds the two counts of the stats line.
 std::string RenderResult(const Database& db, const FdbResult& res);
 
 /// True iff `line` is the STATS protocol verb: the case-insensitive word

@@ -343,13 +343,18 @@ void QueryServer::ExecuteGroup(Group& group) {
   outcomes.reserve(live.size());
   uint64_t delivered_errors = 0, delivered_timeouts = 0;
   uint64_t delivered_resource = 0;
-  for (const Waiter& w : live) {
-    ServeResponse r = response;
+  // The last waiter takes the response itself: the rendered body is
+  // copied only for the coalesced waiters before it.
+  const bool cache_hit = response.cache_hit;
+  for (size_t i = 0; i < live.size(); ++i) {
+    const Waiter& w = live[i];
+    ServeResponse r =
+        i + 1 == live.size() ? std::move(response) : ServeResponse(response);
     r.coalesced = w.coalesced;
     if (w.has_deadline && w.deadline <= done) {
       r = ServeResponse{ServeStatus::kTimeout,
-                        "deadline exceeded during evaluation",
-                        response.cache_hit, w.coalesced};
+                        "deadline exceeded during evaluation", cache_hit,
+                        w.coalesced};
       ++delivered_timeouts;
     } else if (r.status == ServeStatus::kError) {
       ++delivered_errors;

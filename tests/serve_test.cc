@@ -623,6 +623,38 @@ TEST(Protocol, IsStatsRequest) {
   EXPECT_FALSE(IsStatsRequest(""));
 }
 
+// Bodies print their numbers exactly: counts and COUNT/SUM cells as
+// integers, AVG as the shortest decimal that reads back as the double. A
+// stream printer gave `1.21e+06`, `6.66105e+08` and `2.33333` here.
+TEST(Protocol, RenderResultPrintsExactNumbers) {
+  Database db;
+  const RelId r = db.CreateRelation("R", {"a", "b"});
+  const RelId s = db.CreateRelation("S", {"b2", "c"});
+  const RelId t = db.CreateRelation("T", {"x"});
+  for (int64_t v = 1; v <= 1100; ++v) {
+    db.Insert(r, {v, int64_t{1}});
+    db.Insert(s, {int64_t{1}, v});
+  }
+  for (int64_t v : {1, 2, 4}) db.Insert(t, {v});
+  Engine engine(&db);
+
+  // R and S meet on b = b2 = 1: 1100 x 1100 tuples.
+  EXPECT_EQ(RenderResult(db, engine.Execute("SELECT COUNT(*), SUM(a) FROM R, "
+                                            "S WHERE b = b2")),
+            "COUNT(*)  SUM(a)\n1210000  666105000\n-- 1 groups\n");
+  const std::string spj =
+      RenderResult(db, engine.Execute("SELECT * FROM R, S WHERE b = b2"));
+  const std::string stats = "\n-- 2202 singletons, 1210000 tuples\n";
+  ASSERT_GT(spj.size(), stats.size());
+  EXPECT_EQ(spj.substr(spj.size() - stats.size()), stats);
+  EXPECT_EQ(std::count(spj.begin(), spj.end(), '\n'), 2);
+
+  EXPECT_EQ(RenderResult(db, engine.Execute("SELECT AVG(x), MIN(x), MAX(x) "
+                                            "FROM T")),
+            "AVG(x)  MIN(x)  MAX(x)\n2.3333333333333335  1  4\n"
+            "-- 1 groups\n");
+}
+
 TEST(Protocol, FrameResponse) {
   EXPECT_EQ(FrameResponse(
                 ServeResponse{ServeStatus::kOk, "line1\nline2\n", false, false}),

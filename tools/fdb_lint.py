@@ -57,9 +57,12 @@ Rules (each reported as path:line: [rule] message):
 
   one-dag-walk       No private walk over the union DAG in src/ outside
                      core/frep.cc (FRep::SweepBottomUp, the shallow
-                     Validate), core/validate.cc (the deep validators) and
+                     Validate), core/validate.cc (the deep validators),
                      core/serialize.cc (WriteFRep, whose pre-order is the
-                     file format): neither an explicit union-id stack
+                     file format) and core/print.cc (the render writer,
+                     whose pre-order is the output and whose first-visit
+                     flags count a shared union's singletons once):
+                     neither an explicit union-id stack
                      (std::vector<uint32_t> ...stack...) nor a done/seen
                      array sized NumUnions(). Every other pass over the
                      unions folds through SweepBottomUp, which owns the
@@ -113,12 +116,22 @@ Rules (each reported as path:line: [rule] message):
                      One aggregate algebra. No MulCount(, AddCount(,
                      U64MulOverflow( or U64AddOverflow( in src/ outside
                      common/types.h (the checked helpers), core/frep.cc
-                     (the CountTuples DP) and core/agg_stats.h (AggStats).
+                     (the CountTuples DP), core/agg_stats.h (AggStats) and
+                     core/print.cc (the tuple count the render writer
+                     folds into its pass, which falls back to the DP past
+                     2^64 instead of throwing).
                      Every COUNT/SUM/AVG/MIN/MAX over an f-representation
                      folds through AggStats' union and product steps,
                      which own the accumulator types and the overflow
                      policy; a hand-written fold beside them is a second
                      copy of the recurrence to keep in step.
+
+  one-render-writer  No <sstream> or ostringstream in src/core/print.cc or
+                     src/serve/protocol.cc. Result bodies are written by
+                     RenderWriter (core/print.h): one buffer, fixed-size
+                     stores and std::to_chars, which prints integers
+                     exactly; a stream beside it costs a virtual call per
+                     value and rounds doubles to six digits.
 
 Exit status: 0 when clean, 1 when any rule fires, 2 on usage errors.
 --self-test seeds one violation per rule through the checkers and fails if
@@ -370,7 +383,7 @@ VISITED_ARRAY_RE = re.compile(
     r'\b\w*(done|seen)\w*\s*(\(|\{|\.assign\s*\(|\.resize\s*\()'
     r'[^;]*\bNumUnions\s*\(\s*\)')
 DAG_WALK_OWNERS = ('src/core/frep.cc', 'src/core/validate.cc',
-                   'src/core/serialize.cc')
+                   'src/core/serialize.cc', 'src/core/print.cc')
 
 
 def check_one_dag_walk(relpath, text):
@@ -472,7 +485,7 @@ def check_one_restructure(relpath, text):
 COUNT_ARITH_RE = re.compile(
     r'\b(MulCount|AddCount|U64MulOverflow|U64AddOverflow)\s*\(')
 COUNT_ARITH_OWNERS = ('src/common/types.h', 'src/core/frep.cc',
-                      'src/core/agg_stats.h')
+                      'src/core/agg_stats.h', 'src/core/print.cc')
 
 
 def check_one_aggregate_algebra(relpath, text):
@@ -483,6 +496,19 @@ def check_one_aggregate_algebra(relpath, text):
         lambda m: '[one-aggregate-algebra] %s( outside the aggregate '
                   'algebra — fold counts and statistics through AggStats '
                   '(core/agg_stats.h)' % m.group(1))
+
+
+RENDER_STREAM_RE = re.compile(r'<sstream>|\bostringstream\b')
+RENDER_WRITER_FILES = ('src/core/print.cc', 'src/serve/protocol.cc')
+
+
+def check_one_render_writer(relpath, text):
+    if relpath not in RENDER_WRITER_FILES:
+        return []
+    return findings_for(
+        RENDER_STREAM_RE, strip_comments(text),
+        lambda m: '[one-render-writer] %s in a result renderer — write '
+                  'through RenderWriter (core/print.h)' % m.group(0))
 
 
 CHECKERS = [
@@ -501,6 +527,7 @@ CHECKERS = [
     check_arena_blocks,
     check_one_restructure,
     check_one_aggregate_algebra,
+    check_one_render_writer,
 ]
 
 # --------------------------------------------------------------------------
@@ -606,6 +633,12 @@ SELF_TEST_CASES = [
      'FDB_CHECK_MSG(!U64AddOverflow(a, b, &out), kCountOverflow);\n',
      '// no MulCount( outside AggStats\n'
      'alg.Mul(c, row, count[ch], stats.data() + ch * w);\n'),
+    (check_one_render_writer, 'src/serve/protocol.cc',
+     '#include <sstream>\n'
+     'std::ostringstream os;\n',
+     '// no <sstream> here\n'
+     '#include <string_view>\n'
+     'RenderWriter w;\n'),
 ]
 
 
